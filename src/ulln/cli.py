@@ -5,7 +5,7 @@ Study-style runs take a JSON config with a top-level "command"
 discriminator (schema-checked, unknown keys rejected); `bounds` also
 accepts plain flags.  Exit codes: 0 success, 1 check failure, 2
 usage/config error, 3 IO error.  The env var ULLN_THREADS overrides
---threads.
+`experiment --threads`.
 """
 from __future__ import annotations
 
@@ -192,7 +192,7 @@ def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int
 
     grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
     writer = csv.writer(sys.stdout)
-    rows_out = [["n", "trace", "delta", "theorem_total", "classical_total", "extended_total"]]
+    rows_out = []
     for n in grid:
         n = int(n)
         trace = base["trace_sigma"] if trace_rule == "fixed" else base["norm_sigma"] * n / math.log(n)
@@ -201,11 +201,10 @@ def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int
             n=n, R=base["R"], delta=delta, trace_sigma=trace, norm_sigma=base["norm_sigma"],
             K=base["K"], log_n_constant_a=base["log_n_constant_a"],
         )
-        theorem = bound_theorem(params).total if delta <= 1 / 6 else float("nan")
-        rows_out.append(
-            [n, f"{trace:.6g}", f"{delta:.6g}", f"{theorem:.6g}",
-             f"{bound_classical(params).total:.6g}", f"{bound_extended(params).total:.6g}"]
-        )
+        reports = _bound_rows(params, which)
+        rows_out.append([n, f"{trace:.6g}", f"{delta:.6g}"]
+                        + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
+    rows_out.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
     if out_path:
         try:
             with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -309,8 +308,21 @@ def cmd_deviation(args) -> int:
     starts = raw.get("starts", 6)
     budget = raw.get("budget", 4000)
     base_seed = raw.get("base_seed", 0)
+    grid_resolution = raw.get("grid_resolution", 20000)
     if cov_kind not in ("reciprocal", "identity"):
         raise ConfigError("cov_kind must be 'reciprocal' or 'identity'")
+    # checked before the CSV header is written, so a bad config leaves stdout empty
+    for key, value in (("p", p), ("n", n), ("replicates", replicates), ("starts", starts), ("budget", budget)):
+        if value < 1:
+            raise ConfigError(f"config key {key!r} must be >= 1")
+    if grid_resolution < 2:
+        raise ConfigError("config key 'grid_resolution' must be >= 2")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ConfigError("config key 'R' must be finite and >= 0")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ConfigError("config key 'beta' must be finite and >= 0")
+    if not 0 < delta <= 1:
+        raise ConfigError("config key 'delta' must lie in (0, 1]")
 
     cov = make_covariance(cov_kind, p)
     params = BoundParams(n=n, R=radius, delta=delta, trace_sigma=cov.trace, norm_sigma=cov.spectral_norm)
@@ -334,7 +346,7 @@ def cmd_deviation(args) -> int:
         held += int(holds)
         row = [rep, f"{est.sup_value:.5f}", f"{theorem_total:.5f}", f"{classical_total:.5f}", int(holds)]
         if p == 1:
-            grid = sup_deviation_grid(data, gen, radius, raw.get("grid_resolution", 20000))
+            grid = sup_deviation_grid(data, gen, radius, grid_resolution)
             row.append(f"{grid.sup_value:.5f}")
         writer.writerow(row)
     print(f"holding_frequency={held / replicates:.5f}")
@@ -379,18 +391,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Constrained logistic regression: bound evaluation, table reproduction, "
                     "deviation search, identity verification, dataset dumps.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: machine parallelism; env ULLN_THREADS overrides)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_exp = sub.add_parser("experiment", parents=[common], help="run a replicated study and emit table CSVs")
+    p_exp = sub.add_parser("experiment", help="run a replicated study and emit table CSVs")
     p_exp.add_argument("config", help="JSON config with command='experiment'")
     p_exp.add_argument("out_dir", help="directory for table1.csv/table2.csv/replications.csv")
+    p_exp.add_argument("--threads", type=int, default=None,
+                       help="worker pool size (default: machine parallelism; env ULLN_THREADS overrides)")
     p_exp.add_argument("--verbose", action="store_true")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_bounds = sub.add_parser("bounds", parents=[common], help="evaluate the three uniform concentration bounds")
+    p_bounds = sub.add_parser("bounds", help="evaluate the three uniform concentration bounds")
     p_bounds.add_argument("config", nargs="?", help="optional JSON config with command='bounds'")
     p_bounds.add_argument("--n", type=int)
     p_bounds.add_argument("--R", type=float)
@@ -406,16 +417,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--out", help="write sweep CSV to this path instead of stdout")
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the identity check suites")
+    p_verify = sub.add_parser("verify", help="run the identity check suites")
     p_verify.add_argument("suite", choices=theory_checks.SUITE_NAMES)
     p_verify.add_argument("--csv", help="also write the report as CSV")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_dev = sub.add_parser("deviation", parents=[common], help="compare sup-deviation estimates against the bounds")
+    p_dev = sub.add_parser("deviation", help="compare sup-deviation estimates against the bounds")
     p_dev.add_argument("config", help="JSON config with command='deviation'")
     p_dev.set_defaults(func=cmd_deviation)
 
-    p_gen = sub.add_parser("generate", parents=[common], help="dump a dataset in the flat binary format")
+    p_gen = sub.add_parser("generate", help="dump a dataset in the flat binary format")
     p_gen.add_argument("config", help="JSON config with command='generate'")
     p_gen.set_defaults(func=cmd_generate)
 

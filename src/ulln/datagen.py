@@ -186,16 +186,21 @@ def write_dataset(path, data: Dataset, theta_star: np.ndarray) -> None:
 
 
 def read_dataset(path) -> tuple[Dataset, np.ndarray]:
-    """Inverse of write_dataset; validates magic and version."""
+    """Inverse of write_dataset; validates magic, version and file size."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    offset = len(MAGIC) + struct.calcsize("<IQQ")
     if blob[:4] != MAGIC:
         raise ValueError("not a ULLN dataset file (bad magic)")
+    if len(blob) < offset:
+        raise ValueError(f"truncated ULLN header: expected {offset} bytes, got {len(blob)}")
     version, n, p = struct.unpack_from("<IQQ", blob, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    offset = 4 + struct.calcsize("<IQQ")
     x_bytes = 8 * n * p
+    expected = offset + x_bytes + n + 8 * p
+    if len(blob) != expected:
+        raise ValueError(f"ULLN file size mismatch for n={n}, p={p}: expected {expected} bytes, got {len(blob)}")
     x = np.frombuffer(blob, dtype="<f8", count=n * p, offset=offset).reshape(n, p)
     offset += x_bytes
     y = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset).astype(np.int64)

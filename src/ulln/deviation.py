@@ -13,16 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GenerativeConfig, make_rng, derive_seed
-from .model import (
-    Dataset,
-    QUADRATURE_NODES_PER_AXIS,
-    _mixture_loss,
-    empirical_risk,
-    risk_gradient,
-    sigmoid,
-    softplus,
-)
-from .quadrature import gauss_hermite_tensor
+from .model import Dataset, LogisticSurface, population_surface
 from .solver import project_to_ball
 
 ASCENT_ITERS = 120
@@ -38,65 +29,15 @@ class DeviationEstimate:
     pop_risk_stderr: float
 
 
-class _QuadraturePopulationRisk:
-    """Deterministic population risk for p <= 2 via tensorized Gauss-Hermite."""
-
-    def __init__(self, gen: GenerativeConfig):
-        z_nodes, self.weights = gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, gen.p)
-        self.x_nodes = gen.cov.transform(z_nodes)
-        self.label_probs = sigmoid(gen.beta * (self.x_nodes @ gen.concrete_theta_star()))
-        self.stderr = 0.0
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(self.weights @ _mixture_loss(self.x_nodes @ theta, self.label_probs))
-
-    def value_many(self, thetas: np.ndarray) -> np.ndarray:
-        scores = self.x_nodes @ thetas.T  # (nodes, m)
-        losses = self.label_probs[:, None] * softplus(-scores) + (1.0 - self.label_probs[:, None]) * softplus(scores)
-        return self.weights @ losses
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        residual = sigmoid(self.x_nodes @ theta) - self.label_probs
-        return self.x_nodes.T @ (self.weights * residual)
-
-    def stderr_at(self, theta: np.ndarray) -> float:
-        return 0.0
-
-
-class _SampledPopulationRisk:
-    """Frozen Monte Carlo reference sample with the exact label mixture.
-
-    The sample is drawn once and reused for every evaluation so that the
-    ascent climbs a fixed surface instead of chasing resampling noise.
-    """
-
-    def __init__(self, gen: GenerativeConfig, budget: int, seed: int):
-        if budget < 1:
-            raise ValueError("budget must be a positive integer")
-        rng = make_rng(seed)
-        z = rng.standard_normal((budget, gen.p))
-        self.x = gen.cov.transform(z)
-        self.label_probs = sigmoid(gen.beta * (self.x @ gen.concrete_theta_star()))
-        self.budget = budget
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(np.mean(_mixture_loss(self.x @ theta, self.label_probs)))
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        residual = sigmoid(self.x @ theta) - self.label_probs
-        return self.x.T @ residual / self.budget
-
-    def stderr_at(self, theta: np.ndarray) -> float:
-        losses = _mixture_loss(self.x @ theta, self.label_probs)
-        if self.budget == 1:
-            return float("inf")
-        return float(np.std(losses, ddof=1) / np.sqrt(self.budget))
-
-
-def _make_population_risk(gen: GenerativeConfig, budget: int, seed: int):
-    if gen.p <= 2:
-        return _QuadraturePopulationRisk(gen)
-    return _SampledPopulationRisk(gen, budget, seed)
+def _gap_surface(data: Dataset, pop: LogisticSurface) -> LogisticSurface:
+    """R_n - Rhat as one surface: data rows weighted +1/n, population rows -w."""
+    rows = pop.x.shape[0]
+    pop_weights = np.full(rows, 1.0 / rows) if pop.weights is None else pop.weights
+    return LogisticSurface(
+        np.vstack([data.inputs, pop.x]),
+        np.concatenate([data.labels, pop.targets]),
+        np.concatenate([np.full(data.n, 1.0 / data.n), -pop_weights]),
+    )
 
 
 def _uniform_ball(p: int, radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,12 +70,8 @@ def sup_deviation_search(
     if gen.p != data.p:
         raise ValueError("generative config dimension does not match data")
 
-    pop = _make_population_risk(gen, budget, derive_seed(seed, 0x9E3779B9))
-
-    if radius == 0.0:
-        theta0 = np.zeros(data.p)
-        gap = abs(empirical_risk(data, theta0) - pop.value(theta0))
-        return DeviationEstimate(gap, theta0, "multistart_ascent", starts, pop.stderr_at(theta0))
+    pop = population_surface(gen, budget, derive_seed(seed, 0x9E3779B9))
+    gap = _gap_surface(data, pop)
 
     rng = make_rng(derive_seed(seed, 0x51ED270))
     start_points = [np.zeros(data.p)]
@@ -143,26 +80,23 @@ def sup_deviation_search(
         start_points.extend([anchor, -anchor])
     start_points.extend(_uniform_ball(data.p, radius, starts, rng))
 
-    best_value = -np.inf
-    best_theta = np.zeros(data.p)
+    # path 2i climbs +gap and path 2i+1 climbs -gap from start i; all paths advance together
+    thetas = np.repeat(np.asarray(start_points), 2, axis=0)
+    signs = np.tile([1.0, -1.0], len(start_points))[:, None]
+    best_values = np.full(thetas.shape[0], -np.inf)
+    best_thetas = thetas.copy()
 
-    for start in start_points:
-        for sign in (1.0, -1.0):
-            theta = np.asarray(start, dtype=float).copy()
-            for k in range(1, ascent_iters + 1):
-                gap = empirical_risk(data, theta) - pop.value(theta)
-                if abs(gap) > best_value:
-                    best_value = abs(gap)
-                    best_theta = theta.copy()
-                ascent = sign * (risk_gradient(data, theta) - pop.gradient(theta))
-                theta = project_to_ball(theta + (ASCENT_STEP / np.sqrt(k)) * ascent, radius)
-            gap = empirical_risk(data, theta) - pop.value(theta)
-            if abs(gap) > best_value:
-                best_value = abs(gap)
-                best_theta = theta.copy()
+    for k in range(1, ascent_iters + 2):  # the last pass only scores the final iterates
+        values, grads = gap.value_and_grad(thetas)
+        better = np.abs(values) > best_values
+        best_values[better] = np.abs(values[better])
+        best_thetas[better] = thetas[better]
+        if k <= ascent_iters:
+            thetas = project_to_ball(thetas + (ASCENT_STEP / np.sqrt(k)) * (signs * grads), radius)
 
+    best = int(np.argmax(best_values))
     return DeviationEstimate(
-        float(best_value), best_theta, "multistart_ascent", starts, pop.stderr_at(best_theta)
+        float(best_values[best]), best_thetas[best], "multistart_ascent", starts, pop.std_error(best_thetas[best])
     )
 
 
@@ -182,13 +116,12 @@ def sup_deviation_grid(
     if data.p > 2:
         raise ValueError("grid oracle supports p <= 2 only")
 
+    # p <= 2, so the population surface is the quadrature rule: budget and seed are unused
+    gap = _gap_surface(data, population_surface(gen, 1, 0))
     if radius == 0.0:
         theta0 = np.zeros(data.p)
-        pop = _QuadraturePopulationRisk(gen)
-        gap = abs(empirical_risk(data, theta0) - pop.value(theta0))
-        return DeviationEstimate(gap, theta0, "grid", 1, 0.0)
+        return DeviationEstimate(abs(float(gap.value(theta0))), theta0, "grid", 1, 0.0)
 
-    pop = _QuadraturePopulationRisk(gen)
     axis = np.linspace(-radius, radius, resolution)
     if data.p == 1:
         thetas = axis[:, None]
@@ -199,13 +132,10 @@ def sup_deviation_grid(
 
     best_value = -np.inf
     best_theta = np.zeros(data.p)
-    chunk = max(1, int(2**22 // max(pop.x_nodes.shape[0], 1)))
+    chunk = max(1, int(2**22 // gap.x.shape[0]))
     for lo in range(0, thetas.shape[0], chunk):
         block = thetas[lo : lo + chunk]
-        scores = data.inputs @ block.T  # (n, m)
-        y = data.labels[:, None]
-        emp = np.mean(y * softplus(-scores) + (1 - y) * softplus(scores), axis=0)
-        gaps = np.abs(emp - pop.value_many(block))
+        gaps = np.abs(gap.value(block))
         idx = int(np.argmax(gaps))
         if gaps[idx] > best_value:
             best_value = float(gaps[idx])

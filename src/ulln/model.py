@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.special import expit
 
 from .quadrature import gauss_hermite_tensor
 
@@ -26,12 +27,7 @@ LOG2 = float(np.log(2.0))
 
 def sigmoid(t):
     """Logistic link 1/(1+exp(-t)), overflow-free on both tails."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    out = expit(np.asarray(t, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -105,19 +101,67 @@ def _check_theta(data_p: int, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+class LogisticSurface:
+    """The weighted logistic surface F(theta) = sum_i w_i loss(t_i, <x_i, theta>).
+
+    Rows x_i carry targets t_i in [0, 1] (hard labels or label
+    probabilities) and signed weights w_i; `weights=None` weights every
+    row by 1/rows, as for a sample mean.  Hard labels with equal weights
+    give the empirical risk, label probabilities the population risk
+    (equal weights on a Monte Carlo sample or Gauss-Hermite weights), and
+    both stacked with opposite signs the gap between them.
+
+    A parameter block `thetas` is one vector (p,) or a matrix (m, p);
+    scores, values and gradients follow it with a leading axis of m.
+    """
+
+    def __init__(self, x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
+        self.x = np.asarray(x, dtype=float)
+        self.targets = np.asarray(targets, dtype=float)
+        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+
+    def scores(self, thetas: np.ndarray) -> np.ndarray:
+        return thetas @ self.x.T
+
+    def value_at(self, scores: np.ndarray):
+        """F from precomputed scores (rows,) or (m, rows)."""
+        losses = per_example_loss(self.targets, scores)
+        return np.mean(losses, axis=-1) if self.weights is None else losses @ self.weights
+
+    def grad_at(self, scores: np.ndarray) -> np.ndarray:
+        """grad F = sum_i w_i (sigma(s_i) - t_i) x_i from precomputed scores."""
+        residual = expit(scores) - self.targets
+        if self.weights is None:
+            return residual @ self.x / self.x.shape[0]
+        return (self.weights * residual) @ self.x
+
+    def value(self, thetas: np.ndarray):
+        return self.value_at(self.scores(thetas))
+
+    def value_and_grad(self, thetas: np.ndarray):
+        scores = self.scores(thetas)
+        return self.value_at(scores), self.grad_at(scores)
+
+    def std_error(self, theta: np.ndarray) -> float:
+        """Standard error of the value as a sample mean over equally weighted
+        rows; 0 for explicit weights, which form an exact rule."""
+        rows = self.x.shape[0]
+        if self.weights is not None:
+            return 0.0
+        if rows == 1:
+            return float("inf")
+        return float(np.std(per_example_loss(self.targets, self.scores(theta)), ddof=1) / np.sqrt(rows))
+
+
 def empirical_risk(data: Dataset, theta: np.ndarray) -> float:
     """Mean cross-entropy loss over the sample."""
-    theta = _check_theta(data.p, theta)
-    scores = data.inputs @ theta
-    return float(np.mean(per_example_loss(data.labels, scores)))
+    return float(LogisticSurface(data.inputs, data.labels).value(_check_theta(data.p, theta)))
 
 
 def risk_gradient(data: Dataset, theta: np.ndarray) -> np.ndarray:
     """(1/n) sum_i (sigma(<X_i, theta>) - Y_i) X_i."""
-    theta = _check_theta(data.p, theta)
-    scores = data.inputs @ theta
-    residual = sigmoid(scores) - data.labels
-    return data.inputs.T @ residual / data.n
+    surface = LogisticSurface(data.inputs, data.labels)
+    return surface.grad_at(surface.scores(_check_theta(data.p, theta)))
 
 
 def risk_laplacian(data: Dataset, theta: np.ndarray) -> float:
@@ -128,12 +172,30 @@ def risk_laplacian(data: Dataset, theta: np.ndarray) -> float:
     return float(np.mean(sigmoid_derivative(scores) * sq_norms))
 
 
-def _mixture_loss(scores: np.ndarray, label_probs: np.ndarray) -> np.ndarray:
-    """E_Y[loss | score] with Y ~ Ber(label_probs), evaluated exactly."""
-    return label_probs * softplus(-scores) + (1.0 - label_probs) * softplus(scores)
-
-
 QUADRATURE_NODES_PER_AXIS = 128
+
+
+def population_surface(gen: "GenerativeConfig", budget: int, seed: int) -> LogisticSurface:
+    """The population risk R(theta) = E[loss] under the generative config, as one frozen surface.
+
+    For p <= 2 the rows are the nodes of a tensorized
+    128-node-per-axis Gauss-Hermite rule with its weights, giving a
+    deterministic surface.  Otherwise they are `budget` equally weighted
+    input draws from the `make_rng(seed)` stream, drawn once so that every
+    evaluation sees the same sample.  The targets are the exact
+    label probabilities sigma(beta <x, theta*>), so the label is
+    integrated out as a Bernoulli mixture.
+    """
+    from .datagen import make_rng
+
+    if budget < 1:
+        raise ValueError("budget must be a positive integer")
+    if gen.p <= 2:
+        z, weights = gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, gen.p)
+    else:
+        z, weights = make_rng(seed).standard_normal((budget, gen.p)), None
+    x = gen.cov.transform(z)
+    return LogisticSurface(x, sigmoid(gen.beta * (x @ gen.concrete_theta_star())), weights)
 
 
 def population_risk(
@@ -142,42 +204,16 @@ def population_risk(
     budget: int,
     seed: int,
 ) -> PopulationRiskEstimate:
-    """Population risk R(theta) = E[loss] under the generative config.
+    """Population risk R(theta) on the surface of `population_surface`.
 
-    For p <= 2 the Gaussian input is integrated with a tensorized
-    128-node-per-axis Gauss-Hermite rule and the label is handled as an
-    exact Bernoulli mixture, giving a deterministic value (std_error 0).
-    Otherwise a Monte Carlo estimate over `budget` fresh input draws is
-    returned, still with the exact label mixture per draw.
+    The std_error is 0 for quadrature and the Monte Carlo standard
+    error over the `budget` draws otherwise.
     """
-    from .datagen import make_rng
-
-    if budget < 1:
-        raise ValueError("budget must be a positive integer")
+    surface = population_surface(gen, budget, seed)
     theta = _check_theta(gen.p, theta)
-    theta_star = gen.concrete_theta_star()
-
-    if gen.p <= 2:
-        z_nodes, weights = gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, gen.p)
-        x_nodes = gen.cov.transform(z_nodes)
-        label_probs = sigmoid(gen.beta * (x_nodes @ theta_star))
-        losses = _mixture_loss(x_nodes @ theta, label_probs)
-        return PopulationRiskEstimate(
-            mean=float(weights @ losses),
-            std_error=0.0,
-            samples=weights.size,
-            method="quadrature",
-        )
-
-    rng = make_rng(seed)
-    z = rng.standard_normal((budget, gen.p))
-    x = gen.cov.transform(z)
-    label_probs = sigmoid(gen.beta * (x @ theta_star))
-    losses = _mixture_loss(x @ theta, label_probs)
-    std_error = float(np.std(losses, ddof=1) / np.sqrt(budget)) if budget > 1 else float("inf")
     return PopulationRiskEstimate(
-        mean=float(np.mean(losses)),
-        std_error=std_error,
-        samples=budget,
-        method="monte_carlo",
+        mean=float(surface.value(theta)),
+        std_error=surface.std_error(theta),
+        samples=surface.x.shape[0],
+        method="quadrature" if surface.weights is not None else "monte_carlo",
     )

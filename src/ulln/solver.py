@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, per_example_loss, sigmoid
+from .model import Dataset, LogisticSurface
 
 BOUNDARY_TOL = 1e-8
 _STEP_GROWTH = 2.0
@@ -52,16 +52,13 @@ class FitResult:
 
 
 def project_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {theta : ||theta|| <= radius}."""
+    """Euclidean projection onto {theta : ||theta|| <= radius}, row-wise over the last axis."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm <= radius:
-        return v.copy()
-    if radius == 0.0:
-        return np.zeros_like(v)
-    return (radius / norm) * v
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    outside = norm > radius
+    return np.where(outside, (radius / np.where(outside, norm, 1.0)) * v, v)
 
 
 def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = None) -> FitResult:
@@ -76,20 +73,15 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
     if radius < 0:
         raise ValueError("radius must be >= 0")
     opts = opts or SolverOptions()
-    x, y = data.inputs, data.labels
-    n = data.n
-
-    def risk_of(scores):
-        return float(np.mean(per_example_loss(y, scores)))
-
-    if radius == 0.0:
-        theta = np.zeros(data.p)
-        return FitResult(theta, risk_of(np.zeros(n)), 0, True, True, 0.0)
-
+    x, n = data.inputs, data.n
+    # one matvec per candidate and per accepted step: loss and gradient start from the scores
+    surface = LogisticSurface(x, data.labels)
     theta = np.zeros(data.p)
     scores = np.zeros(n)
-    risk = risk_of(scores)
-    grad = x.T @ (sigmoid(scores) - y) / n
+    risk = float(surface.value_at(scores))
+    if radius == 0.0:
+        return FitResult(theta, risk, 0, True, True, 0.0)
+    grad = surface.grad_at(scores)
 
     step = opts.initial_step
     if step is None:
@@ -107,7 +99,7 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
             direction = candidate - theta
             decrease = float(grad @ direction)  # <= 0 by the projection property
             cand_scores = x @ candidate
-            cand_risk = risk_of(cand_scores)
+            cand_risk = float(surface.value_at(cand_scores))
             if cand_risk <= risk + opts.armijo_const * decrease:
                 break
             step *= opts.backtrack_factor
@@ -117,7 +109,7 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
 
         grad_map_norm = float(np.linalg.norm(direction)) / step
         theta, scores, risk = candidate, cand_scores, cand_risk
-        grad = x.T @ (sigmoid(scores) - y) / n
+        grad = surface.grad_at(scores)
         if grad_map_norm <= opts.grad_map_tol:
             converged = True
             break

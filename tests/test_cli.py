@@ -119,6 +119,16 @@ class TestBoundsCommand:
         assert all(b < a for a, b in zip(theorem, theorem[1:]))  # marches toward zero
         assert all(c > 1.0 for c in classical)  # does not vanish
 
+    @pytest.mark.parametrize("bound", ("theorem", "classical", "extended"))
+    def test_sweep_emits_only_the_selected_bound(self, capsys, bound):
+        assert main([
+            "bounds", "--R", "1", "--norm", "1", "--n", "1000", "--delta", "0.01", "--trace", "10",
+            "--sweep", "n=1000:100000:3", "--bound", bound,
+        ]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["n", "trace", "delta", f"{bound}_total"]
+        assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+
     def test_config_file_variant(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {
             "command": "bounds", "n": 100, "R": 0.0, "K": 1.4142135623730951,
@@ -141,6 +151,11 @@ class TestVerifyCommand:
         rows = list(csv.reader(csv_path.open()))
         assert rows[0] == ["name", "lhs", "rhs", "residual", "tolerance", "passed"]
         assert all(row[5] == "1" for row in rows[1:])
+
+    def test_threads_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "hermite", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -177,6 +192,18 @@ class TestDeviationCommand:
             assert float(row[1]) == pytest.approx(0.0, abs=1e-12)
             assert row[4] == "1"
         assert "holding_frequency=1.00000" in out
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", 0), ("n", 0), ("replicates", 0), ("starts", 0), ("budget", 0), ("grid_resolution", 1),
+        ("R", -0.5), ("beta", -1.0), ("beta", float("inf")), ("delta", 0.0), ("delta", 1.5),
+    ])
+    def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
+        payload = {"command": "deviation", "p": 1, "n": 10, "replicates": 1, "starts": 1, "budget": 50}
+        cfg = write_json(tmp_path / "bad.json", dict(payload, **{key: value}))
+        assert main(["deviation", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
 
 
 class TestGenerateCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from ulln import (
     CovarianceSpec,
+    Dataset,
     GenerativeConfig,
     generate_dataset,
     make_covariance,
@@ -134,8 +135,6 @@ class TestBinaryFormat:
 
     def test_header_layout(self, tmp_path):
         data_x = np.arange(6, dtype=float).reshape(2, 3)
-        from ulln import Dataset
-
         data = Dataset(data_x, np.array([1, 0]))
         theta = np.array([0.5, -0.5, 0.25])
         path = tmp_path / "layout.ulln"
@@ -156,6 +155,23 @@ class TestBinaryFormat:
         path = tmp_path / "bad.ulln"
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("cut, expected", ((1, 98), (71, 98), (80, 24)))
+    def test_rejects_truncated_file(self, tmp_path, cut, expected):
+        path = tmp_path / "short.ulln"
+        write_dataset(path, Dataset(np.ones((2, 3)), np.array([1, 0])), np.zeros(3))
+        blob = path.read_bytes()
+        assert len(blob) == 98
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(ValueError, match=f"expected {expected} bytes, got {98 - cut}"):
+            read_dataset(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.ulln"
+        write_dataset(path, Dataset(np.ones((2, 3)), np.array([1, 0])), np.zeros(3))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="expected 98 bytes, got 99"):
             read_dataset(path)
 
 

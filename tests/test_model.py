@@ -6,16 +6,19 @@ import pytest
 from ulln import (
     Dataset,
     GenerativeConfig,
+    LogisticSurface,
     empirical_risk,
     make_covariance,
     per_example_loss,
     population_risk,
+    population_surface,
     risk_gradient,
     risk_laplacian,
     sigmoid,
     softplus,
 )
-from ulln.model import _mixture_loss
+from ulln.datagen import make_rng
+from ulln.quadrature import gauss_hermite_tensor
 
 LOG2 = math.log(2.0)
 
@@ -189,7 +192,7 @@ class TestPopulationRisk:
         # independent Monte Carlo oracle with the same label mixture
         rng = np.random.default_rng(42)
         x = rng.standard_normal((400_000, 1))
-        losses = _mixture_loss(x @ theta, sigmoid(1.0 * (x @ np.array([1.0]))))
+        losses = per_example_loss(sigmoid(1.0 * (x @ np.array([1.0]))), x @ theta)
         mc_mean = losses.mean()
         mc_se = losses.std(ddof=1) / math.sqrt(losses.size)
         assert abs(quad.mean - mc_mean) <= 3 * mc_se
@@ -215,6 +218,75 @@ class TestPopulationRisk:
         )
         with pytest.raises(ValueError):
             population_risk(gen, np.zeros(3), budget=0, seed=1)
+
+
+class TestLogisticSurface:
+    def test_empirical_surface_matches_direct_formulas(self):
+        rng = np.random.default_rng(9)
+        data = random_dataset(rng, 40, 6)
+        theta = rng.standard_normal(6)
+        scores = data.inputs @ theta
+        surface = LogisticSurface(data.inputs, data.labels)
+        value, grad = surface.value_and_grad(theta)
+        assert value == pytest.approx(np.mean(per_example_loss(data.labels, scores)), rel=1e-12)
+        np.testing.assert_allclose(grad, data.inputs.T @ (sigmoid(scores) - data.labels) / data.n, rtol=1e-12)
+        assert empirical_risk(data, theta) == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(risk_gradient(data, theta), grad, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", (1, 2, 3))
+    def test_population_surface_matches_direct_formulas(self, p):
+        direction = np.linspace(1.0, -0.5, p)
+        gen = GenerativeConfig(
+            p=p, n=5, cov=make_covariance("reciprocal", p), beta=3.0,
+            theta_star=direction / np.linalg.norm(direction), seed=0,
+        )
+        theta = np.linspace(-0.4, 0.7, p)
+        if p <= 2:
+            z, weights = gauss_hermite_tensor(128, p)
+        else:
+            z = make_rng(17).standard_normal((900, p))
+            weights = np.full(900, 1.0 / 900)
+        x = gen.cov.transform(z)
+        losses = per_example_loss(sigmoid(3.0 * (x @ gen.theta_star)), x @ theta)
+        est = population_risk(gen, theta, budget=900, seed=17)
+        assert est.mean == pytest.approx(weights @ losses, rel=1e-12)
+        assert est.samples == weights.size
+        assert est.method == ("quadrature" if p <= 2 else "monte_carlo")
+        if p > 2:
+            assert est.std_error == pytest.approx(np.std(losses, ddof=1) / 30.0, rel=1e-12)
+        surface = population_surface(gen, 900, 17)
+        np.testing.assert_array_equal(surface.x, x)
+        assert surface.value(theta) == pytest.approx(est.mean, rel=1e-15)
+
+    def signed_soft_surface(self, rng, rows=30, p=4):
+        """Soft targets and weights of both signs, like the gap R_n - Rhat."""
+        return LogisticSurface(rng.standard_normal((rows, p)), rng.random(rows), rng.uniform(-0.1, 0.1, rows))
+
+    def test_batched_rows_equal_single_calls(self):
+        rng = np.random.default_rng(10)
+        surface = self.signed_soft_surface(rng)
+        thetas = rng.standard_normal((7, 4)) * 2.0
+        values, grads = surface.value_and_grad(thetas)
+        assert values.shape == (7,) and grads.shape == (7, 4)
+        for theta, value, grad in zip(thetas, values, grads):
+            single_value, single_grad = surface.value_and_grad(theta)
+            assert value == pytest.approx(single_value, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(grad, single_grad, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(surface.value(thetas), values)
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(11)
+        surface = self.signed_soft_surface(rng)
+        theta = rng.standard_normal(4) * 0.8
+        h = 1e-5
+        fd = np.array([(surface.value(theta + h * e) - surface.value(theta - h * e)) / (2 * h) for e in np.eye(4)])
+        _, grad = surface.value_and_grad(theta)
+        assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
+
+    def test_extreme_scores_stay_finite(self):
+        surface = LogisticSurface(np.array([[1.0], [-1.0]]), np.array([1.0, 0.3]), np.array([0.5, -0.5]))
+        value, grad = surface.value_and_grad(np.array([[1e300], [-1e300]]))
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
 
 
 class TestDatasetValidation:

@@ -16,6 +16,15 @@ class TestProjectToBall:
     def test_zero_radius(self):
         np.testing.assert_array_equal(project_to_ball(np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
 
+    def test_rows_project_like_single_vectors(self):
+        rng = np.random.default_rng(3)
+        block = np.vstack([rng.standard_normal((5, 4)) * 2.0, np.zeros(4), [0.1, 0.0, 0.0, 0.0]])
+        for radius in (0.0, 0.5, 1.0):
+            projected = project_to_ball(block, radius)
+            for row, single in zip(block, projected):
+                np.testing.assert_array_equal(single, project_to_ball(row, radius))
+            assert np.all(np.linalg.norm(projected, axis=1) <= radius + 1e-12)
+
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             project_to_ball(np.array([1.0]), -0.1)
