@@ -6,10 +6,8 @@ Gaussian-analysis identities."""
 from .model import (
     Dataset,
     LogisticSurface,
-    PopulationRiskEstimate,
     empirical_risk,
     per_example_loss,
-    population_risk,
     population_surface,
     risk_gradient,
     risk_laplacian,

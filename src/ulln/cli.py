@@ -4,8 +4,9 @@ Subcommands: experiment | bounds | verify | deviation | generate.
 Study-style runs take a JSON config with a top-level "command"
 discriminator (schema-checked, unknown keys rejected); `bounds` also
 accepts plain flags.  Exit codes: 0 success, 1 check failure, 2
-usage/config error, 3 IO error.  The env var ULLN_THREADS overrides
-`experiment --threads`.
+usage/config error, 3 IO error.  Only `experiment` takes `--threads`,
+the size of its replication worker pool.  Inputs are drawn as
+X = Lambda^{1/2} Z with a diagonal covariance Lambda.
 """
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ def _load_config(path: str, command: str, schema: dict[str, type | tuple]) -> di
 def _solver_opts(raw: dict | None) -> SolverOptions:
     if raw is None:
         return StudyConfig().solver_opts
-    allowed = {"max_iters", "grad_map_tol", "initial_step", "backtrack_factor", "armijo_const"}
+    allowed = {"max_iters", "grad_map_tol"}
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
@@ -93,12 +94,6 @@ def _solver_opts(raw: dict | None) -> SolverOptions:
 
 
 def _thread_count(args) -> int:
-    env = os.environ.get("ULLN_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"ULLN_THREADS must be an integer, got {env!r}") from exc
     if args.threads is not None:
         return max(1, args.threads)
     return os.cpu_count() or 1
@@ -292,7 +287,6 @@ _DEVIATION_SCHEMA = {
     "budget": int,
     "base_seed": int,
     "grid_resolution": int,
-    "out": str,
 }
 
 
@@ -397,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config", help="JSON config with command='experiment'")
     p_exp.add_argument("out_dir", help="directory for table1.csv/table2.csv/replications.csv")
     p_exp.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (default: machine parallelism; env ULLN_THREADS overrides)")
+                       help="worker pool size (default: machine parallelism)")
     p_exp.add_argument("--verbose", action="store_true")
     p_exp.set_defaults(func=cmd_experiment)
 

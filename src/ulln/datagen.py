@@ -1,7 +1,9 @@
 """Anisotropic Gaussian data generation for constrained logistic regression.
 
-Inputs are X_i = U Lambda^{1/2} Z_i with Z_i standard normal, labels
-Y_i ~ Ber(sigma(beta <X_i, theta*>)).  All randomness flows through
+Inputs are X_i = Lambda^{1/2} Z_i with Z_i standard normal, labels
+Y_i ~ Ber(sigma(beta <X_i, theta*>)).  Sigma = Lambda is diagonal: the
+bounds see it only through tr(Sigma) and ||Sigma||, which a rotation
+leaves unchanged.  All randomness flows through
 counter-based Philox streams keyed by integer seeds, so generation is
 bit-reproducible and independent of thread schedule; per-replicate
 streams are derived by hashing (seed, index, ...) tuples.
@@ -17,7 +19,6 @@ from .model import Dataset, sigmoid
 
 MAGIC = b"ULLN"
 FORMAT_VERSION = 1
-ORTHOGONALITY_TOL = 1e-10
 
 UNIFORM_SPHERE = "uniform_sphere"
 
@@ -35,10 +36,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Eigenvalue spectrum plus optional rotation: Sigma = U diag(lambda) U^T."""
+    """Diagonal covariance Sigma = diag(lambda), given by its eigenvalue spectrum."""
 
     eigenvalues: np.ndarray
-    rotation: np.ndarray | None = None
 
     def __post_init__(self):
         eig = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
@@ -47,13 +47,6 @@ class CovarianceSpec:
             raise ValueError("eigenvalue spectrum must be non-empty")
         if not np.all(np.isfinite(eig)) or np.any(eig < 0):
             raise ValueError("eigenvalues must be finite and >= 0")
-        if self.rotation is not None:
-            u = np.asarray(self.rotation, dtype=float)
-            object.__setattr__(self, "rotation", u)
-            if u.shape != (eig.size, eig.size):
-                raise ValueError("rotation must be p x p")
-            if np.max(np.abs(u.T @ u - np.eye(eig.size))) > ORTHOGONALITY_TOL:
-                raise ValueError("rotation must be orthogonal")
 
     @property
     def p(self) -> int:
@@ -67,42 +60,19 @@ class CovarianceSpec:
     def spectral_norm(self) -> float:
         return float(np.max(self.eigenvalues))
 
-    def coordinate_variances(self) -> np.ndarray:
-        """diag(Sigma); equals the spectrum when the rotation is identity."""
-        if self.rotation is None:
-            return self.eigenvalues.copy()
-        return (self.rotation**2) @ self.eigenvalues
-
     def transform(self, z: np.ndarray) -> np.ndarray:
-        """Map rows of isotropic z through U Lambda^{1/2}."""
-        x = np.asarray(z, dtype=float) * np.sqrt(self.eigenvalues)
-        if self.rotation is not None:
-            x = x @ self.rotation.T
-        return x
-
-    def whiten_directions(self, w: np.ndarray) -> np.ndarray:
-        """Lambda^{1/2} U^T w for rows (or a single vector) w."""
-        w = np.asarray(w, dtype=float)
-        if self.rotation is not None:
-            w = w @ self.rotation
-        return w * np.sqrt(self.eigenvalues)
+        """Map rows of isotropic z (or a single vector) through Lambda^{1/2}."""
+        return np.asarray(z, dtype=float) * np.sqrt(self.eigenvalues)
 
 
-def make_covariance(kind: str, p: int, eigenvalues=None) -> CovarianceSpec:
-    """Build a named spectrum: reciprocal (1, 1/2, ..., 1/p), identity, or custom."""
+def make_covariance(kind: str, p: int) -> CovarianceSpec:
+    """Build a named spectrum: reciprocal (1, 1/2, ..., 1/p) or identity."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if kind == "reciprocal":
         return CovarianceSpec(1.0 / np.arange(1, p + 1))
     if kind == "identity":
         return CovarianceSpec(np.ones(p))
-    if kind == "custom":
-        if eigenvalues is None:
-            raise ValueError("custom covariance requires eigenvalues")
-        eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
-        if eig.size != p:
-            raise ValueError(f"expected {p} eigenvalues, got {eig.size}")
-        return CovarianceSpec(eig)
     raise ValueError(f"unknown covariance kind: {kind!r}")
 
 
@@ -120,7 +90,7 @@ def sample_theta_star(p: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenerativeConfig:
-    """Sampling law: n draws of X = U Lambda^{1/2} Z, Y ~ Ber(sigma(beta <X, theta*>))."""
+    """Sampling law: n draws of X = Lambda^{1/2} Z, Y ~ Ber(sigma(beta <X, theta*>))."""
 
     p: int
     n: int
@@ -149,9 +119,6 @@ class GenerativeConfig:
         if isinstance(self.theta_star, str):
             raise ValueError("theta_star has not been resolved to a vector")
         return self.theta_star
-
-    def with_theta_star(self, theta_star: np.ndarray) -> "GenerativeConfig":
-        return GenerativeConfig(self.p, self.n, self.cov, self.beta, theta_star, self.seed)
 
 
 def generate_dataset(gen: GenerativeConfig) -> tuple[Dataset, np.ndarray]:

@@ -156,7 +156,6 @@ def run_replication(cfg: StudyConfig, index: int) -> ReplicationResult:
 
     train_precision = prediction_precision(theta_hat, train)
     test_precision = prediction_precision(theta_hat, test)
-    variances = train_gen.cov.coordinate_variances()
 
     def head_recovery(k: int) -> float:
         return sign_recovery(theta_hat, theta_star, head=min(k, cfg.p))
@@ -169,7 +168,7 @@ def run_replication(cfg: StudyConfig, index: int) -> ReplicationResult:
         sign_recovery_100=head_recovery(100),
         sign_recovery_500=head_recovery(500),
         sign_recovery_all=sign_recovery(theta_hat, theta_star, head="all"),
-        sign_recovery_weighted=sign_recovery(theta_hat, theta_star, weights=variances),
+        sign_recovery_weighted=sign_recovery(theta_hat, theta_star, weights=train_gen.cov.eigenvalues),
         on_boundary=fit.on_boundary,
         converged=fit.converged,
     )

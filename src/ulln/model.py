@@ -22,8 +22,6 @@ from .quadrature import gauss_hermite_tensor
 if TYPE_CHECKING:
     from .datagen import GenerativeConfig
 
-LOG2 = float(np.log(2.0))
-
 
 def sigmoid(t):
     """Logistic link 1/(1+exp(-t)), overflow-free on both tails."""
@@ -33,6 +31,8 @@ def sigmoid(t):
 
 def sigmoid_derivative(t):
     """sigma*(1-sigma) evaluated as sigma(t)*sigma(-t), stable on both tails."""
+    # one exp in place of two expit calls: on the (210, 96, 48) tensors of the
+    # gap surface this form takes about half the time of expit(t) * expit(-t)
     t = np.asarray(t, dtype=float)
     a = np.exp(-np.abs(t))
     out = a / (1.0 + a) ** 2
@@ -82,16 +82,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.inputs.shape[1]
-
-
-@dataclass(frozen=True)
-class PopulationRiskEstimate:
-    """Population risk value with Monte Carlo error; std_error = 0 for quadrature."""
-
-    mean: float
-    std_error: float
-    samples: int
-    method: str  # "monte_carlo" | "quadrature"
 
 
 def _check_theta(data_p: int, theta: np.ndarray) -> np.ndarray:
@@ -178,13 +168,13 @@ QUADRATURE_NODES_PER_AXIS = 128
 def population_surface(gen: "GenerativeConfig", budget: int, seed: int) -> LogisticSurface:
     """The population risk R(theta) = E[loss] under the generative config, as one frozen surface.
 
-    For p <= 2 the rows are the nodes of a tensorized
-    128-node-per-axis Gauss-Hermite rule with its weights, giving a
-    deterministic surface.  Otherwise they are `budget` equally weighted
-    input draws from the `make_rng(seed)` stream, drawn once so that every
-    evaluation sees the same sample.  The targets are the exact
-    label probabilities sigma(beta <x, theta*>), so the label is
-    integrated out as a Bernoulli mixture.
+    The rows are x = Lambda^{1/2} z.  For p <= 2 the z are the nodes of a
+    tensorized 128-node-per-axis Gauss-Hermite rule with its weights,
+    giving a deterministic surface.  Otherwise they are `budget` equally
+    weighted standard normal draws from the `make_rng(seed)` stream, drawn
+    once so that every evaluation sees the same sample.  The targets are
+    the exact label probabilities sigma(beta <x, theta*>), so the label
+    is integrated out as a Bernoulli mixture.
     """
     from .datagen import make_rng
 
@@ -196,24 +186,3 @@ def population_surface(gen: "GenerativeConfig", budget: int, seed: int) -> Logis
         z, weights = make_rng(seed).standard_normal((budget, gen.p)), None
     x = gen.cov.transform(z)
     return LogisticSurface(x, sigmoid(gen.beta * (x @ gen.concrete_theta_star())), weights)
-
-
-def population_risk(
-    gen: "GenerativeConfig",
-    theta: np.ndarray,
-    budget: int,
-    seed: int,
-) -> PopulationRiskEstimate:
-    """Population risk R(theta) on the surface of `population_surface`.
-
-    The std_error is 0 for quadrature and the Monte Carlo standard
-    error over the `budget` draws otherwise.
-    """
-    surface = population_surface(gen, budget, seed)
-    theta = _check_theta(gen.p, theta)
-    return PopulationRiskEstimate(
-        mean=float(surface.value(theta)),
-        std_error=surface.std_error(theta),
-        samples=surface.x.shape[0],
-        method="quadrature" if surface.weights is not None else "monte_carlo",
-    )

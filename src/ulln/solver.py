@@ -17,6 +17,8 @@ from .model import Dataset, LogisticSurface
 
 BOUNDARY_TOL = 1e-8
 _STEP_GROWTH = 2.0
+_BACKTRACK_FACTOR = 0.5
+_ARMIJO_CONST = 1e-4
 _MAX_BACKTRACKS = 80
 
 
@@ -24,21 +26,12 @@ _MAX_BACKTRACKS = 80
 class SolverOptions:
     max_iters: int = 20000
     grad_map_tol: float = 1e-8
-    initial_step: float | None = None  # None: auto 4n/||X||_F^2
-    backtrack_factor: float = 0.5
-    armijo_const: float = 1e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_map_tol <= 0:
             raise ValueError("grad_map_tol must be > 0")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be > 0")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0 < self.armijo_const < 1:
-            raise ValueError("armijo_const must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -64,10 +57,11 @@ def project_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
 def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = None) -> FitResult:
     """Minimize the empirical risk over the ball of the given radius.
 
-    Runs projected gradient descent from the origin with Armijo
-    backtracking (sufficient decrease against <grad, step>), doubling the
-    step after clean acceptances.  Stops once the gradient-mapping norm at
-    the accepted step size drops below ``opts.grad_map_tol``; reports
+    Runs projected gradient descent from the origin, starting at the step
+    4n/||X||_F^2, with Armijo backtracking (sufficient decrease 1e-4 *
+    <grad, step>, halving the step), doubling the step after clean
+    acceptances.  Stops once the gradient-mapping norm at the accepted
+    step size drops below ``opts.grad_map_tol``; reports
     ``converged=False`` after ``opts.max_iters`` otherwise.
     """
     if radius < 0:
@@ -83,10 +77,8 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
         return FitResult(theta, risk, 0, True, True, 0.0)
     grad = surface.grad_at(scores)
 
-    step = opts.initial_step
-    if step is None:
-        # inverse of the global Lipschitz bound ||X||_F^2 / (4n) for the risk gradient
-        step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
+    # inverse of the global Lipschitz bound ||X||_F^2 / (4n) for the risk gradient
+    step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
 
     converged = False
     grad_map_norm = float("inf")
@@ -100,9 +92,9 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
             decrease = float(grad @ direction)  # <= 0 by the projection property
             cand_scores = x @ candidate
             cand_risk = float(surface.value_at(cand_scores))
-            if cand_risk <= risk + opts.armijo_const * decrease:
+            if cand_risk <= risk + _ARMIJO_CONST * decrease:
                 break
-            step *= opts.backtrack_factor
+            step *= _BACKTRACK_FACTOR
             backtracked = True
         else:
             break  # step underflowed; report best iterate without a certificate

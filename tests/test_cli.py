@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -59,6 +60,15 @@ class TestExperimentCommand:
         payload = dict(SMOKE_EXPERIMENT, banana=1)
         cfg = write_json(tmp_path / "cfg.json", payload)
         assert main(["experiment", cfg, str(tmp_path / "x")]) == 2
+
+    def test_removed_solver_key_exits_2(self, tmp_path, capsys):
+        solver = dict(SMOKE_EXPERIMENT["solver"], armijo_const=1e-4)
+        cfg = write_json(tmp_path / "cfg.json", dict(SMOKE_EXPERIMENT, solver=solver))
+        assert main(["experiment", cfg, str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown solver keys: ['armijo_const']" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_wrong_command_field_exits_2(self, tmp_path):
         payload = dict(SMOKE_EXPERIMENT, command="bounds")
@@ -206,6 +216,16 @@ class TestDeviationCommand:
         assert key in captured.err
 
 
+    def test_out_key_exits_2_before_any_output(self, tmp_path, capsys):
+        payload = {"command": "deviation", "p": 1, "n": 10, "replicates": 1, "out": "dev.csv"}
+        cfg = write_json(tmp_path / "out.json", payload)
+        assert main(["deviation", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config keys: ['out']" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestGenerateCommand:
     def test_roundtrip(self, tmp_path):
         out_file = tmp_path / "d.ulln"
@@ -234,12 +254,10 @@ def test_bundled_config_is_schema_valid():
     assert cfg["replications"] == 100
 
 
-def test_thread_env_override(monkeypatch, tmp_path):
+def test_thread_env_is_ignored(monkeypatch):
     from ulln.cli import _thread_count
     import argparse
 
-    ns = argparse.Namespace(threads=7)
     monkeypatch.setenv("ULLN_THREADS", "3")
-    assert _thread_count(ns) == 3
-    monkeypatch.delenv("ULLN_THREADS")
-    assert _thread_count(ns) == 7
+    assert _thread_count(argparse.Namespace(threads=7)) == 7
+    assert _thread_count(argparse.Namespace(threads=None)) == (os.cpu_count() or 1)

@@ -43,12 +43,12 @@ class TestSearch:
     def test_lower_bounded_by_origin_gap(self):
         # theta = 0 is always among the start points
         from ulln.model import empirical_risk
-        from ulln import population_risk
+        from ulln import population_surface
 
         data, gen = make_instance(4, 18, 30, cov_kind="reciprocal")
         est = sup_deviation_search(data, gen, 1.0, starts=2, budget=3000, seed=8)
         origin_gap = abs(
-            empirical_risk(data, np.zeros(4)) - population_risk(gen, np.zeros(4), 3000, 8).mean
+            empirical_risk(data, np.zeros(4)) - population_surface(gen, 3000, 8).value(np.zeros(4))
         )
         assert est.sup_value >= origin_gap - 2 * est.pop_risk_stderr
 

@@ -10,7 +10,6 @@ from ulln import (
     empirical_risk,
     make_covariance,
     per_example_loss,
-    population_risk,
     population_surface,
     risk_gradient,
     risk_laplacian,
@@ -176,9 +175,9 @@ class TestPopulationRisk:
             p=3, n=5, cov=make_covariance("reciprocal", 3), beta=2.0,
             theta_star=np.array([1.0, 0.0, 0.0]), seed=0,
         )
-        est = population_risk(gen, np.zeros(3), budget=500, seed=1)
-        assert est.mean == pytest.approx(LOG2, abs=1e-14)
-        assert est.std_error <= 1e-15
+        surface = population_surface(gen, budget=500, seed=1)
+        assert surface.value(np.zeros(3)) == pytest.approx(LOG2, abs=1e-14)
+        assert surface.std_error(np.zeros(3)) <= 1e-15
 
     def test_quadrature_matches_monte_carlo(self):
         gen = GenerativeConfig(
@@ -186,16 +185,16 @@ class TestPopulationRisk:
             theta_star=np.array([1.0]), seed=0,
         )
         theta = np.array([1.0])
-        quad = population_risk(gen, theta, budget=10, seed=0)
-        assert quad.method == "quadrature"
-        assert quad.std_error == 0.0
+        quad = population_surface(gen, budget=10, seed=0)
+        assert quad.weights is not None
+        assert quad.std_error(theta) == 0.0
         # independent Monte Carlo oracle with the same label mixture
         rng = np.random.default_rng(42)
         x = rng.standard_normal((400_000, 1))
         losses = per_example_loss(sigmoid(1.0 * (x @ np.array([1.0]))), x @ theta)
         mc_mean = losses.mean()
         mc_se = losses.std(ddof=1) / math.sqrt(losses.size)
-        assert abs(quad.mean - mc_mean) <= 3 * mc_se
+        assert abs(quad.value(theta) - mc_mean) <= 3 * mc_se
 
     def test_std_error_scaling_with_budget(self):
         gen = GenerativeConfig(
@@ -203,13 +202,13 @@ class TestPopulationRisk:
             theta_star=np.array([0.6, -0.6, 0.5]), seed=0,
         )
         theta = np.array([0.3, 0.2, -0.4])
-        base = population_risk(gen, theta, budget=20_000, seed=5)
-        doubled = population_risk(gen, theta, budget=40_000, seed=6)
-        quadrupled = population_risk(gen, theta, budget=80_000, seed=7)
-        assert base.method == "monte_carlo"
+        base, doubled, quadrupled = (
+            population_surface(gen, budget, seed).std_error(theta)
+            for budget, seed in ((20_000, 5), (40_000, 6), (80_000, 7))
+        )
         # sample-std / sqrt(budget): doubling shrinks by ~1/sqrt(2), quadrupling halves
-        assert doubled.std_error / base.std_error == pytest.approx(1 / math.sqrt(2), rel=0.2)
-        assert quadrupled.std_error / base.std_error == pytest.approx(0.5, rel=0.2)
+        assert doubled / base == pytest.approx(1 / math.sqrt(2), rel=0.2)
+        assert quadrupled / base == pytest.approx(0.5, rel=0.2)
 
     def test_invalid_budget(self):
         gen = GenerativeConfig(
@@ -217,7 +216,7 @@ class TestPopulationRisk:
             theta_star=np.array([1.0, 0.0, 0.0]), seed=0,
         )
         with pytest.raises(ValueError):
-            population_risk(gen, np.zeros(3), budget=0, seed=1)
+            population_surface(gen, budget=0, seed=1)
 
 
 class TestLogisticSurface:
@@ -248,15 +247,12 @@ class TestLogisticSurface:
             weights = np.full(900, 1.0 / 900)
         x = gen.cov.transform(z)
         losses = per_example_loss(sigmoid(3.0 * (x @ gen.theta_star)), x @ theta)
-        est = population_risk(gen, theta, budget=900, seed=17)
-        assert est.mean == pytest.approx(weights @ losses, rel=1e-12)
-        assert est.samples == weights.size
-        assert est.method == ("quadrature" if p <= 2 else "monte_carlo")
-        if p > 2:
-            assert est.std_error == pytest.approx(np.std(losses, ddof=1) / 30.0, rel=1e-12)
         surface = population_surface(gen, 900, 17)
         np.testing.assert_array_equal(surface.x, x)
-        assert surface.value(theta) == pytest.approx(est.mean, rel=1e-15)
+        assert surface.value(theta) == pytest.approx(weights @ losses, rel=1e-12)
+        assert (surface.weights is None) == (p > 2)
+        if p > 2:
+            assert surface.std_error(theta) == pytest.approx(np.std(losses, ddof=1) / 30.0, rel=1e-12)
 
     def signed_soft_surface(self, rng, rows=30, p=4):
         """Soft targets and weights of both signs, like the gap R_n - Rhat."""

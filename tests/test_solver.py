@@ -131,9 +131,3 @@ class TestSolverOptions:
             SolverOptions(max_iters=0)
         with pytest.raises(ValueError):
             SolverOptions(grad_map_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(backtrack_factor=1.0)
-        with pytest.raises(ValueError):
-            SolverOptions(armijo_const=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(initial_step=-1.0)

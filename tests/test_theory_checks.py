@@ -171,6 +171,16 @@ class TestKlShift:
         with pytest.raises(ValueError):
             kl_gaussian_shift(np.ones(2), 0.0)
 
+    def test_wrong_log_density_fails(self, monkeypatch):
+        # a density whose variance is 1% off changes the log-ratio, not the closed form
+        from ulln import theory_checks
+
+        exact = theory_checks._isotropic_logpdf
+        monkeypatch.setattr(theory_checks, "_isotropic_logpdf", lambda w, mean, t: exact(w, mean, 1.01 * t))
+        report = kl_gaussian_shift(np.array([0.6, -0.8]), 0.5)
+        assert not report.passed
+        assert report.lhs == pytest.approx(1.0 / 1.01, rel=1e-12)
+
 
 class TestEnvelopeMoment:
     def params(self):
