@@ -4,8 +4,9 @@ Subcommands: experiment | bounds | verify | deviation | generate.
 Study-style runs take a JSON config with a top-level "command"
 discriminator (schema-checked, unknown keys rejected); `bounds` also
 accepts plain flags.  Exit codes: 0 success, 1 check failure, 2
-usage/config error, 3 IO error.  Only `experiment` takes `--threads`,
-the size of its replication worker pool.  Inputs are drawn as
+usage/config error, 3 IO error.  Only `experiment` takes `--threads`:
+above 1, each replicate draws its test set on a helper thread while the
+calling thread draws its training set.  Inputs are drawn as
 X = Lambda^{1/2} Z with a diagonal covariance Lambda.
 """
 from __future__ import annotations
@@ -61,10 +62,16 @@ def _load_config(path: str, command: str, schema: dict[str, type | tuple]) -> di
         raise ConfigError("config must be a JSON object")
     if raw.get("command") != command:
         raise ConfigError(f"config command is {raw.get('command')!r}, expected {command!r}")
-    known = set(schema) | {"command"}
-    unknown = set(raw) - known
+    return _typed({k: v for k, v in raw.items() if k != "command"}, schema, "config")
+
+
+def _typed(raw: dict, schema: dict[str, type | tuple], what: str) -> dict:
+    """The entries of ``raw``, checked against ``schema`` (ints widen to
+    float where float is allowed; bools are not ints); unknown keys and
+    wrong types raise ConfigError."""
+    unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     out = {}
     for key, kind in schema.items():
         if key not in raw:
@@ -75,28 +82,27 @@ def _load_config(path: str, command: str, schema: dict[str, type | tuple]) -> di
             value = float(value)
         if not isinstance(value, expected) or isinstance(value, bool) and bool not in expected:
             names = "/".join(t.__name__ for t in expected)
-            raise ConfigError(f"config key {key!r} must be {names}")
+            raise ConfigError(f"{what} key {key!r} must be {names}")
         out[key] = value
     return out
+
+
+_SOLVER_SCHEMA = {"max_iters": int, "grad_map_tol": float}
 
 
 def _solver_opts(raw: dict | None) -> SolverOptions:
     if raw is None:
         return StudyConfig().solver_opts
-    allowed = {"max_iters", "grad_map_tol"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
     try:
-        return SolverOptions(**raw)
-    except (TypeError, ValueError) as exc:
+        return SolverOptions(**_typed(raw, _SOLVER_SCHEMA, "solver"))
+    except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 
 def _thread_count(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 _EXPERIMENT_SCHEMA = {
@@ -391,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config", help="JSON config with command='experiment'")
     p_exp.add_argument("out_dir", help="directory for table1.csv/table2.csv/replications.csv")
     p_exp.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (default: machine parallelism)")
+                       help="above 1, draw each replicate's test set on a helper thread "
+                            "(default: the CPUs this process may use)")
     p_exp.add_argument("--verbose", action="store_true")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -131,8 +131,9 @@ def generate_dataset(gen: GenerativeConfig) -> tuple[Dataset, np.ndarray]:
     else:
         theta_star = gen.theta_star
 
-    z = x_stream.standard_normal((gen.n, gen.p))
-    x = gen.cov.transform(z)
+    # Lambda^{1/2} applied in place: no second n x p array
+    x = x_stream.standard_normal((gen.n, gen.p))
+    x *= np.sqrt(gen.cov.eigenvalues)
     label_probs = sigmoid(gen.beta * (x @ theta_star))
     y = (y_stream.random(gen.n) < label_probs).astype(np.int64)
     return Dataset(x, y), theta_star

@@ -4,14 +4,16 @@ logistic minimizer under anisotropic Gaussian designs.
 Each replication draws its own theta_star, training set, and test set
 from streams hashed out of (base_seed, index), fits the ball-constrained
 minimizer, and records prediction precision plus head/weighted sign
-recovery.  Replicates are independent, so they may run in a process pool;
-aggregation is a deterministic fold in index order either way.
+recovery.  Replicates run one after another on the calling thread, and
+the fit keeps every BLAS thread; only the two data draws of a replicate
+may overlap, on one helper thread.  Every set has its own stream, so the
+results are the same for any thread count.
 """
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,16 +142,25 @@ def _replicate_gen(cfg: StudyConfig, index: int, theta_star, n: int, tag: int) -
     )
 
 
-def run_replication(cfg: StudyConfig, index: int) -> ReplicationResult:
+def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | None = None) -> ReplicationResult:
     """One experiment: generate train/test data, fit, score. Deterministic
-    given (cfg.base_seed, index)."""
+    given (cfg.base_seed, index).
+
+    With a ``helper`` executor the test set is drawn on it while the
+    calling thread draws the training set; Philox ``standard_normal``
+    releases the GIL, so the two draws overlap."""
     from .datagen import sample_theta_star
 
     theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, index, _THETA_TAG))
     train_gen = _replicate_gen(cfg, index, theta_star, cfg.n, _TRAIN_TAG)
     test_gen = _replicate_gen(cfg, index, theta_star, cfg.n_test, _TEST_TAG)
-    train, _ = generate_dataset(train_gen)
-    test, _ = generate_dataset(test_gen)
+    if helper is None:
+        train, _ = generate_dataset(train_gen)
+        test, _ = generate_dataset(test_gen)
+    else:
+        test_draw = helper.submit(generate_dataset, test_gen)
+        train, _ = generate_dataset(train_gen)
+        test, _ = test_draw.result()
 
     fit: FitResult = fit_constrained(train, cfg.R, cfg.solver_opts)
     theta_hat = fit.theta_hat
@@ -174,35 +185,17 @@ def run_replication(cfg: StudyConfig, index: int) -> ReplicationResult:
     )
 
 
-def _worker_init():
-    # replicates each get a full BLAS stack; avoid thread oversubscription
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-
-
-def _run_one(args) -> tuple[int, ReplicationResult]:
-    cfg, index = args
-    return index, run_replication(cfg, index)
-
-
 def run_study(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> StudyResult:
-    """Run all replications and aggregate; results are identical for any
-    thread count because every replicate is seeded independently."""
-    indices = list(range(cfg.replications))
-    if threads <= 1:
-        results = []
-        for i in indices:
-            results.append(run_replication(cfg, i))
+    """Run all replications in index order and aggregate.  With
+    ``threads`` > 1 one helper thread draws each replicate's test set;
+    ``threads`` = 1 starts no thread.  Results are identical either way
+    because every data set is seeded independently."""
+    results = []
+    with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as helper:
+        for i in range(cfg.replications):
+            results.append(run_replication(cfg, i, helper))
             if progress:
                 print(f"replicate {i + 1}/{cfg.replications} done", flush=True)
-    else:
-        by_index: dict[int, ReplicationResult] = {}
-        with ProcessPoolExecutor(max_workers=threads, initializer=_worker_init) as pool:
-            for i, result in pool.map(_run_one, [(cfg, i) for i in indices]):
-                by_index[i] = result
-                if progress:
-                    print(f"replicate {i + 1}/{cfg.replications} done", flush=True)
-        results = [by_index[i] for i in indices]
     return StudyResult(config=cfg, replications=results)
 
 

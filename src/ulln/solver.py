@@ -30,8 +30,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_map_tol <= 0:
-            raise ValueError("grad_map_tol must be > 0")
+        if not 0 < self.grad_map_tol < np.inf:
+            raise ValueError("grad_map_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,20 @@ class TestExperimentCommand:
         assert "unknown solver keys: ['armijo_const']" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", 1.5), ("max_iters", True), ("max_iters", "x"),
+        ("grad_map_tol", True), ("grad_map_tol", "x"), ("grad_map_tol", 0),
+        ("grad_map_tol", math.nan), ("grad_map_tol", math.inf),
+    ])
+    def test_mistyped_solver_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
+        solver = dict(SMOKE_EXPERIMENT["solver"], **{key: value})
+        cfg = write_json(tmp_path / "cfg.json", dict(SMOKE_EXPERIMENT, solver=solver))
+        assert main(["experiment", cfg, str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+        assert "Traceback" not in captured.err
+
     def test_wrong_command_field_exits_2(self, tmp_path):
         payload = dict(SMOKE_EXPERIMENT, command="bounds")
         cfg = write_json(tmp_path / "cfg.json", payload)
@@ -260,4 +274,4 @@ def test_thread_env_is_ignored(monkeypatch):
 
     monkeypatch.setenv("ULLN_THREADS", "3")
     assert _thread_count(argparse.Namespace(threads=7)) == 7
-    assert _thread_count(argparse.Namespace(threads=None)) == (os.cpu_count() or 1)
+    assert _thread_count(argparse.Namespace(threads=None)) == len(os.sched_getaffinity(0))

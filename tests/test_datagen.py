@@ -76,6 +76,15 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(d1.labels, d2.labels)
         np.testing.assert_array_equal(t1, t2)
 
+    @pytest.mark.parametrize("kind", ["reciprocal", "identity"])
+    def test_in_place_scaling_matches_out_of_place_reference(self, kind):
+        gen = GenerativeConfig(p=7, n=13, cov=make_covariance(kind, 7), beta=3.0, seed=2026)
+        data, _ = generate_dataset(gen)
+        # the inputs come from the second of the three spawned Philox streams
+        x_stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(2026).spawn(3)[1]))
+        reference = gen.cov.transform(x_stream.standard_normal((13, 7)))
+        assert data.inputs.tobytes() == reference.tobytes()
+
     def test_label_law_tracks_link(self):
         # p=1: empirical P(Y=1 | score in bin) should follow sigmoid(beta * center)
         beta = 2.0

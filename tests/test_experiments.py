@@ -1,4 +1,7 @@
 import csv
+import io
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +121,24 @@ class TestStudy:
         serial = run_study(cfg, threads=1)
         pooled = run_study(cfg, threads=2)
         assert serial.replications == pooled.replications
+
+    def test_identity_covariance_matches_across_thread_counts(self):
+        cfg = small_config(cov_kind="identity")
+        assert run_study(cfg, threads=1).replications == run_study(cfg, threads=2).replications
+
+    def test_study_starts_no_child_process(self, monkeypatch):
+        # progress lines are printed while the study runs, so each write sees its live children
+        children = []
+
+        class Probe(io.StringIO):
+            def write(self, text):
+                children.extend(multiprocessing.active_children())
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Probe())
+        run_study(small_config(replications=2), threads=2, progress=True)
+        assert sys.stdout.getvalue().count("done") == 2
+        assert children == []
 
     def test_means_are_plain_averages(self):
         study = run_study(small_config(), threads=1)
