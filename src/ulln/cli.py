@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -91,10 +92,9 @@ _SOLVER_SCHEMA = {"max_iters": int, "grad_map_tol": float}
 
 
 def _solver_opts(raw: dict | None) -> SolverOptions:
-    if raw is None:
-        return StudyConfig().solver_opts
+    """The study's solver options, with keys given in the config's `solver` object replaced."""
     try:
-        return SolverOptions(**_typed(raw, _SOLVER_SCHEMA, "solver"))
+        return dataclasses.replace(StudyConfig().solver_opts, **_typed(raw or {}, _SOLVER_SCHEMA, "solver"))
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 

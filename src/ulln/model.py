@@ -7,7 +7,9 @@ All score evaluations go through the softplus form
     softplus(s) = max(s, 0) + log1p(exp(-|s|)),
 
 which is exact and overflow-free for any finite score (the naive
--y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).
+-y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).  The two
+softplus terms share the tail log1p(exp(-|s|)) bit for bit, so the loss
+kernel computes it once per score: one exp and one log1p per element.
 """
 from __future__ import annotations
 
@@ -46,12 +48,36 @@ def softplus(s):
     return float(out) if out.ndim == 0 else out
 
 
+def _loss_into(y, one_minus_y, s, out, tail, tmp):
+    """Write y*(max(-s,0) + tail) + (1-y)*(max(s,0) + tail) into `out`.
+
+    `tail` = log1p(exp(-|s|)) is the term softplus(-s) and softplus(s)
+    share; `tail` and `tmp` are scratch of `out`'s shape and `s` is only
+    read.  Each step is the operation of the two-softplus formula, so the
+    result is bitwise the same.
+    """
+    np.abs(s, out=tail)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.negative(s, out=out)
+    np.maximum(out, 0.0, out=out)
+    out += tail
+    out *= y
+    np.maximum(s, 0.0, out=tmp)
+    tmp += tail
+    tmp *= one_minus_y
+    out += tmp
+    return out
+
+
 def per_example_loss(y, score):
     """Cross-entropy loss of one observation at the given linear score."""
     y = np.asarray(y, dtype=float)
     score = np.asarray(score, dtype=float)
-    out = y * softplus(-score) + (1.0 - y) * softplus(score)
-    return float(out) if np.ndim(out) == 0 else out
+    out, tail, tmp = (np.empty(np.broadcast_shapes(y.shape, score.shape)) for _ in range(3))
+    _loss_into(y, 1.0 - y, score, out, tail, tmp)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -103,34 +129,64 @@ class LogisticSurface:
 
     A parameter block `thetas` is one vector (p,) or a matrix (m, p);
     scores, values and gradients follow it with a leading axis of m.
+
+    `value` and `value_and_grad` work in a workspace the surface holds:
+    four arrays of the block's score shape (scores, losses, the shared
+    softplus tail and the residual), allocated on first use and again only
+    when that shape changes, so repeated calls on same-shaped blocks
+    allocate no score-sized memory.  The values and gradients they return
+    are fresh arrays.  Because of the workspace a surface must not be
+    evaluated from two threads at once; give each thread its own surface.
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
         self.x = np.asarray(x, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        self._one_minus_targets = 1.0 - self.targets
+        self._work = None
 
     def scores(self, thetas: np.ndarray) -> np.ndarray:
         return thetas @ self.x.T
 
+    def _reduce(self, losses: np.ndarray):
+        return np.mean(losses, axis=-1) if self.weights is None else losses @ self.weights
+
+    def _weighted_grad(self, residual: np.ndarray) -> np.ndarray:
+        """sum_i w_i r_i x_i; scales `residual` in place when weights are explicit."""
+        if self.weights is None:
+            return residual @ self.x / self.x.shape[0]
+        residual *= self.weights
+        return residual @ self.x
+
     def value_at(self, scores: np.ndarray):
         """F from precomputed scores (rows,) or (m, rows)."""
-        losses = per_example_loss(self.targets, scores)
-        return np.mean(losses, axis=-1) if self.weights is None else losses @ self.weights
+        return self._reduce(per_example_loss(self.targets, scores))
 
     def grad_at(self, scores: np.ndarray) -> np.ndarray:
         """grad F = sum_i w_i (sigma(s_i) - t_i) x_i from precomputed scores."""
-        residual = expit(scores) - self.targets
-        if self.weights is None:
-            return residual @ self.x / self.x.shape[0]
-        return (self.weights * residual) @ self.x
+        return self._weighted_grad(expit(scores) - self.targets)
+
+    def _losses(self, thetas: np.ndarray):
+        """Scores and losses of a block in the workspace, plus the free residual buffer."""
+        thetas = np.asarray(thetas, dtype=float)
+        shape = thetas.shape[:-1] + self.targets.shape
+        if self._work is None or self._work[0].shape != shape:
+            self._work = tuple(np.empty(shape) for _ in range(4))
+        scores, losses, tail, residual = self._work
+        np.matmul(thetas, self.x.T, out=scores)
+        _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
+        return scores, losses, residual
 
     def value(self, thetas: np.ndarray):
-        return self.value_at(self.scores(thetas))
+        _, losses, _ = self._losses(thetas)
+        return self._reduce(losses)
 
     def value_and_grad(self, thetas: np.ndarray):
-        scores = self.scores(thetas)
-        return self.value_at(scores), self.grad_at(scores)
+        scores, losses, residual = self._losses(thetas)
+        expit(scores, out=residual)
+        residual -= self.targets
+        return self._reduce(losses), self._weighted_grad(residual)
 
     def std_error(self, theta: np.ndarray) -> float:
         """Standard error of the value as a sample mean over equally weighted

@@ -84,6 +84,28 @@ class TestExperimentCommand:
         assert key in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("solver, expected", [
+        (None, (1500, 1e-7)), ({}, (1500, 1e-7)), ({"max_iters": 300}, (300, 1e-7)),
+        ({"grad_map_tol": 1e-6}, (1500, 1e-6)),
+    ])
+    def test_missing_solver_keys_take_the_study_defaults(self, tmp_path, monkeypatch, solver, expected):
+        import ulln.cli
+
+        seen = []
+        real_run_study = ulln.cli.run_study
+
+        def spy(cfg, **kwargs):
+            seen.append((cfg.solver_opts.max_iters, cfg.solver_opts.grad_map_tol))
+            return real_run_study(cfg, **kwargs)
+
+        monkeypatch.setattr(ulln.cli, "run_study", spy)
+        payload = {k: v for k, v in SMOKE_EXPERIMENT.items() if k != "solver"}
+        if solver is not None:
+            payload["solver"] = solver
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["experiment", cfg, str(tmp_path / "out"), "--threads", "1"]) == 0
+        assert seen == [expected, expected]
+
     def test_wrong_command_field_exits_2(self, tmp_path):
         payload = dict(SMOKE_EXPERIMENT, command="bounds")
         cfg = write_json(tmp_path / "cfg.json", payload)

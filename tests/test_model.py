@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ulln import (
     Dataset,
@@ -69,6 +72,21 @@ class TestPerExampleLoss:
             losses = per_example_loss(y, scores)
             assert np.all(losses >= 0)
             assert np.all(losses <= LOG2 + np.abs(scores) + 1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(
+        scores=arrays(float, st.integers(1, 40), elements=st.floats(-1e300, 1e300, allow_nan=False)),
+        soft=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_two_softplus_reference_bitwise(self, scores, soft, data):
+        # the shared-tail kernel must reproduce y*softplus(-s) + (1-y)*softplus(s) bit for bit
+        targets = st.floats(0.0, 1.0) if soft else st.sampled_from([0.0, 1.0])
+        y = data.draw(arrays(float, scores.size, elements=targets))
+        reference = y * softplus(-scores) + (1.0 - y) * softplus(scores)
+        assert per_example_loss(y, scores).tobytes() == reference.tobytes()
+        block = np.stack([scores, -scores])
+        assert per_example_loss(y, block).tobytes() == (y * softplus(-block) + (1.0 - y) * softplus(block)).tobytes()
 
     def test_matches_naive_form_in_safe_range(self):
         # |score| <= 10 keeps the naive oracle itself free of cancellation
@@ -278,6 +296,37 @@ class TestLogisticSurface:
         fd = np.array([(surface.value(theta + h * e) - surface.value(theta - h * e)) / (2 * h) for e in np.eye(4)])
         _, grad = surface.value_and_grad(theta)
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
+
+    def test_reused_workspace_matches_fresh_surfaces_bitwise(self):
+        rng = np.random.default_rng(12)
+        rows, p = 50, 4
+        args = (rng.standard_normal((rows, p)), rng.random(rows), rng.uniform(-0.1, 0.1, rows))
+        shared = LogisticSurface(*args)
+        unweighted = LogisticSurface(*args[:2])
+        blocks = [rng.standard_normal((18, p)), rng.standard_normal((1, p)), rng.standard_normal(p),
+                  rng.standard_normal((18, p))]
+        for block in blocks:
+            for surface, make in ((shared, lambda: LogisticSurface(*args)),
+                                  (unweighted, lambda: LogisticSurface(*args[:2]))):
+                value, grad = surface.value_and_grad(block)
+                fresh_value, fresh_grad = make().value_and_grad(block)
+                assert np.shape(value) == block.shape[:-1] and grad.shape == block.shape
+                assert np.asarray(value).tobytes() == np.asarray(fresh_value).tobytes()
+                assert grad.tobytes() == fresh_grad.tobytes()
+                assert np.asarray(surface.value(block)).tobytes() == np.asarray(make().value(block)).tobytes()
+
+    def test_returned_arrays_survive_later_calls(self):
+        rng = np.random.default_rng(13)
+        surface = self.signed_soft_surface(rng)
+        first = rng.standard_normal((6, 4))
+        value, grad = surface.value_and_grad(first)
+        only_value = surface.value(first)
+        kept = value.copy(), grad.copy(), only_value.copy()
+        for _ in range(2):
+            surface.value_and_grad(rng.standard_normal((6, 4)) * 3.0)
+            surface.value(rng.standard_normal((6, 4)))
+        for before, after in zip(kept, (value, grad, only_value)):
+            assert before.tobytes() == after.tobytes()
 
     def test_extreme_scores_stay_finite(self):
         surface = LogisticSurface(np.array([[1.0], [-1.0]]), np.array([1.0, 0.3]), np.array([0.5, -0.5]))

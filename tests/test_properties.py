@@ -1,6 +1,7 @@
 """Property tests of the invariants the package claims: finite losses on
 any score, feasible and idempotent projection, a solver that never ends
-above its starting risk, and a bit-exact dataset format."""
+above its starting risk and never raises it from one iterate to the next,
+and a bit-exact dataset format."""
 import math
 import os
 import tempfile
@@ -70,6 +71,26 @@ def test_fit_is_feasible_and_never_above_the_origin_risk(n, p, radius, seed):
     assert np.linalg.norm(fit.theta_hat) <= radius * (1 + 1e-15)
     assert fit.risk <= origin_risk
     assert math.isclose(fit.risk, empirical_risk(data, fit.theta_hat), rel_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 5),
+    radius=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_iterate_is_feasible_and_risk_never_increases(n, p, radius, seed):
+    # the solver is deterministic, so a budget of k iterations stops at the k-th iterate
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.standard_normal((n, p)), rng.integers(0, 2, n))
+    risks = []
+    for k in range(1, 13):
+        fit = fit_constrained(data, radius, SolverOptions(max_iters=k))
+        assert np.linalg.norm(fit.theta_hat) <= radius * (1 + 1e-15)
+        assert fit.iterations <= k
+        risks.append(fit.risk)
+    assert all(later <= earlier for earlier, later in zip(risks, risks[1:]))
 
 
 @PROPERTY_SETTINGS
