@@ -262,22 +262,34 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = theory_checks.run_suite(args.suite)
-    for report in reports:
-        print(theory_checks.format_report(report))
-    failed = [r for r in reports if not r.passed]
-    print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
+    fh = None
     if args.csv:
+        # open the target before any suite runs, so that a bad path fails at once
         try:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            fh = open(args.csv, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write CSV: {exc}", file=sys.stderr)
+            return EXIT_IO_ERROR
+    try:
+        reports = theory_checks.run_suite(args.suite)
+        for report in reports:
+            print(theory_checks.format_report(report))
+        failed = [r for r in reports if not r.passed]
+        print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
+        if fh is not None:
+            try:
                 writer = csv.writer(fh)
                 writer.writerow(["name", "lhs", "rhs", "residual", "tolerance", "passed"])
                 for r in reports:
                     writer.writerow([r.name, repr(r.lhs), repr(r.rhs), repr(r.abs_residual),
                                      repr(r.tolerance), int(r.passed)])
-        except OSError as exc:
-            print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
+                fh.close()
+            except OSError as exc:
+                print(f"error: cannot write CSV: {exc}", file=sys.stderr)
+                return EXIT_IO_ERROR
+    finally:
+        if fh is not None:
+            fh.close()
     return EXIT_OK if not failed else EXIT_CHECK_FAILURE
 
 

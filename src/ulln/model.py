@@ -31,13 +31,27 @@ def sigmoid(t):
     return float(out) if out.ndim == 0 else out
 
 
+def _sigmoid_derivative_into(t, out, tmp):
+    """Write sigma'(t) = a / (1 + a)**2, a = exp(-|t|), into `out`.
+
+    `tmp` is scratch of `out`'s shape; `t` may be `out` itself.  One exp
+    per element in place of the two of expit(t) * expit(-t), and stable on
+    both tails.
+    """
+    np.abs(t, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=tmp)
+    np.square(tmp, out=tmp)
+    np.divide(out, tmp, out=out)
+    return out
+
+
 def sigmoid_derivative(t):
     """sigma*(1-sigma) evaluated as sigma(t)*sigma(-t), stable on both tails."""
-    # one exp in place of two expit calls: on the (210, 96, 48) tensors of the
-    # gap surface this form takes about half the time of expit(t) * expit(-t)
     t = np.asarray(t, dtype=float)
-    a = np.exp(-np.abs(t))
-    out = a / (1.0 + a) ** 2
+    out, tmp = np.empty_like(t), np.empty_like(t)
+    _sigmoid_derivative_into(t, out, tmp)
     return float(out) if out.ndim == 0 else out
 
 

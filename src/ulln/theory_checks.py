@@ -30,10 +30,11 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
+from scipy.special import expit
 
 from .bounds import BoundParams
 from .datagen import CovarianceSpec, make_covariance, make_rng
-from .model import Dataset, per_example_loss, sigmoid, sigmoid_derivative
+from .model import Dataset, _sigmoid_derivative_into, per_example_loss, sigmoid, sigmoid_derivative
 from .quadrature import (
     gauss_hermite,
     gauss_hermite_tensor,
@@ -386,6 +387,11 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 GAP_S_PANELS, GAP_S_PANEL_NODES, GAP_HERMITE_NODES = 8, 12, 48
 
 
+# rows per block of the gap surface's kernel pass: each of its three block
+# buffers holds 16 x 96 x 48 doubles (590 KB), so a block stays in L2
+GAP_BLOCK_ROWS = 16
+
+
 class _GapSurface:
     """Value/gradient of the centered time-integrated Laplacian gap.
 
@@ -393,41 +399,79 @@ class _GapSurface:
     frozen reference sample (weight -1/(2m)); both enter through the same
     inner 1-D Gauss-Hermite expectation, with the s-integral on a fixed
     composite Gauss-Legendre grid.
+
+    The offsets sqrt(s lambda_sq_i) z_k of every row, s node and Hermite
+    node are formed once.  Each call runs the kernel on mu_i + offsets
+    GAP_BLOCK_ROWS rows at a time, in a workspace of three block buffers
+    the surface holds, and writes each block's Hermite contraction into
+    its rows of the full inner array; the s-, row- and direction
+    contractions then run once over the full arrays.  Every value is
+    bitwise that of the unblocked rule.  The values and gradients
+    returned are fresh arrays.  Because of the workspace a surface must
+    not be evaluated from two threads at once; give each thread its own
+    surface.
     """
 
     def __init__(self, z_rows: np.ndarray, ref_rows: np.ndarray, t: float, cov: CovarianceSpec):
         n, m = z_rows.shape[0], ref_rows.shape[0]
         rows = np.vstack([z_rows, ref_rows])
-        self.coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
+        coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
         self.directions = cov.transform(rows)  # rows Lambda^{1/2} z_i
         self.lambda_sq = (rows**2) @ cov.eigenvalues  # <Lambda z_i, z_i>
+        self.row_weight = coef * self.lambda_sq
         self.s_nodes, self.s_weights = legendre_panels(0.0, t, GAP_S_PANELS, GAP_S_PANEL_NODES)
         self.z_nodes, self.z_weights = gauss_hermite(GAP_HERMITE_NODES)
-        # scale[i, s] = sqrt(s * lambda_sq_i)
-        self.scale = np.sqrt(self.s_nodes[None, :] * self.lambda_sq[:, None])
+        # offsets[i, s, k] = sqrt(s * lambda_sq_i) * z_k
+        scale = np.sqrt(self.s_nodes[None, :] * self.lambda_sq[:, None])
+        self.offsets = scale[:, :, None] * self.z_nodes
+        self._inner = np.empty(scale.shape)  # (rows, s)
+        self._work = None
 
-    def _row_integrals(self, theta: np.ndarray, kernel) -> np.ndarray:
+    def _blocks(self, width: int) -> list[np.ndarray]:
+        """The three workspace buffers as (GAP_BLOCK_ROWS, width, nodes) views."""
+        size = GAP_BLOCK_ROWS * width * self.z_nodes.size
+        if self._work is None or self._work[0].size < size:
+            self._work = [np.empty(size) for _ in range(3)]
+        return [buf[:size].reshape(GAP_BLOCK_ROWS, width, -1) for buf in self._work]
+
+    def _hermite_rows(self, mu: np.ndarray, offsets: np.ndarray, second: bool, inner: np.ndarray):
+        """inner[i, j] = sum_k z_weights[k] sigma^(1 or 2)(mu[i, j] + offsets[i, j, k]).
+
+        `mu` (rows, width, 1) and `offsets` (rows, width or 1, nodes)
+        broadcast to the block shape; `inner` is (rows, width).
+        """
+        args, kernel, tmp = self._blocks(inner.shape[1])
+        for r0 in range(0, inner.shape[0], GAP_BLOCK_ROWS):
+            r1 = min(r0 + GAP_BLOCK_ROWS, inner.shape[0])
+            a, k, tmp_b = args[: r1 - r0], kernel[: r1 - r0], tmp[: r1 - r0]
+            np.add(mu[r0:r1], offsets[r0:r1], out=a)
+            _sigmoid_derivative_into(a, k, tmp_b)
+            if second:  # sigma'' = sigma' (1 - 2 sigma), in the steps of _sigmoid_second
+                expit(a, out=tmp_b)
+                tmp_b *= 2.0
+                np.subtract(1.0, tmp_b, out=tmp_b)
+                k *= tmp_b
+            np.matmul(k, self.z_weights, out=inner[r0:r1])
+        return inner
+
+    def _row_integrals(self, theta: np.ndarray, second: bool) -> np.ndarray:
         mu = self.directions @ theta  # (rows,)
-        args = mu[:, None, None] + self.scale[:, :, None] * self.z_nodes[None, None, :]
-        inner = kernel(args) @ self.z_weights  # (rows, s)
+        inner = self._hermite_rows(mu[:, None, None], self.offsets, second, self._inner)
         return inner @ self.s_weights  # (rows,)
 
     def value(self, theta: np.ndarray) -> float:
-        integrals = self._row_integrals(theta, sigmoid_derivative)
-        return float(np.sum(self.coef * self.lambda_sq * integrals))
+        return float(np.sum(self.row_weight * self._row_integrals(theta, second=False)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        integrals = self._row_integrals(theta, _sigmoid_second)
-        return self.directions.T @ (self.coef * self.lambda_sq * integrals)
+        return self.directions.T @ (self.row_weight * self._row_integrals(theta, second=True))
 
     def value_many(self, thetas: np.ndarray) -> np.ndarray:
-        mus = self.directions @ thetas.T  # (rows, m)
+        mus = (self.directions @ thetas.T)[:, :, None]  # (rows, m, 1)
         out = np.zeros(thetas.shape[0])
-        row_weight = self.coef * self.lambda_sq
+        inner = np.empty((self.directions.shape[0], thetas.shape[0]))  # (rows, m)
         for s_idx in range(self.s_nodes.size):
-            args = mus[:, :, None] + self.scale[:, s_idx, None, None] * self.z_nodes[None, None, :]
-            inner = sigmoid_derivative(args) @ self.z_weights  # (rows, m)
-            out += self.s_weights[s_idx] * (row_weight @ inner)
+            self._hermite_rows(mus, self.offsets[:, s_idx, None, :], False, inner)
+            out += self.s_weights[s_idx] * (self.row_weight @ inner)
         return out
 
 

@@ -198,6 +198,17 @@ class TestVerifyCommand:
         assert rows[0] == ["name", "lhs", "rhs", "residual", "tolerance", "passed"]
         assert all(row[5] == "1" for row in rows[1:])
 
+    def test_unwritable_csv_exits_3_before_any_suite(self, tmp_path, capsys, monkeypatch):
+        import ulln.cli
+
+        suites = []
+        monkeypatch.setattr(ulln.cli.theory_checks, "run_suite", lambda name: suites.append(name) or [])
+        assert main(["verify", "all", "--csv", str(tmp_path / "missing" / "x.csv")]) == 3
+        assert suites == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot write CSV" in err
+
     def test_threads_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "hermite", "--threads", "2"])

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ulln import Dataset, make_covariance
 from ulln.bounds import BoundParams
 from ulln.datagen import CovarianceSpec, make_rng
-from ulln.model import sigmoid_derivative
+from ulln.model import sigmoid, sigmoid_derivative
 from ulln.quadrature import gauss_hermite
 from ulln.theory_checks import (
     CATALOG,
+    GAP_BLOCK_ROWS,
     GaussianSmoothing,
     CatalogFunction,
     envelope_moment_check,
@@ -22,6 +26,7 @@ from ulln.theory_checks import (
     laplacian_gap_functional,
     run_suite,
     smoothing_identity_residual,
+    _GapSurface,
 )
 
 
@@ -289,6 +294,91 @@ class TestLaplacianGap:
             laplacian_gap_functional(np.ones((2, 2)), np.zeros(2), 1.5, make_covariance("identity", 2), 10, 0)
 
 
+class _DirectGap:
+    """The gap surface's rule on the whole (rows, s, nodes) tensor at once:
+    sigma^(k)(mu + scale z) @ z_weights @ s_weights, with no row blocks."""
+
+    def __init__(self, surface, n, m):
+        self.surface = surface
+        coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
+        self.row_weight = coef * surface.lambda_sq
+        self.scale = np.sqrt(surface.s_nodes[None, :] * surface.lambda_sq[:, None])
+
+    def _integrals(self, theta, kernel):
+        s = self.surface
+        args = (s.directions @ theta)[:, None, None] + self.scale[:, :, None] * s.z_nodes[None, None, :]
+        return kernel(args) @ s.z_weights @ s.s_weights
+
+    def value(self, theta):
+        return float(np.sum(self.row_weight * self._integrals(theta, sigmoid_derivative)))
+
+    def gradient(self, theta):
+        def second(t):
+            return sigmoid_derivative(t) * (1.0 - 2.0 * sigmoid(t))
+
+        return self.surface.directions.T @ (self.row_weight * self._integrals(theta, second))
+
+    def value_many(self, thetas):
+        s = self.surface
+        mus = s.directions @ thetas.T
+        out = np.zeros(thetas.shape[0])
+        for s_idx in range(s.s_nodes.size):
+            args = mus[:, :, None] + self.scale[:, s_idx, None, None] * s.z_nodes[None, None, :]
+            out += s.s_weights[s_idx] * (self.row_weight @ (sigmoid_derivative(args) @ s.z_weights))
+        return out
+
+
+def _gap_pair(n, m, p, seed=0):
+    rng = make_rng(seed)
+    surface = _GapSurface(rng.standard_normal((n, p)), rng.standard_normal((m, p)), 0.7,
+                          make_covariance("reciprocal", p))
+    return surface, _DirectGap(surface, n, m), rng
+
+
+class TestGapSurfaceBlocks:
+    # (data rows, reference rows): one more than the smallest surface, and a
+    # total one short of, equal to and one past a block, then the expsup size
+    ROW_SPLITS = [(1, 1), (GAP_BLOCK_ROWS - 2, 1), (GAP_BLOCK_ROWS - 1, 1), (GAP_BLOCK_ROWS, 1), (50, 160)]
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n,m", ROW_SPLITS)
+    def test_bitwise_equal_to_the_direct_tensor(self, n, m, p):
+        surface, direct, rng = _gap_pair(n, m, p)
+        for _ in range(2):
+            theta = rng.standard_normal(p)
+            assert surface.value(theta) == direct.value(theta)
+            assert np.array_equal(surface.gradient(theta), direct.gradient(theta))
+        thetas = rng.standard_normal((49, p))
+        assert np.array_equal(surface.value_many(thetas), direct.value_many(thetas))
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_single_row_block(self, p):
+        # a surface has at least two rows, so one row reaches the block pass directly
+        surface, direct, rng = _gap_pair(1, 1, p)
+        mu = surface.directions[:1] @ rng.standard_normal(p)
+        inner = surface._hermite_rows(mu[:, None, None], surface.offsets[:1], False,
+                                      np.empty((1, surface.s_nodes.size)))
+        args = mu[:, None, None] + direct.scale[:1, :, None] * surface.z_nodes
+        assert np.array_equal(inner, sigmoid_derivative(args) @ surface.z_weights)
+
+    def test_returned_gradient_survives_later_calls(self):
+        surface, _, rng = _gap_pair(GAP_BLOCK_ROWS + 3, 20, 3)
+        gradient = surface.gradient(rng.standard_normal(3))
+        kept = gradient.copy()
+        surface.gradient(rng.standard_normal(3))
+        surface.value(rng.standard_normal(3))
+        surface.value_many(rng.standard_normal((5, 3)))
+        assert np.array_equal(gradient, kept)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(t=arrays(float, st.integers(1, 40), elements=st.floats(-1e300, 1e300, allow_nan=False)))
+def test_sigmoid_derivative_is_the_one_exp_form_bitwise(t):
+    a = np.exp(-np.abs(t))
+    assert sigmoid_derivative(t).tobytes() == (a / (1.0 + a) ** 2).tobytes()
+    assert sigmoid_derivative(float(t[0])) == float(a[0] / (1.0 + a[0]) ** 2)
+
+
 class TestExpSup:
     def test_degenerate_radius(self):
         report = expsup_gap_check(2, 10, 1.0, 0.0, make_covariance("reciprocal", 2), replicates=4, seed=8)
@@ -305,6 +395,8 @@ class TestExpSup:
         small = expsup_gap_check(2, 20, 0.5, 1.0, cov, replicates=2, seed=10)
         large = expsup_gap_check(2, 80, 0.5, 1.0, cov, replicates=2, seed=10)
         assert large.rhs == pytest.approx(small.rhs / 2.0, rel=1e-12)
+        # the value of the 8x12 Legendre by 48 Hermite rule, pinned bit for bit
+        assert small.lhs == 0.006460227303784833
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
