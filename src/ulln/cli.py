@@ -99,9 +99,20 @@ def _solver_opts(raw: dict | None) -> SolverOptions:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of `--threads`: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _thread_count(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     return len(os.sched_getaffinity(0))
 
 
@@ -121,13 +132,18 @@ def cmd_experiment(args) -> int:
     cfg_raw = _load_config(args.config, "experiment", _EXPERIMENT_SCHEMA)
     solver = _solver_opts(cfg_raw.pop("solver", None))
     threads = _thread_count(args)
+    # made before any study runs, so that a bad path fails at once
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     studies = {}
     for cov_kind in ("reciprocal", "identity"):
         cfg = StudyConfig(cov_kind=cov_kind, solver_opts=solver, **cfg_raw)
         print(f"running {cfg.replications} replications with {cov_kind} covariance ...", flush=True)
         studies[cov_kind] = run_study(cfg, threads=threads, progress=args.verbose)
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
         write_table1(os.path.join(args.out_dir, "table1.csv"), studies["reciprocal"], studies["identity"])
         write_table2(os.path.join(args.out_dir, "table2.csv"), studies["reciprocal"], studies["identity"])
         write_replications(os.path.join(args.out_dir, "replications.csv"), studies)
@@ -150,6 +166,8 @@ _BOUNDS_SCHEMA = {
 }
 
 _SWEEP_SCHEMA_KEYS = {"n_start", "n_stop", "steps", "trace_rule", "delta_rule"}
+# the sweep's n grid is cast to int64, which holds up to about 9.2e18
+_SWEEP_N_MAX = 10**18
 
 
 def _bound_rows(params: BoundParams, which: str) -> list[tuple[str, BoundReport | None]]:
@@ -182,14 +200,16 @@ def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int
         steps = int(sweep["steps"])
     except KeyError as exc:
         raise ConfigError(f"sweep requires n_start, n_stop, steps; missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"sweep n_start, n_stop and steps must be finite numbers: {exc}") from exc
     trace_rule = sweep.get("trace_rule", "fixed")
     delta_rule = sweep.get("delta_rule", "fixed")
     if trace_rule not in ("fixed", "n_over_log_n"):
         raise ConfigError("trace_rule must be 'fixed' or 'n_over_log_n'")
     if delta_rule not in ("fixed", "inverse_n_squared"):
         raise ConfigError("delta_rule must be 'fixed' or 'inverse_n_squared'")
-    if steps < 2 or n_start < 2 or n_stop <= n_start:
-        raise ConfigError("sweep needs n_stop > n_start >= 2 and steps >= 2")
+    if steps < 2 or n_start < 2 or n_stop <= n_start or n_stop > _SWEEP_N_MAX:
+        raise ConfigError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} and steps >= 2")
 
     grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
     writer = csv.writer(sys.stdout)
@@ -237,8 +257,8 @@ def cmd_bounds(args) -> int:
                     "n_start": int(float(lo)), "n_stop": int(float(hi)), "steps": int(steps),
                     "trace_rule": args.trace_rule, "delta_rule": args.delta_rule,
                 }
-            except ValueError:
-                raise ConfigError("--sweep must look like n=start:stop:steps")
+            except (ValueError, OverflowError):
+                raise ConfigError("--sweep must look like n=start:stop:steps with finite numbers")
     missing = [k for k in ("n", "delta", "trace", "norm") if k not in raw]
     if missing:
         raise ConfigError(f"missing required bound parameters: {missing}")
@@ -408,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a replicated study and emit table CSVs")
     p_exp.add_argument("config", help="JSON config with command='experiment'")
     p_exp.add_argument("out_dir", help="directory for table1.csv/table2.csv/replications.csv")
-    p_exp.add_argument("--threads", type=int, default=None,
+    p_exp.add_argument("--threads", type=_positive_int, default=None,
                        help="above 1, draw each replicate's test set on a helper thread "
                             "(default: the CPUs this process may use)")
     p_exp.add_argument("--verbose", action="store_true")

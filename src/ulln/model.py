@@ -48,7 +48,8 @@ def _sigmoid_derivative_into(t, out, tmp):
 
 
 def sigmoid_derivative(t):
-    """sigma*(1-sigma) evaluated as sigma(t)*sigma(-t), stable on both tails."""
+    """sigma'(t) = sigma(t)(1 - sigma(t)), computed as a / (1 + a)**2 with
+    a = exp(-|t|) (see `_sigmoid_derivative_into`), stable on both tails."""
     t = np.asarray(t, dtype=float)
     out, tmp = np.empty_like(t), np.empty_like(t)
     _sigmoid_derivative_into(t, out, tmp)

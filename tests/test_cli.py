@@ -111,11 +111,28 @@ class TestExperimentCommand:
         cfg = write_json(tmp_path / "cfg.json", payload)
         assert main(["experiment", cfg, str(tmp_path / "x")]) == 2
 
-    def test_unwritable_out_dir_exits_3(self, tmp_path):
+    def test_unwritable_out_dir_exits_3(self, tmp_path, capsys, monkeypatch):
+        import ulln.cli
+
+        studies = []
+        monkeypatch.setattr(ulln.cli, "run_study", lambda *args, **kwargs: studies.append(args))
         cfg = write_json(tmp_path / "cfg.json", SMOKE_EXPERIMENT)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         assert main(["experiment", cfg, str(blocker)]) == 3
+        assert studies == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot create output directory" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        cfg = write_json(tmp_path / "cfg.json", SMOKE_EXPERIMENT)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", cfg, str(tmp_path / "out"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_single_replication_full_size_under_60s(self, tmp_path):
         payload = {
@@ -174,6 +191,27 @@ class TestBoundsCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["n", "trace", "delta", f"{bound}_total"]
         assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+
+    @pytest.mark.parametrize("sweep", ["n=10:1e400:5", "n=1e400:10:5", "n=10:1000:1e400", "n=10:1e300:5"])
+    def test_unrepresentable_sweep_flag_exits_2(self, capsys, sweep):
+        assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
+                     "--sweep", sweep]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_start", None), ("n_stop", None), ("steps", None), ("n_stop", 1e400), ("n_start", 1e400),
+        ("n_stop", 1e300), ("n_stop", "many"), ("steps", [5]),
+    ])
+    def test_bad_sweep_value_in_config_exits_2(self, tmp_path, capsys, key, value):
+        sweep = dict({"n_start": 10, "n_stop": 1000, "steps": 5}, **{key: value})
+        path = tmp_path / "b.json"
+        # json.dumps writes 1e400 (inf) as Infinity; write it as the literal 1e400, which loads as inf
+        path.write_text(json.dumps({"command": "bounds", "n": 100, "delta": 0.1, "trace": 1.0, "norm": 1.0,
+                                    "sweep": sweep}).replace("Infinity", "1e400"))
+        assert main(["bounds", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
 
     def test_config_file_variant(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {

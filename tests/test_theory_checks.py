@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import integrate
 
 from ulln import Dataset, make_covariance
 from ulln.bounds import BoundParams
 from ulln.datagen import CovarianceSpec, make_rng
 from ulln.model import sigmoid, sigmoid_derivative
-from ulln.quadrature import gauss_hermite
+from ulln.quadrature import gauss_hermite, legendre_panels
+from ulln.solver import project_to_ball
 from ulln.theory_checks import (
     CATALOG,
-    GAP_BLOCK_ROWS,
+    GAP_HERMITE_NODES,
+    GAP_S_PANEL_NODES,
+    GAP_S_PANELS,
     GaussianSmoothing,
     CatalogFunction,
     envelope_moment_check,
@@ -294,81 +298,73 @@ class TestLaplacianGap:
             laplacian_gap_functional(np.ones((2, 2)), np.zeros(2), 1.5, make_covariance("identity", 2), 10, 0)
 
 
-class _DirectGap:
-    """The gap surface's rule on the whole (rows, s, nodes) tensor at once:
-    sigma^(k)(mu + scale z) @ z_weights @ s_weights, with no row blocks."""
-
-    def __init__(self, surface, n, m):
-        self.surface = surface
-        coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
-        self.row_weight = coef * surface.lambda_sq
-        self.scale = np.sqrt(surface.s_nodes[None, :] * surface.lambda_sq[:, None])
-
-    def _integrals(self, theta, kernel):
-        s = self.surface
-        args = (s.directions @ theta)[:, None, None] + self.scale[:, :, None] * s.z_nodes[None, None, :]
-        return kernel(args) @ s.z_weights @ s.s_weights
-
-    def value(self, theta):
-        return float(np.sum(self.row_weight * self._integrals(theta, sigmoid_derivative)))
-
-    def gradient(self, theta):
-        def second(t):
-            return sigmoid_derivative(t) * (1.0 - 2.0 * sigmoid(t))
-
-        return self.surface.directions.T @ (self.row_weight * self._integrals(theta, second))
-
-    def value_many(self, thetas):
-        s = self.surface
-        mus = s.directions @ thetas.T
-        out = np.zeros(thetas.shape[0])
-        for s_idx in range(s.s_nodes.size):
-            args = mus[:, :, None] + self.scale[:, s_idx, None, None] * s.z_nodes[None, None, :]
-            out += s.s_weights[s_idx] * (self.row_weight @ (sigmoid_derivative(args) @ s.z_weights))
-        return out
+def _gap_rows(z_rows, ref_rows, t, cov):
+    """Each row's coefficient, direction Lambda^{1/2} z_i and lambda_sq_i = <Lambda z_i, z_i>."""
+    n, m = z_rows.shape[0], ref_rows.shape[0]
+    rows = np.vstack([z_rows, ref_rows])
+    coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
+    return coef, cov.transform(rows), (rows**2) @ cov.eigenvalues
 
 
-def _gap_pair(n, m, p, seed=0):
+def _direct_value_many(z_rows, ref_rows, t, cov, thetas):
+    """The gap surface's value rule, one (rows, m, nodes) tensor per s node."""
+    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, t, cov)
+    s_nodes, s_weights = legendre_panels(0.0, t, GAP_S_PANELS, GAP_S_PANEL_NODES)
+    z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
+    mus = directions @ thetas.T
+    out = np.zeros(thetas.shape[0])
+    for s, weight in zip(s_nodes, s_weights):
+        args = mus[:, :, None] + np.sqrt(s * lambda_sq)[:, None, None] * z_nodes[None, None, :]
+        out += weight * ((coef * lambda_sq) @ (sigmoid_derivative(args) @ z_weights))
+    return out
+
+
+def _oracle_gradient(z_rows, ref_rows, t, cov, theta):
+    """The gap gradient with no identity: the s-integral of each row's
+    E[sigma''(mu + sqrt(s lambda_sq) Z)] on 180 Gauss-Hermite nodes, by quad_vec."""
+    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, t, cov)
+    mu = directions @ theta
+    z, w = gauss_hermite(180)
+
+    def row_integrands(s):
+        args = mu[:, None] + np.sqrt(s * lambda_sq)[:, None] * z
+        return (sigmoid_derivative(args) * (1.0 - 2.0 * sigmoid(args))) @ w
+
+    integrals, _ = integrate.quad_vec(row_integrands, 0.0, t, epsabs=1e-14, epsrel=1e-13)
+    return directions.T @ (coef * lambda_sq * integrals)
+
+
+def _gap_case(n, m, p, t, seed=0):
     rng = make_rng(seed)
-    surface = _GapSurface(rng.standard_normal((n, p)), rng.standard_normal((m, p)), 0.7,
-                          make_covariance("reciprocal", p))
-    return surface, _DirectGap(surface, n, m), rng
+    args = (rng.standard_normal((n, p)), rng.standard_normal((m, p)), t, make_covariance("reciprocal", p))
+    return _GapSurface(*args), args, rng
 
 
-class TestGapSurfaceBlocks:
-    # (data rows, reference rows): one more than the smallest surface, and a
-    # total one short of, equal to and one past a block, then the expsup size
-    ROW_SPLITS = [(1, 1), (GAP_BLOCK_ROWS - 2, 1), (GAP_BLOCK_ROWS - 1, 1), (GAP_BLOCK_ROWS, 1), (50, 160)]
+class TestGapSurface:
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 3), (50, 160)])
+    @pytest.mark.parametrize("count", [1, 3, 49])
+    def test_values_bitwise_equal_to_the_direct_rule(self, n, m, p, count):
+        surface, args, rng = _gap_case(n, m, p, 0.7)
+        thetas = rng.standard_normal((count, p))
+        assert np.array_equal(surface.value_many(thetas), _direct_value_many(*args, thetas))
 
     @pytest.mark.parametrize("p", [1, 3])
-    @pytest.mark.parametrize("n,m", ROW_SPLITS)
-    def test_bitwise_equal_to_the_direct_tensor(self, n, m, p):
-        surface, direct, rng = _gap_pair(n, m, p)
-        for _ in range(2):
-            theta = rng.standard_normal(p)
-            assert surface.value(theta) == direct.value(theta)
-            assert np.array_equal(surface.gradient(theta), direct.gradient(theta))
-        thetas = rng.standard_normal((49, p))
-        assert np.array_equal(surface.value_many(thetas), direct.value_many(thetas))
+    @pytest.mark.parametrize("n,m,t", [(1, 1, 0.7), (7, 3, 0.3), (50, 160, 1.0)])
+    def test_gradient_matches_the_quadrature_oracle(self, n, m, p, t):
+        surface, args, rng = _gap_case(n, m, p, t)
+        for theta in (np.zeros(p), project_to_ball(rng.standard_normal(p), 1.0), rng.standard_normal(p)):
+            assert np.max(np.abs(surface.gradient(theta) - _oracle_gradient(*args, theta))) <= 1e-10
 
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_single_row_block(self, p):
-        # a surface has at least two rows, so one row reaches the block pass directly
-        surface, direct, rng = _gap_pair(1, 1, p)
-        mu = surface.directions[:1] @ rng.standard_normal(p)
-        inner = surface._hermite_rows(mu[:, None, None], surface.offsets[:1], False,
-                                      np.empty((1, surface.s_nodes.size)))
-        args = mu[:, None, None] + direct.scale[:1, :, None] * surface.z_nodes
-        assert np.array_equal(inner, sigmoid_derivative(args) @ surface.z_weights)
-
-    def test_returned_gradient_survives_later_calls(self):
-        surface, _, rng = _gap_pair(GAP_BLOCK_ROWS + 3, 20, 3)
+    def test_returned_arrays_survive_later_calls(self):
+        surface, _, rng = _gap_case(19, 20, 3, 0.7)
         gradient = surface.gradient(rng.standard_normal(3))
-        kept = gradient.copy()
+        values = surface.value_many(rng.standard_normal((4, 3)))
+        kept = gradient.copy(), values.copy()
         surface.gradient(rng.standard_normal(3))
-        surface.value(rng.standard_normal(3))
         surface.value_many(rng.standard_normal((5, 3)))
-        assert np.array_equal(gradient, kept)
+        assert np.array_equal(gradient, kept[0])
+        assert np.array_equal(values, kept[1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -395,8 +391,9 @@ class TestExpSup:
         small = expsup_gap_check(2, 20, 0.5, 1.0, cov, replicates=2, seed=10)
         large = expsup_gap_check(2, 80, 0.5, 1.0, cov, replicates=2, seed=10)
         assert large.rhs == pytest.approx(small.rhs / 2.0, rel=1e-12)
-        # the value of the 8x12 Legendre by 48 Hermite rule, pinned bit for bit
-        assert small.lhs == 0.006460227303784833
+        # the 8x12 Legendre by 48 Hermite value at the points the identity gradient climbs to,
+        # pinned bit for bit
+        assert small.lhs == 0.006460227303397292
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
