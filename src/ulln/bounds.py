@@ -37,18 +37,18 @@ class BoundParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.R < 0:
-            raise ValueError("R must be >= 0")
+        if not 0 <= self.R < math.inf:
+            raise ValueError("R must be finite and >= 0")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
-        if self.trace_sigma < 0 or self.norm_sigma < 0:
-            raise ValueError("trace and norm of Sigma must be >= 0")
+        if not (0 <= self.trace_sigma < math.inf and 0 <= self.norm_sigma < math.inf):
+            raise ValueError("trace and norm of Sigma must be finite and >= 0")
         if self.trace_sigma > 0 and self.norm_sigma > self.trace_sigma:
             raise ValueError("||Sigma|| cannot exceed tr(Sigma)")
-        if self.K <= 0:
-            raise ValueError("K must be > 0")
-        if self.log_n_constant_a <= 0:
-            raise ValueError("log_n_constant_a must be > 0")
+        if not 0 < self.K < math.inf:
+            raise ValueError("K must be finite and > 0")
+        if not 0 < self.log_n_constant_a < math.inf:
+            raise ValueError("log_n_constant_a must be finite and > 0")
 
     @property
     def log_inv_delta(self) -> float:

@@ -131,6 +131,7 @@ _EXPERIMENT_SCHEMA = {
 def cmd_experiment(args) -> int:
     cfg_raw = _load_config(args.config, "experiment", _EXPERIMENT_SCHEMA)
     solver = _solver_opts(cfg_raw.pop("solver", None))
+    configs = [StudyConfig(cov_kind=kind, solver_opts=solver, **cfg_raw) for kind in ("reciprocal", "identity")]
     threads = _thread_count(args)
     # made before any study runs, so that a bad path fails at once
     try:
@@ -139,10 +140,9 @@ def cmd_experiment(args) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     studies = {}
-    for cov_kind in ("reciprocal", "identity"):
-        cfg = StudyConfig(cov_kind=cov_kind, solver_opts=solver, **cfg_raw)
-        print(f"running {cfg.replications} replications with {cov_kind} covariance ...", flush=True)
-        studies[cov_kind] = run_study(cfg, threads=threads, progress=args.verbose)
+    for cfg in configs:
+        print(f"running {cfg.replications} replications with {cfg.cov_kind} covariance ...", flush=True)
+        studies[cfg.cov_kind] = run_study(cfg, threads=threads, progress=args.verbose)
     try:
         write_table1(os.path.join(args.out_dir, "table1.csv"), studies["reciprocal"], studies["identity"])
         write_table2(os.path.join(args.out_dir, "table2.csv"), studies["reciprocal"], studies["identity"])
@@ -168,6 +168,8 @@ _BOUNDS_SCHEMA = {
 _SWEEP_SCHEMA_KEYS = {"n_start", "n_stop", "steps", "trace_rule", "delta_rule"}
 # the sweep's n grid is cast to int64, which holds up to about 9.2e18
 _SWEEP_N_MAX = 10**18
+# the whole grid is held in memory: 10**6 steps is about 8 MB
+_SWEEP_STEPS_MAX = 10**6
 
 
 def _bound_rows(params: BoundParams, which: str) -> list[tuple[str, BoundReport | None]]:
@@ -208,8 +210,9 @@ def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int
         raise ConfigError("trace_rule must be 'fixed' or 'n_over_log_n'")
     if delta_rule not in ("fixed", "inverse_n_squared"):
         raise ConfigError("delta_rule must be 'fixed' or 'inverse_n_squared'")
-    if steps < 2 or n_start < 2 or n_stop <= n_start or n_stop > _SWEEP_N_MAX:
-        raise ConfigError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} and steps >= 2")
+    if not 2 <= steps <= _SWEEP_STEPS_MAX or n_start < 2 or n_stop <= n_start or n_stop > _SWEEP_N_MAX:
+        raise ConfigError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} "
+                          f"and 2 <= steps <= {_SWEEP_STEPS_MAX:.0e}")
 
     grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
     writer = csv.writer(sys.stdout)

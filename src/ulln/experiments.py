@@ -48,8 +48,8 @@ class StudyConfig:
             raise ValueError("p, n, n_test, replications must be >= 1")
         if self.cov_kind not in ("reciprocal", "identity"):
             raise ValueError("cov_kind must be 'reciprocal' or 'identity'")
-        if self.beta < 0 or self.R < 0:
-            raise ValueError("beta and R must be >= 0")
+        if not (0 <= self.beta < np.inf and 0 <= self.R < np.inf):
+            raise ValueError("beta and R must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -105,16 +105,17 @@ class Dataset:
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         labels = np.asarray(self.labels)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise ValueError("inputs must be a non-empty n x p matrix")
         if not np.all(np.isfinite(inputs)):
             raise ValueError("inputs must be finite")
         if labels.shape != (inputs.shape[0],):
             raise ValueError("labels must be a vector of length n")
-        if not np.isin(self.labels, (0, 1)).all():
+        # checked before the integer cast, which would truncate 0.7 to 0
+        if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def n(self) -> int:

@@ -64,8 +64,8 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
     step size drops below ``opts.grad_map_tol``; reports
     ``converged=False`` after ``opts.max_iters`` otherwise.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
     opts = opts or SolverOptions()
     x, n = data.inputs, data.n
     # one matvec per candidate and per accepted step: loss and gradient start from the scores

@@ -10,16 +10,22 @@ Checks covered:
       int_0^t s^{-1} E[f(sqrt(s) z)(z^2 - 1)] ds = 2(E[f(sqrt(t) z)] - f(0)),
   integrated after the substitution s = exp(-2r) that removes the 1/s
   singularity;
-* the second-order (Ito) expansion of the smoothed logistic loss;
+* the second-order (Ito) expansion of the smoothed logistic loss, its
+  time integral on fixed Gauss-Legendre panels;
 * the Kullback-Leibler divergence of shifted isotropic Gaussians;
 * the moment bound for the subgaussian width envelope of the loss;
 * the absolute third-Hermite moment E|z^3 - 3z|, integrated piecewise
   across its kinks at 0 and +/-sqrt(3);
 * the centered, time-integrated Laplacian gap functional and the
-  expected-supremum bound 2R sqrt(tr(Sigma)/n) it satisfies.
+  expected-supremum bound 2R sqrt(tr(Sigma)/n) it satisfies.  The
+  functional and the gradient of the gap surface drop the time integral
+  by the heat-semigroup identity
+      lambda int_0^t E[f''(mu + sqrt(s lambda) Z)] ds
+          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu)).
 
-Every Monte Carlo assertion uses a 3-standard-error tolerance and a
-stream seeded from the check name, so the suite is deterministic.
+Every integral is a fixed rule from `quadrature`, and every Monte Carlo
+assertion uses a 3-standard-error tolerance and a stream seeded from the
+check name, so the suite is deterministic.
 """
 from __future__ import annotations
 
@@ -29,12 +35,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit
+from scipy.special import eval_hermitenorm, expit
 
 from .bounds import BoundParams
 from .datagen import CovarianceSpec, make_covariance, make_rng
-from .model import Dataset, _sigmoid_derivative_into, per_example_loss, sigmoid, sigmoid_derivative
+from .model import Dataset, _sigmoid_derivative_into, per_example_loss, sigmoid, sigmoid_derivative, softplus
 from .quadrature import (
     gauss_hermite,
     gauss_hermite_tensor,
@@ -44,6 +49,8 @@ from .quadrature import (
 from .solver import project_to_ball
 
 HERMITE_NODES = 128
+# the time integrals of the Ito check and of the gap values: 8 Gauss-Legendre panels of 12 nodes on [0, t]
+TIME_PANELS, TIME_PANEL_NODES = 8, 12
 LOG2 = math.log(2.0)
 
 
@@ -129,18 +136,6 @@ CATALOG: dict[str, CatalogFunction] = {
 }
 
 
-def _hermite_poly(degree: int, x: np.ndarray) -> np.ndarray:
-    if degree == 0:
-        return np.ones_like(x)
-    if degree == 1:
-        return x
-    if degree == 2:
-        return x**2 - 1.0
-    if degree == 3:
-        return x**3 - 3.0 * x
-    raise ValueError("Hermite degree supported up to 3")
-
-
 def _catalog_entry(name) -> tuple[CatalogFunction, str]:
     if isinstance(name, CatalogFunction):
         return name, "custom"
@@ -167,8 +162,8 @@ def hermite_identity_residual(name, d: int, order: str = "first") -> CheckReport
     else:
         raise ValueError("order must be 'first' or 'second'")
     z, w = gauss_hermite(HERMITE_NODES)
-    lhs = float(w @ (np.asarray(derivative(z)) * _hermite_poly(d, z)))
-    rhs = float(w @ (np.asarray(fn.f(z)) * _hermite_poly(d + shift, z)))
+    lhs = float(w @ (np.asarray(derivative(z)) * eval_hermitenorm(d, z)))
+    rhs = float(w @ (np.asarray(fn.f(z)) * eval_hermitenorm(d + shift, z)))
     return _equality_report(f"hermite:{name}:d{d}:{order}", lhs, rhs, 1e-10)
 
 
@@ -214,7 +209,8 @@ def ito_expansion_residual(
 
     The left side integrates the payload against N(theta, t I) with a
     tensorized Gauss-Hermite rule (p <= 3); the right side integrates the
-    pointwise Laplacian over s with adaptive quadrature.  With
+    pointwise Laplacian over s on TIME_PANELS x TIME_PANEL_NODES
+    Gauss-Legendre nodes, each a HERMITE_NODES Gauss-Hermite mean.  With
     ``mc_samples > 0`` the left side is estimated by Monte Carlo instead
     and the tolerance widens to three standard errors.
     """
@@ -238,14 +234,9 @@ def ito_expansion_residual(
 
         f_at_theta = float(per_example_loss(y, mu))
         z1, w1 = gauss_hermite(HERMITE_NODES)
-
-        def laplacian_mean(s):
-            if x_norm_sq == 0.0:
-                return 0.0
-            return x_norm_sq * float(w1 @ sigmoid_derivative(mu + math.sqrt(s) * x_norm * z1))
-
-        integral, _ = integrate.quad(laplacian_mean, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        rhs = f_at_theta + 0.5 * integral
+        s_nodes, s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
+        laplacian_means = x_norm_sq * (sigmoid_derivative(mu + (np.sqrt(s_nodes) * x_norm)[:, None] * z1) @ w1)
+        rhs = f_at_theta + 0.5 * float(s_weights @ laplacian_means)
     elif payload == "quadratic":
         def f_of(w_points):
             return np.einsum("ij,ij->i", w_points, w_points)
@@ -382,34 +373,38 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 # centered Laplacian gap functional and its expected-supremum bound
 
 
-# the s-integral of the values on 8 Gauss-Legendre panels of 12 nodes and the
-# inner expectation on 48 Gauss-Hermite nodes; the expsup check values depend on this exact rule
-GAP_S_PANELS, GAP_S_PANEL_NODES, GAP_HERMITE_NODES = 8, 12, 48
+# the inner expectation of the gap values on 48 Gauss-Hermite nodes; the expsup check values depend on this exact rule
+GAP_HERMITE_NODES = 48
+
+
+def _gap_rows(z_rows: np.ndarray, ref_rows: np.ndarray, cov: CovarianceSpec):
+    """The gap's rows z_i: coefficients (+1/(2n) on the data rows, -1/(2m)
+    on the reference rows), directions Lambda^{1/2} z_i and lambda_i =
+    <Lambda z_i, z_i>."""
+    n, m = z_rows.shape[0], ref_rows.shape[0]
+    rows = np.vstack([z_rows, ref_rows])
+    coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
+    return coef, cov.transform(rows), (rows**2) @ cov.eigenvalues
 
 
 class _GapSurface:
     """Values and gradient of the centered time-integrated Laplacian gap
     sum_i coef_i lambda_i int_0^t E[sigma'(mu_i + sqrt(s lambda_i) Z)] ds,
-    mu_i = <Lambda^{1/2} z_i, theta>, lambda_i = <Lambda z_i, z_i>, over
-    fixed data rows (coef +1/(2n)) and a frozen reference sample (-1/(2m)).
+    mu_i = <Lambda^{1/2} z_i, theta>, over the rows of `_gap_rows` for
+    fixed data rows and a frozen reference sample.
 
-    Values use the fixed GAP_S_PANELS x GAP_S_PANEL_NODES Gauss-Legendre by
+    Values use the fixed TIME_PANELS x TIME_PANEL_NODES Gauss-Legendre by
     GAP_HERMITE_NODES Gauss-Hermite rule.  The gradient is the exact one,
-    from the heat-semigroup identity lambda int_0^t E[sigma''(mu + sqrt(s
-    lambda) Z)] ds = 2 (E[sigma(mu + sqrt(t lambda) Z)] - sigma(mu)), with
-    HERMITE_NODES Gauss-Hermite nodes; it is accurate to about 1e-11 for
-    sqrt(t lambda) up to about 3.6, the largest value in the `g` suite.  It
-    is not the derivative of the discretized value.
+    from the heat-semigroup identity with f = sigma, on HERMITE_NODES
+    Gauss-Hermite nodes; it is accurate to about 1e-11 for sqrt(t lambda)
+    up to about 3.6, the largest value in the `g` suite.  It is not the
+    derivative of the discretized value.
     """
 
     def __init__(self, z_rows: np.ndarray, ref_rows: np.ndarray, t: float, cov: CovarianceSpec):
-        n, m = z_rows.shape[0], ref_rows.shape[0]
-        rows = np.vstack([z_rows, ref_rows])
-        self.coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
-        self.directions = cov.transform(rows)  # rows Lambda^{1/2} z_i
-        lambda_sq = (rows**2) @ cov.eigenvalues  # <Lambda z_i, z_i>
+        self.coef, self.directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
         self.row_weight = self.coef * lambda_sq
-        s_nodes, self.s_weights = legendre_panels(0.0, t, GAP_S_PANELS, GAP_S_PANEL_NODES)
+        s_nodes, self.s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
         z_nodes, self.z_weights = gauss_hermite(GAP_HERMITE_NODES)
         # offsets[s, i, k] = sqrt(s * lambda_sq_i) * z_k
         self.offsets = np.sqrt(s_nodes[:, None] * lambda_sq[None, :])[:, :, None] * z_nodes
@@ -443,11 +438,12 @@ def laplacian_gap_functional(
 ) -> float:
     """Evaluate the centered Laplacian gap of a fixed latent sample z.
 
-    The per-row expectation over the smoothing Gaussian reduces to a 1-D
-    Gauss-Hermite integral of sigma(1-sigma); the time integral is done
-    adaptively.  The centering term is estimated over ``ref_samples``
-    fresh draws from the reference (standard normal) law with the same
-    inner quadrature, so the functional has mean zero over z.
+    The centering rows are ``ref_samples`` fresh draws from the reference
+    (standard normal) law, so the functional has mean zero over z.  The
+    heat-semigroup identity with f = softplus (softplus'' = sigma') turns
+    each row's time integral into 2 (E[softplus(mu + sqrt(t lambda) Z)] -
+    softplus(mu)), one HERMITE_NODES Gauss-Hermite mean; softplus(mu) is
+    subtracted node by node, so a row with lambda = 0 adds exactly 0.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
@@ -458,19 +454,11 @@ def laplacian_gap_functional(
     if z.shape[1] != cov.p or theta.size != cov.p:
         raise ValueError("dimension mismatch between z, theta, and the covariance")
 
-    rng = make_rng(seed)
-    rows = np.vstack([z, rng.standard_normal((ref_samples, cov.p))])
-    coef = np.concatenate([np.full(z.shape[0], 0.5 / z.shape[0]), np.full(ref_samples, -0.5 / ref_samples)])
-    lambda_sq = (rows**2) @ cov.eigenvalues
-    mu = cov.transform(rows) @ theta
+    coef, directions, lambda_sq = _gap_rows(z, make_rng(seed).standard_normal((ref_samples, cov.p)), cov)
+    mu = directions @ theta
     z_nodes, z_weights = gauss_hermite(HERMITE_NODES)
-
-    def integrand(s):
-        args = mu[:, None] + np.sqrt(s * lambda_sq)[:, None] * z_nodes[None, :]
-        return sigmoid_derivative(args) @ z_weights
-
-    integrals, _ = integrate.quad_vec(integrand, 0.0, t, epsabs=1e-11, epsrel=1e-11)
-    return float(np.sum(coef * lambda_sq * integrals))
+    increments = softplus(mu[:, None] + np.sqrt(t * lambda_sq)[:, None] * z_nodes) - softplus(mu)[:, None]
+    return float(2.0 * coef @ (increments @ z_weights))
 
 
 EXPSUP_PROBES = 48

@@ -197,6 +197,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundParams(n=10, R=1.0, delta=1.5, trace_sigma=1.0, norm_sigma=1.0)
 
+    @pytest.mark.parametrize("key", ["R", "trace_sigma", "norm_sigma", "K", "log_n_constant_a", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, key, value):
+        fields = dict(n=10, R=1.0, delta=0.1, trace_sigma=2.0, norm_sigma=1.0)
+        with pytest.raises(ValueError):
+            BoundParams(**dict(fields, **{key: value}))
+
     def test_terms_nonnegative_and_total_additive(self):
         rng = np.random.default_rng(0)
         for _ in range(25):

@@ -106,6 +106,16 @@ class TestExperimentCommand:
         assert main(["experiment", cfg, str(tmp_path / "out"), "--threads", "1"]) == 0
         assert seen == [expected, expected]
 
+    @pytest.mark.parametrize("key", ["R", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
+        cfg = write_json(tmp_path / "cfg.json", dict(SMOKE_EXPERIMENT, **{key: value}))
+        assert main(["experiment", cfg, str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_command_field_exits_2(self, tmp_path):
         payload = dict(SMOKE_EXPERIMENT, command="bounds")
         cfg = write_json(tmp_path / "cfg.json", payload)
@@ -212,6 +222,21 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--R", "--trace", "--norm", "--K", "--a"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exits_2(self, capsys, flag, value):
+        argv = {"--n": "100", "--R": "1", "--delta": "0.1", "--trace": "2", "--norm": "1", flag: value}
+        assert main(["bounds"] + [f"{key}={text}" for key, text in argv.items()]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep", ["n=10:1000:1000001", "n=10:1000:10000000"])
+    def test_sweep_steps_above_the_cap_exit_2(self, capsys, sweep):
+        assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
+                     "--sweep", sweep]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "steps <= 1e+06" in err
 
     def test_config_file_variant(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import multiprocessing
 import sys
 
@@ -182,3 +183,8 @@ class TestStudy:
             StudyConfig(replications=0)
         with pytest.raises(ValueError):
             StudyConfig(beta=-2.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                StudyConfig(beta=value)
+            with pytest.raises(ValueError):
+                StudyConfig(R=value)

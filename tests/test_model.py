@@ -339,6 +339,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.array([0, 2]))
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.0], [0.0, 0.5], [np.nan, 1.0], [1.0, -0.0000001]])
+    def test_rejects_fractional_labels_before_the_integer_cast(self, labels):
+        with pytest.raises(ValueError):
+            Dataset(np.eye(2), np.array(labels))
+
+    def test_float_zero_and_one_labels_pass(self):
+        data = Dataset(np.eye(2), np.array([0.0, 1.0]))
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [0, 1]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf, 0.0]]), np.array([1]))

@@ -117,6 +117,11 @@ class TestFitConstrained:
             _, risk_grid = grid_min_risk(data, 1.0)
             assert abs(fit.risk - risk_grid) < 1e-5
 
+    @pytest.mark.parametrize("radius", [-0.1, np.nan, np.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        with pytest.raises(ValueError):
+            fit_constrained(Dataset(np.eye(2), np.array([1, 0])), radius)
+
     def test_non_convergence_is_flagged_not_raised(self):
         rng = np.random.default_rng(15)
         data = Dataset(rng.standard_normal((25, 4)), rng.integers(0, 2, 25))

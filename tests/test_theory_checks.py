@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,17 +10,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
-from ulln import Dataset, make_covariance
+from ulln import Dataset, make_covariance, theory_checks
 from ulln.bounds import BoundParams
 from ulln.datagen import CovarianceSpec, make_rng
-from ulln.model import sigmoid, sigmoid_derivative
+from ulln.model import per_example_loss, sigmoid, sigmoid_derivative
 from ulln.quadrature import gauss_hermite, legendre_panels
 from ulln.solver import project_to_ball
 from ulln.theory_checks import (
     CATALOG,
     GAP_HERMITE_NODES,
-    GAP_S_PANEL_NODES,
-    GAP_S_PANELS,
+    HERMITE_NODES,
+    TIME_PANEL_NODES,
+    TIME_PANELS,
     GaussianSmoothing,
     CatalogFunction,
     envelope_moment_check,
@@ -30,6 +34,7 @@ from ulln.theory_checks import (
     laplacian_gap_functional,
     run_suite,
     smoothing_identity_residual,
+    _gap_rows,
     _GapSurface,
 )
 
@@ -148,6 +153,32 @@ class TestItoExpansion:
         report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.3, 0.1, -0.2]), 0.3))
         assert report.abs_residual <= 1e-6
 
+    @pytest.mark.parametrize("x_row, theta", [
+        ([0.0], [0.4]), ([1.5], [0.2]), ([3.5], [-12 / 7]), ([3.5], [12 / 7]),
+        ([2.0, -1.5], [0.5, 0.5]), ([0.9, -0.7, 0.4], [0.3, 0.1, -0.2]), ([2.0, 2.0, 1.5], [1.0, 1.0, 0.0]),
+    ])
+    @pytest.mark.parametrize("t", [1e-8, 0.3, 1.0])
+    def test_time_rule_matches_adaptive_quad(self, x_row, theta, t):
+        # |mu| <= 6, ||x|| <= 3.5: the fixed Legendre s-rule against adaptive quad
+        x_row, theta = np.array(x_row), np.array(theta)
+        y = int(x_row.size % 2)
+        report = ito_expansion_residual(Dataset(x_row[None, :], np.array([y])), GaussianSmoothing(theta, t))
+        mu, x_norm = float(x_row @ theta), float(np.linalg.norm(x_row))
+        z, w = gauss_hermite(HERMITE_NODES)
+        integral, _ = integrate.quad(
+            lambda s: x_norm**2 * float(w @ sigmoid_derivative(mu + math.sqrt(s) * x_norm * z)),
+            0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        assert abs(report.rhs - (per_example_loss(y, mu) + 0.5 * integral)) <= 1e-13
+
+    @pytest.mark.parametrize("x_row, theta, t", [([1.5], [0.2], 0.5), ([0.9, -0.7, 0.4], [0.3, 0.1, -0.2], 0.3)])
+    def test_wrong_laplacian_fails(self, monkeypatch, x_row, theta, t):
+        # a Laplacian 1% off moves only the time integral on the right side
+        exact = theory_checks.sigmoid_derivative
+        monkeypatch.setattr(theory_checks, "sigmoid_derivative", lambda u: 1.01 * exact(u))
+        report = ito_expansion_residual(Dataset(np.array([x_row]), np.array([1])), GaussianSmoothing(np.array(theta), t))
+        assert not report.passed
+
     def test_dimension_cap(self):
         row = Dataset(np.ones((1, 4)), np.array([1]))
         with pytest.raises(ValueError):
@@ -254,6 +285,19 @@ class TestLaplacianGap:
         report = gap_centering_check(2, 6, 0.5, make_covariance("reciprocal", 2), draws=24, seed=3)
         assert report.passed
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
+    def test_matches_the_quadrature_oracle(self, p, t):
+        cov = make_covariance("reciprocal", p)
+        rng = make_rng(100 + p)
+        z = rng.standard_normal((8, p))
+        theta = project_to_ball(rng.standard_normal(p), 1.0)
+        ref_rows = make_rng(17).standard_normal((40, p))  # the functional's own reference draw at seed 17
+        _, _, lambda_sq = _gap_rows(z, ref_rows, cov)
+        assert math.sqrt(t * lambda_sq.max()) <= 3.6  # where 128 Hermite nodes hold 1e-11
+        value = laplacian_gap_functional(z, theta, t, cov, ref_samples=40, seed=17)
+        assert abs(value - _oracle_functional(z, ref_rows, t, cov, theta)) <= 1e-11
+
     def test_against_nested_monte_carlo(self):
         # brute-force oracle: every expectation replaced by Monte Carlo draws
         p, n, t = 2, 3, 0.6
@@ -298,18 +342,10 @@ class TestLaplacianGap:
             laplacian_gap_functional(np.ones((2, 2)), np.zeros(2), 1.5, make_covariance("identity", 2), 10, 0)
 
 
-def _gap_rows(z_rows, ref_rows, t, cov):
-    """Each row's coefficient, direction Lambda^{1/2} z_i and lambda_sq_i = <Lambda z_i, z_i>."""
-    n, m = z_rows.shape[0], ref_rows.shape[0]
-    rows = np.vstack([z_rows, ref_rows])
-    coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
-    return coef, cov.transform(rows), (rows**2) @ cov.eigenvalues
-
-
 def _direct_value_many(z_rows, ref_rows, t, cov, thetas):
     """The gap surface's value rule, one (rows, m, nodes) tensor per s node."""
-    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, t, cov)
-    s_nodes, s_weights = legendre_panels(0.0, t, GAP_S_PANELS, GAP_S_PANEL_NODES)
+    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
+    s_nodes, s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
     z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
     mus = directions @ thetas.T
     out = np.zeros(thetas.shape[0])
@@ -319,10 +355,24 @@ def _direct_value_many(z_rows, ref_rows, t, cov, thetas):
     return out
 
 
+def _oracle_functional(z_rows, ref_rows, t, cov, theta):
+    """The gap functional with no identity: the s-integral of each row's
+    E[sigma'(mu + sqrt(s lambda_sq) Z)] on 180 Gauss-Hermite nodes, by quad_vec."""
+    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
+    mu = directions @ theta
+    z, w = gauss_hermite(180)
+
+    def row_integrands(s):
+        return sigmoid_derivative(mu[:, None] + np.sqrt(s * lambda_sq)[:, None] * z) @ w
+
+    integrals, _ = integrate.quad_vec(row_integrands, 0.0, t, epsabs=1e-14, epsrel=1e-13)
+    return float(coef @ (lambda_sq * integrals))
+
+
 def _oracle_gradient(z_rows, ref_rows, t, cov, theta):
     """The gap gradient with no identity: the s-integral of each row's
     E[sigma''(mu + sqrt(s lambda_sq) Z)] on 180 Gauss-Hermite nodes, by quad_vec."""
-    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, t, cov)
+    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
     mu = directions @ theta
     z, w = gauss_hermite(180)
 
@@ -419,3 +469,11 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(theory_checks.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ulln.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
