@@ -2,12 +2,14 @@
 
 Subcommands: experiment | bounds | verify | deviation | generate.
 Study-style runs take a JSON config with a top-level "command"
-discriminator (schema-checked, unknown keys rejected); `bounds` also
-accepts plain flags.  Exit codes: 0 success, 1 check failure, 2
-usage/config error, 3 IO error.  Only `experiment` takes `--threads`:
-above 1, each replicate draws its test set on a helper thread while the
-calling thread draws its training set.  Inputs are drawn as
-X = Lambda^{1/2} Z with a diagonal covariance Lambda.
+discriminator.  Every config value, and every `bounds` flag, is checked
+once against its subcommand's schema (`_typed`), which also holds the
+defaults and the required keys; unknown keys are rejected.  `bounds`
+takes either a config or plain flags, not both.  Exit codes: 0 success,
+1 check failure, 2 usage/config error, 3 IO error.  Only `experiment`
+takes `--threads`: above 1, each replicate draws its test set on a
+helper thread while the calling thread draws its training set.  Inputs
+are drawn as X = Lambda^{1/2} Z with a diagonal covariance Lambda.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .experiments import (
     write_table1,
     write_table2,
 )
-from .solver import SolverOptions
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -47,11 +48,15 @@ EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str, command: str, schema: dict[str, type | tuple]) -> dict:
+# the default of a schema entry that must be given
+REQUIRED = object()
+
+
+def _load_config(path: str, command: str, schema: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -66,37 +71,36 @@ def _load_config(path: str, command: str, schema: dict[str, type | tuple]) -> di
     return _typed({k: v for k, v in raw.items() if k != "command"}, schema, "config")
 
 
-def _typed(raw: dict, schema: dict[str, type | tuple], what: str) -> dict:
-    """The entries of ``raw``, checked against ``schema`` (ints widen to
-    float where float is allowed; bools are not ints); unknown keys and
-    wrong types raise ConfigError."""
+def _typed(raw: dict, schema: dict, what: str) -> dict:
+    """The entries of ``raw`` checked against ``schema``, with defaults filled in.
+
+    A schema entry is a type, a nested schema (a dict, for a JSON object
+    checked the same way), or a ``(type, default)`` pair whose default is
+    REQUIRED for a key that must be given.  A key without a default stays
+    absent when ``raw`` omits it.  Ints widen to float where float is
+    expected; a bool is never accepted.  Unknown keys, missing required
+    keys and wrong types raise ConfigError.
+    """
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     out = {}
-    for key, kind in schema.items():
+    for key, entry in schema.items():
+        kind, default = entry if isinstance(entry, tuple) else (entry, None)
         if key not in raw:
+            if default is REQUIRED:
+                raise ConfigError(f"{what} requires {key!r}")
+            if default is not None:
+                out[key] = default
             continue
         value = raw[key]
-        expected = kind if isinstance(kind, tuple) else (kind,)
-        if float in expected and isinstance(value, int) and not isinstance(value, bool):
+        expected = dict if isinstance(kind, dict) else kind
+        if expected is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        if not isinstance(value, expected) or isinstance(value, bool) and bool not in expected:
-            names = "/".join(t.__name__ for t in expected)
-            raise ConfigError(f"{what} key {key!r} must be {names}")
-        out[key] = value
+        if not isinstance(value, expected) or isinstance(value, bool):
+            raise ConfigError(f"{what} key {key!r} must be {expected.__name__}")
+        out[key] = _typed(value, kind, key) if isinstance(kind, dict) else value
     return out
-
-
-_SOLVER_SCHEMA = {"max_iters": int, "grad_map_tol": float}
-
-
-def _solver_opts(raw: dict | None) -> SolverOptions:
-    """The study's solver options, with keys given in the config's `solver` object replaced."""
-    try:
-        return dataclasses.replace(StudyConfig().solver_opts, **_typed(raw or {}, _SOLVER_SCHEMA, "solver"))
-    except ValueError as exc:
-        raise ConfigError(f"bad solver options: {exc}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -116,6 +120,8 @@ def _thread_count(args) -> int:
     return len(os.sched_getaffinity(0))
 
 
+# keys left out keep the StudyConfig defaults
+_SOLVER_SCHEMA = {"max_iters": int, "grad_map_tol": float}
 _EXPERIMENT_SCHEMA = {
     "p": int,
     "n": int,
@@ -124,13 +130,13 @@ _EXPERIMENT_SCHEMA = {
     "R": float,
     "replications": int,
     "base_seed": int,
-    "solver": dict,
+    "solver": _SOLVER_SCHEMA,
 }
 
 
 def cmd_experiment(args) -> int:
     cfg_raw = _load_config(args.config, "experiment", _EXPERIMENT_SCHEMA)
-    solver = _solver_opts(cfg_raw.pop("solver", None))
+    solver = dataclasses.replace(StudyConfig().solver_opts, **cfg_raw.pop("solver", {}))
     configs = [StudyConfig(cov_kind=kind, solver_opts=solver, **cfg_raw) for kind in ("reciprocal", "identity")]
     threads = _thread_count(args)
     # made before any study runs, so that a bad path fails at once
@@ -154,18 +160,23 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-_BOUNDS_SCHEMA = {
-    "n": int,
-    "R": float,
-    "K": float,
-    "delta": float,
-    "trace": float,
-    "norm": float,
-    "a": float,
-    "sweep": dict,
+_SWEEP_SCHEMA = {
+    "n_start": (int, REQUIRED),
+    "n_stop": (int, REQUIRED),
+    "steps": (int, REQUIRED),
+    "trace_rule": (str, "fixed"),
+    "delta_rule": (str, "fixed"),
 }
-
-_SWEEP_SCHEMA_KEYS = {"n_start", "n_stop", "steps", "trace_rule", "delta_rule"}
+_BOUNDS_SCHEMA = {
+    "n": (int, REQUIRED),
+    "R": (float, 0.0),
+    "K": (float, math.sqrt(2.0)),
+    "delta": (float, REQUIRED),
+    "trace": (float, REQUIRED),
+    "norm": (float, REQUIRED),
+    "a": (float, 1.0),
+    "sweep": _SWEEP_SCHEMA,
+}
 # the sweep's n grid is cast to int64, which holds up to about 9.2e18
 _SWEEP_N_MAX = 10**18
 # the whole grid is held in memory: 10**6 steps is about 8 MB
@@ -192,20 +203,9 @@ def _print_bounds_table(rows) -> None:
         print(f"{name:10s} total={report.total:.6g}  confidence={report.confidence:.6g}  [{terms}]")
 
 
-def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int:
-    unknown = set(sweep) - _SWEEP_SCHEMA_KEYS
-    if unknown:
-        raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-    try:
-        n_start = int(sweep["n_start"])
-        n_stop = int(sweep["n_stop"])
-        steps = int(sweep["steps"])
-    except KeyError as exc:
-        raise ConfigError(f"sweep requires n_start, n_stop, steps; missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"sweep n_start, n_stop and steps must be finite numbers: {exc}") from exc
-    trace_rule = sweep.get("trace_rule", "fixed")
-    delta_rule = sweep.get("delta_rule", "fixed")
+def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | None) -> int:
+    n_start, n_stop, steps = sweep["n_start"], sweep["n_stop"], sweep["steps"]
+    trace_rule, delta_rule = sweep["trace_rule"], sweep["delta_rule"]
     if trace_rule not in ("fixed", "n_over_log_n"):
         raise ConfigError("trace_rule must be 'fixed' or 'n_over_log_n'")
     if delta_rule not in ("fixed", "inverse_n_squared"):
@@ -219,13 +219,9 @@ def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int
     rows_out = []
     for n in grid:
         n = int(n)
-        trace = base["trace_sigma"] if trace_rule == "fixed" else base["norm_sigma"] * n / math.log(n)
-        delta = base["delta"] if delta_rule == "fixed" else min(1.0, 1.0 / n**2)
-        params = BoundParams(
-            n=n, R=base["R"], delta=delta, trace_sigma=trace, norm_sigma=base["norm_sigma"],
-            K=base["K"], log_n_constant_a=base["log_n_constant_a"],
-        )
-        reports = _bound_rows(params, which)
+        trace = params.trace_sigma if trace_rule == "fixed" else params.norm_sigma * n / math.log(n)
+        delta = params.delta if delta_rule == "fixed" else min(1.0, 1.0 / n**2)
+        reports = _bound_rows(dataclasses.replace(params, n=n, trace_sigma=trace, delta=delta), which)
         rows_out.append([n, f"{trace:.6g}", f"{delta:.6g}"]
                         + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
     rows_out.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
@@ -241,41 +237,45 @@ def _run_sweep(base: dict, sweep: dict, which: str, out_path: str | None) -> int
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    if args.config:
-        raw = _load_config(args.config, "bounds", _BOUNDS_SCHEMA)
-    else:
-        raw = {}
-        for key in ("n", "R", "K", "delta", "trace", "norm", "a"):
-            value = getattr(args, key)
-            if value is not None:
-                raw[key] = value
-        if args.sweep:
-            try:
-                spec, rng = args.sweep.split("=", 1)
-                lo, hi, steps = rng.split(":")
-                if spec != "n":
-                    raise ValueError
-                raw["sweep"] = {
-                    "n_start": int(float(lo)), "n_stop": int(float(hi)), "steps": int(steps),
-                    "trace_rule": args.trace_rule, "delta_rule": args.delta_rule,
-                }
-            except (ValueError, OverflowError):
-                raise ConfigError("--sweep must look like n=start:stop:steps with finite numbers")
-    missing = [k for k in ("n", "delta", "trace", "norm") if k not in raw]
-    if missing:
-        raise ConfigError(f"missing required bound parameters: {missing}")
-    base = dict(
-        n=raw["n"], R=raw.get("R", 0.0), delta=raw["delta"], trace_sigma=raw["trace"],
-        norm_sigma=raw["norm"], K=raw.get("K", math.sqrt(2.0)), log_n_constant_a=raw.get("a", 1.0),
-    )
+def _integral(text: str) -> int | float | str:
+    """A `--sweep` bound as the sweep schema expects it: an integral number,
+    also in float notation such as 1e8, becomes an int; anything else is
+    left as it is, for the schema check to reject."""
     try:
-        params = BoundParams(**base)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        value = float(text)
+    except ValueError:
+        return text
+    return int(value) if value.is_integer() else value
 
-    if "sweep" in raw:
-        return _run_sweep(base, raw["sweep"], args.bound, args.out)
+
+def _sweep_flag(args) -> dict:
+    """The `--sweep n=start:stop:steps` flag and the rule flags as a sweep config object."""
+    spec, _, grid = args.sweep.partition("=")
+    bounds = grid.split(":")
+    if spec != "n" or len(bounds) != 3:
+        raise ConfigError("--sweep must look like n=start:stop:steps")
+    sweep = dict(zip(("n_start", "n_stop", "steps"), map(_integral, bounds)))
+    rules = {"trace_rule": args.trace_rule, "delta_rule": args.delta_rule}
+    return sweep | {key: rule for key, rule in rules.items() if rule is not None}
+
+
+def cmd_bounds(args) -> int:
+    # each config key has a flag of its name; the rule flags go into the sweep
+    flags = [key for key in (*_BOUNDS_SCHEMA, "trace_rule", "delta_rule") if getattr(args, key) is not None]
+    if args.config:
+        if flags:
+            names = ", ".join("--" + key.replace("_", "-") for key in flags)
+            raise ConfigError(f"parameter flags cannot be combined with a config: {names}")
+        cfg = _load_config(args.config, "bounds", _BOUNDS_SCHEMA)
+    else:
+        raw = {key: getattr(args, key) for key in flags if key in _BOUNDS_SCHEMA}
+        if args.sweep:
+            raw["sweep"] = _sweep_flag(args)
+        cfg = _typed(raw, _BOUNDS_SCHEMA, "bounds")
+    params = BoundParams(n=cfg["n"], R=cfg["R"], delta=cfg["delta"], trace_sigma=cfg["trace"],
+                         norm_sigma=cfg["norm"], K=cfg["K"], log_n_constant_a=cfg["a"])
+    if "sweep" in cfg:
+        return _run_sweep(params, cfg["sweep"], args.bound, args.out)
 
     if args.bound == "theorem" and params.delta > 1 / 6:
         print("error: the theorem bound requires delta <= 1/6", file=sys.stderr)
@@ -317,49 +317,33 @@ def cmd_verify(args) -> int:
 
 
 _DEVIATION_SCHEMA = {
-    "p": int,
-    "n": int,
-    "cov_kind": str,
-    "beta": float,
-    "R": float,
-    "delta": float,
-    "replicates": int,
-    "starts": int,
-    "budget": int,
-    "base_seed": int,
-    "grid_resolution": int,
+    "p": (int, 5),
+    "n": (int, 500),
+    "cov_kind": (str, "reciprocal"),
+    "beta": (float, 1e3),
+    "R": (float, 1.0),
+    "delta": (float, 0.05),
+    "replicates": (int, 20),
+    "starts": (int, 6),
+    "budget": (int, 4000),
+    "base_seed": (int, 0),
+    "grid_resolution": (int, 20000),
 }
 
 
 def cmd_deviation(args) -> int:
-    raw = _load_config(args.config, "deviation", _DEVIATION_SCHEMA)
-    p = raw.get("p", 5)
-    n = raw.get("n", 500)
-    cov_kind = raw.get("cov_kind", "reciprocal")
-    beta = raw.get("beta", 1e3)
-    radius = raw.get("R", 1.0)
-    delta = raw.get("delta", 0.05)
-    replicates = raw.get("replicates", 20)
-    starts = raw.get("starts", 6)
-    budget = raw.get("budget", 4000)
-    base_seed = raw.get("base_seed", 0)
-    grid_resolution = raw.get("grid_resolution", 20000)
-    if cov_kind not in ("reciprocal", "identity"):
-        raise ConfigError("cov_kind must be 'reciprocal' or 'identity'")
-    # checked before the CSV header is written, so a bad config leaves stdout empty
-    for key, value in (("p", p), ("n", n), ("replicates", replicates), ("starts", starts), ("budget", budget)):
-        if value < 1:
+    cfg = _load_config(args.config, "deviation", _DEVIATION_SCHEMA)
+    p, n, radius, delta, base_seed = cfg["p"], cfg["n"], cfg["R"], cfg["delta"], cfg["base_seed"]
+    # checked before the CSV header is written, so a bad config leaves stdout empty;
+    # make_covariance checks p and cov_kind, BoundParams checks n, R and delta
+    for key in ("replicates", "starts", "budget"):
+        if cfg[key] < 1:
             raise ConfigError(f"config key {key!r} must be >= 1")
-    if grid_resolution < 2:
+    if cfg["grid_resolution"] < 2:
         raise ConfigError("config key 'grid_resolution' must be >= 2")
-    if not (math.isfinite(radius) and radius >= 0):
-        raise ConfigError("config key 'R' must be finite and >= 0")
-    if not (math.isfinite(beta) and beta >= 0):
+    if not (math.isfinite(cfg["beta"]) and cfg["beta"] >= 0):
         raise ConfigError("config key 'beta' must be finite and >= 0")
-    if not 0 < delta <= 1:
-        raise ConfigError("config key 'delta' must lie in (0, 1]")
-
-    cov = make_covariance(cov_kind, p)
+    cov = make_covariance(cfg["cov_kind"], p)
     params = BoundParams(n=n, R=radius, delta=delta, trace_sigma=cov.trace, norm_sigma=cov.spectral_norm)
     theorem_total = bound_theorem(params).total if delta <= 1 / 6 else float("nan")
     classical_total = bound_classical(params).total
@@ -370,53 +354,45 @@ def cmd_deviation(args) -> int:
         header.append("grid_estimate")
     writer.writerow(header)
     held = 0
-    for rep in range(replicates):
+    for rep in range(cfg["replicates"]):
         theta_star = sample_theta_star(p, derive_seed(base_seed, rep, 0))
-        gen = GenerativeConfig(p=p, n=n, cov=cov, beta=beta, theta_star=theta_star,
+        gen = GenerativeConfig(p=p, n=n, cov=cov, beta=cfg["beta"], theta_star=theta_star,
                                seed=derive_seed(base_seed, rep, 1))
         data, _ = generate_dataset(gen)
-        est = sup_deviation_search(data, gen, radius, starts=starts, budget=budget,
+        est = sup_deviation_search(data, gen, radius, starts=cfg["starts"], budget=cfg["budget"],
                                    seed=derive_seed(base_seed, rep, 2))
         holds = est.sup_value <= theorem_total
         held += int(holds)
         row = [rep, f"{est.sup_value:.5f}", f"{theorem_total:.5f}", f"{classical_total:.5f}", int(holds)]
         if p == 1:
-            grid = sup_deviation_grid(data, gen, radius, grid_resolution)
+            grid = sup_deviation_grid(data, gen, radius, cfg["grid_resolution"])
             row.append(f"{grid.sup_value:.5f}")
         writer.writerow(row)
-    print(f"holding_frequency={held / replicates:.5f}")
+    print(f"holding_frequency={held / cfg['replicates']:.5f}")
     return EXIT_OK
 
 
 _GENERATE_SCHEMA = {
-    "p": int,
-    "n": int,
-    "cov_kind": str,
-    "beta": float,
-    "seed": int,
-    "out": str,
+    "p": (int, REQUIRED),
+    "n": (int, REQUIRED),
+    "cov_kind": (str, "reciprocal"),
+    "beta": (float, 1e3),
+    "seed": (int, 0),
+    "out": (str, REQUIRED),
 }
 
 
 def cmd_generate(args) -> int:
-    raw = _load_config(args.config, "generate", _GENERATE_SCHEMA)
-    for key in ("p", "n", "out"):
-        if key not in raw:
-            raise ConfigError(f"generate config requires {key!r}")
-    cov_kind = raw.get("cov_kind", "reciprocal")
-    if cov_kind not in ("reciprocal", "identity"):
-        raise ConfigError("cov_kind must be 'reciprocal' or 'identity'")
-    gen = GenerativeConfig(
-        p=raw["p"], n=raw["n"], cov=make_covariance(cov_kind, raw["p"]),
-        beta=raw.get("beta", 1e3), seed=raw.get("seed", 0),
-    )
+    cfg = _load_config(args.config, "generate", _GENERATE_SCHEMA)
+    gen = GenerativeConfig(p=cfg["p"], n=cfg["n"], cov=make_covariance(cfg["cov_kind"], cfg["p"]),
+                           beta=cfg["beta"], seed=cfg["seed"])
     data, theta_star = generate_dataset(gen)
     try:
-        write_dataset(raw["out"], data, theta_star)
+        write_dataset(cfg["out"], data, theta_star)
     except OSError as exc:
         print(f"error: cannot write dataset: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    print(f"wrote {data.n} x {data.p} dataset to {raw['out']}")
+    print(f"wrote {data.n} x {data.p} dataset to {cfg['out']}")
     return EXIT_OK
 
 
@@ -448,8 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--a", type=float, help="absolute constant of the extended bound")
     p_bounds.add_argument("--bound", choices=("all", "theorem", "classical", "extended"), default="all")
     p_bounds.add_argument("--sweep", help="n=start:stop:steps sweep of totals vs n (CSV)")
-    p_bounds.add_argument("--trace-rule", choices=("fixed", "n_over_log_n"), default="fixed")
-    p_bounds.add_argument("--delta-rule", choices=("fixed", "inverse_n_squared"), default="fixed")
+    p_bounds.add_argument("--trace-rule", choices=("fixed", "n_over_log_n"), help="default: fixed")
+    p_bounds.add_argument("--delta-rule", choices=("fixed", "inverse_n_squared"), help="default: fixed")
     p_bounds.add_argument("--out", help="write sweep CSV to this path instead of stdout")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -474,9 +450,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

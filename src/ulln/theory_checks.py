@@ -94,8 +94,9 @@ def _equality_report(name: str, lhs: float, rhs: float, tolerance: float) -> Che
 
 def _hinge_report(name: str, lhs: float, rhs: float, residual: float) -> CheckReport:
     """Inequality-style check: residual is the (already margin-adjusted)
-    constraint violation, so passing means residual == 0."""
-    residual = float(max(0.0, residual))
+    constraint violation, so passing means residual == 0; a NaN residual
+    is kept, and fails."""
+    residual = float(residual) if math.isnan(residual) else float(max(0.0, residual))
     return CheckReport(name, float(lhs), float(rhs), residual, 0.0, residual <= 0.0)
 
 
@@ -444,6 +445,9 @@ def laplacian_gap_functional(
     each row's time integral into 2 (E[softplus(mu + sqrt(t lambda) Z)] -
     softplus(mu)), one HERMITE_NODES Gauss-Hermite mean; softplus(mu) is
     subtracted node by node, so a row with lambda = 0 adds exactly 0.
+    Against an adaptive-quadrature oracle, with mu in [-3, 3], the rule
+    errs by at most 2e-11 for sqrt(t lambda) up to 3, 9e-10 at 3.6 and
+    2e-4 at 10; the `gap_centering` check in the `g` suite reaches about 3.1.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
@@ -491,6 +495,8 @@ def expsup_gap_check(
         raise ValueError("t must lie in (0, 1]")
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError("radius must be finite and >= 0")
     if cov.p != p:
         raise ValueError("covariance dimension does not match p")
 

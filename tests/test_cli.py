@@ -238,6 +238,49 @@ class TestBoundsCommand:
         out, err = capsys.readouterr()
         assert out == "" and "steps <= 1e+06" in err
 
+    @pytest.mark.parametrize("key,value", [("n_start", "10"), ("steps", 3.9)])
+    def test_loose_sweep_value_in_config_exits_2(self, tmp_path, capsys, key, value):
+        sweep = dict({"n_start": 10, "n_stop": 1000, "steps": 3}, **{key: value})
+        cfg = write_json(tmp_path / "b.json", {"command": "bounds", "n": 100, "delta": 0.1, "trace": 1.0,
+                                               "norm": 1.0, "sweep": sweep})
+        assert main(["bounds", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"sweep key {key!r} must be int" in err and "Traceback" not in err
+
+    def test_fractional_sweep_flag_exits_2(self, capsys):
+        assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
+                     "--sweep", "n=10.9:1000:3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "sweep key 'n_start' must be int" in err and "Traceback" not in err
+
+    def test_sweep_flag_in_float_notation(self, capsys):
+        assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
+                     "--sweep", "n=1e1:1e3:3"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[0] for row in rows] == ["n", "10", "100", "1000"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--n", "5"], ["--R", "3"], ["--K", "1"], ["--delta", "0.2"], ["--trace", "2"], ["--norm", "1"],
+        ["--a", "2"], ["--sweep", "n=10:1000:3"], ["--trace-rule", "n_over_log_n"],
+        ["--delta-rule", "inverse_n_squared"],
+    ])
+    def test_parameter_flag_with_config_exits_2(self, tmp_path, capsys, flag):
+        cfg = write_json(tmp_path / "b.json", {"command": "bounds", "n": 100, "delta": 0.1, "trace": 1.0,
+                                               "norm": 1.0})
+        assert main(["bounds", cfg] + flag) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot be combined with a config" in err and flag[0] in err
+
+    def test_bound_and_out_flags_apply_to_a_config(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "b.json", {"command": "bounds", "n": 100, "delta": 0.1, "trace": 1.0,
+                                               "norm": 1.0, "sweep": {"n_start": 10, "n_stop": 1000,
+                                                                      "steps": 3}})
+        sweep_csv = tmp_path / "sweep.csv"
+        assert main(["bounds", cfg, "--bound", "classical", "--out", str(sweep_csv)]) == 0
+        assert capsys.readouterr().out == ""
+        rows = list(csv.reader(sweep_csv.open()))
+        assert rows[0] == ["n", "trace", "delta", "classical_total"] and len(rows) == 4
+
     def test_config_file_variant(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {
             "command": "bounds", "n": 100, "R": 0.0, "K": 1.4142135623730951,
@@ -326,6 +369,24 @@ class TestDeviationCommand:
         assert key in captured.err
 
 
+    def test_unknown_cov_kind_exits_2_before_any_output(self, tmp_path, capsys):
+        payload = {"command": "deviation", "p": 1, "n": 10, "replicates": 1, "cov_kind": "diagonal"}
+        cfg = write_json(tmp_path / "bad.json", payload)
+        assert main(["deviation", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown covariance kind: 'diagonal'" in captured.err
+
+    def test_omitted_keys_take_the_documented_defaults(self, tmp_path, capsys):
+        payload = {"command": "deviation", "p": 1, "n": 20, "replicates": 2, "starts": 2, "budget": 200}
+        defaults = {"cov_kind": "reciprocal", "beta": 1000.0, "R": 1.0, "delta": 0.05, "base_seed": 0,
+                    "grid_resolution": 20000}
+        assert main(["deviation", write_json(tmp_path / "short.json", payload)]) == 0
+        short = capsys.readouterr().out
+        assert main(["deviation", write_json(tmp_path / "full.json", dict(payload, **defaults))]) == 0
+        assert capsys.readouterr().out == short
+        assert short.startswith("replicate,") and "grid_estimate" in short
+
     def test_out_key_exits_2_before_any_output(self, tmp_path, capsys):
         payload = {"command": "deviation", "p": 1, "n": 10, "replicates": 1, "out": "dev.csv"}
         cfg = write_json(tmp_path / "out.json", payload)
@@ -352,6 +413,15 @@ class TestGenerateCommand:
         cfg = write_json(tmp_path / "g.json", {"command": "generate", "p": 4, "n": 5})
         assert main(["generate", cfg]) == 2
 
+    @pytest.mark.parametrize("key", ["p", "n", "out"])
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, key):
+        payload = {"command": "generate", "p": 4, "n": 5, "out": str(tmp_path / "d.ulln")}
+        del payload[key]
+        assert main(["generate", write_json(tmp_path / "g.json", payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config requires {key!r}" in captured.err
+        assert not (tmp_path / "d.ulln").exists()
+
 
 def test_bundled_config_is_schema_valid():
     import importlib.resources as resources
@@ -371,3 +441,16 @@ def test_thread_env_is_ignored(monkeypatch):
     monkeypatch.setenv("ULLN_THREADS", "3")
     assert _thread_count(argparse.Namespace(threads=7)) == 7
     assert _thread_count(argparse.Namespace(threads=None)) == len(os.sched_getaffinity(0))
+
+
+def test_every_schema_default_passes_its_own_check():
+    import ulln.cli as cli
+
+    schemas = {name: value for name, value in vars(cli).items() if name.startswith("_") and name.endswith("_SCHEMA")}
+    assert {"_EXPERIMENT_SCHEMA", "_SOLVER_SCHEMA", "_BOUNDS_SCHEMA", "_SWEEP_SCHEMA",
+            "_DEVIATION_SCHEMA", "_GENERATE_SCHEMA"} <= set(schemas)
+    for name, schema in schemas.items():
+        for key, entry in schema.items():
+            if isinstance(entry, tuple) and entry[1] is not cli.REQUIRED:
+                typed = cli._typed({key: entry[1]}, {key: entry}, name)[key]
+                assert typed == entry[1] and type(typed) is type(entry[1]), (name, key)

@@ -449,6 +449,18 @@ class TestExpSup:
         with pytest.raises(ValueError):
             expsup_gap_check(6, 10, 1.0, 1.0, make_covariance("reciprocal", 6), replicates=2, seed=0)
 
+    @pytest.mark.parametrize("radius", [math.nan, -0.5, math.inf])
+    def test_nan_negative_or_infinite_radius_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            expsup_gap_check(2, 10, 1.0, radius, make_covariance("reciprocal", 2), replicates=2, seed=0)
+
+
+@pytest.mark.parametrize("violation, passed", [(-1.0, True), (0.0, True), (1e-12, False), (math.nan, False)])
+def test_hinge_report_fails_a_positive_or_nan_violation(violation, passed):
+    report = theory_checks._hinge_report("x", 1.0, 0.0, violation)
+    assert report.passed is passed
+    assert report.abs_residual == max(0.0, violation) or math.isnan(violation) and math.isnan(report.abs_residual)
+
 
 class TestSuites:
     def test_hermite_suite_has_18_checks(self):
