@@ -12,8 +12,9 @@ Run:  python demos/reproduce_tables_small.py
 import time
 
 from ulln.experiments import (
+    COV_KINDS,
     StudyConfig,
-    run_study,
+    run_studies,
     write_replications,
     write_table1,
     write_table2,
@@ -21,21 +22,20 @@ from ulln.experiments import (
 from ulln.solver import SolverOptions
 
 start = time.time()
-studies = {}
-for cov_kind in ("reciprocal", "identity"):
-    cfg = StudyConfig(
-        p=300,
-        n=100,
-        n_test=100,
-        cov_kind=cov_kind,
-        beta=1e3,
-        R=1.0,
-        replications=10,
-        base_seed=7,
-        solver_opts=SolverOptions(max_iters=800, grad_map_tol=1e-7),
-    )
-    studies[cov_kind] = run_study(cfg, threads=2)
-    means = studies[cov_kind].means()
+cfg = StudyConfig(
+    p=300,
+    n=100,
+    n_test=100,
+    beta=1e3,
+    R=1.0,
+    replications=10,
+    base_seed=7,
+    solver_opts=SolverOptions(max_iters=800, grad_map_tol=1e-7),
+)
+# one draw per replicate serves both spectra
+studies = run_studies(cfg, COV_KINDS, threads=2)
+for cov_kind, study in studies.items():
+    means = study.means()
     print(f"--- {cov_kind} spectrum ---")
     print(f"  train precision : {means['train_precision']:.5f}")
     print(f"  test precision  : {means['test_precision']:.5f}")

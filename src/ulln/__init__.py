@@ -43,6 +43,7 @@ from .experiments import (
     StudyResult,
     prediction_precision,
     run_replication,
+    run_studies,
     run_study,
     sign_recovery,
 )

@@ -35,8 +35,9 @@ from .datagen import (
 )
 from .deviation import sup_deviation_grid, sup_deviation_search
 from .experiments import (
+    COV_KINDS,
     StudyConfig,
-    run_study,
+    run_studies,
     write_replications,
     write_table1,
     write_table2,
@@ -137,7 +138,7 @@ _EXPERIMENT_SCHEMA = {
 def cmd_experiment(args) -> int:
     cfg_raw = _load_config(args.config, "experiment", _EXPERIMENT_SCHEMA)
     solver = dataclasses.replace(StudyConfig().solver_opts, **cfg_raw.pop("solver", {}))
-    configs = [StudyConfig(cov_kind=kind, solver_opts=solver, **cfg_raw) for kind in ("reciprocal", "identity")]
+    cfg = StudyConfig(solver_opts=solver, **cfg_raw)
     threads = _thread_count(args)
     # made before any study runs, so that a bad path fails at once
     try:
@@ -145,10 +146,8 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    studies = {}
-    for cfg in configs:
-        print(f"running {cfg.replications} replications with {cfg.cov_kind} covariance ...", flush=True)
-        studies[cfg.cov_kind] = run_study(cfg, threads=threads, progress=args.verbose)
+    print(f"running {cfg.replications} replications with {' and '.join(COV_KINDS)} covariance ...", flush=True)
+    studies = run_studies(cfg, COV_KINDS, threads=threads, progress=args.verbose)
     try:
         write_table1(os.path.join(args.out_dir, "table1.csv"), studies["reciprocal"], studies["identity"])
         write_table2(os.path.join(args.out_dir, "table2.csv"), studies["reciprocal"], studies["identity"])
@@ -276,7 +275,9 @@ def cmd_bounds(args) -> int:
                          norm_sigma=cfg["norm"], K=cfg["K"], log_n_constant_a=cfg["a"])
     if "sweep" in cfg:
         return _run_sweep(params, cfg["sweep"], args.bound, args.out)
-
+    unused = [flag for flag in ("--trace-rule", "--delta-rule", "--out") if getattr(args, flag[2:].replace("-", "_"))]
+    if unused:
+        raise ConfigError(f"{', '.join(unused)}: only used with a sweep")
     if args.bound == "theorem" and params.delta > 1 / 6:
         print("error: the theorem bound requires delta <= 1/6", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -7,6 +7,10 @@ leaves unchanged.  All randomness flows through
 counter-based Philox streams keyed by integer seeds, so generation is
 bit-reproducible and independent of thread schedule; per-replicate
 streams are derived by hashing (seed, index, ...) tuples.
+
+A stream key leaves the covariance out on purpose: one draw of Z and
+the label uniforms (`draw_latent`) serves every spectrum, which pairs
+the reciprocal and identity columns of the study tables.
 """
 from __future__ import annotations
 
@@ -121,22 +125,33 @@ class GenerativeConfig:
         return self.theta_star
 
 
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The theta*, Z and label-uniform streams of a stream key."""
+    root = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    return [np.random.Generator(np.random.Philox(s)) for s in root.spawn(3)]
+
+
+def draw_latent(seed: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic rows Z (n x p) and label uniforms U (n,) of a stream key."""
+    _, z_stream, u_stream = _streams(seed)
+    return z_stream.standard_normal((n, p)), u_stream.random(n)
+
+
+def label_rows(x: np.ndarray, u: np.ndarray, theta_star: np.ndarray, beta: float) -> Dataset:
+    """Rows ``x`` with labels Y_i = 1(U_i < sigma(beta <x_i, theta*>)); ``x`` is not copied."""
+    return Dataset(x, (u < sigmoid(beta * (x @ theta_star))).astype(np.int64))
+
+
 def generate_dataset(gen: GenerativeConfig) -> tuple[Dataset, np.ndarray]:
     """Draw (Dataset, theta_star) from the config; bit-deterministic given seed."""
-    root = np.random.SeedSequence(int(gen.seed) & 0xFFFFFFFFFFFFFFFF)
-    theta_stream, x_stream, y_stream = (np.random.Generator(np.random.Philox(s)) for s in root.spawn(3))
-
     if isinstance(gen.theta_star, str):
-        theta_star = _unit_sphere(gen.p, theta_stream)
+        theta_star = _unit_sphere(gen.p, _streams(gen.seed)[0])
     else:
         theta_star = gen.theta_star
-
+    z, u = draw_latent(gen.seed, gen.n, gen.p)
     # Lambda^{1/2} applied in place: no second n x p array
-    x = x_stream.standard_normal((gen.n, gen.p))
-    x *= np.sqrt(gen.cov.eigenvalues)
-    label_probs = sigmoid(gen.beta * (x @ theta_star))
-    y = (y_stream.random(gen.n) < label_probs).astype(np.int64)
-    return Dataset(x, y), theta_star
+    z *= np.sqrt(gen.cov.eigenvalues)
+    return label_rows(z, u, theta_star, gen.beta), theta_star
 
 
 def write_dataset(path, data: Dataset, theta_star: np.ndarray) -> None:

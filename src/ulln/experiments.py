@@ -4,25 +4,28 @@ logistic minimizer under anisotropic Gaussian designs.
 Each replication draws its own theta_star, training set, and test set
 from streams hashed out of (base_seed, index), fits the ball-constrained
 minimizer, and records prediction precision plus head/weighted sign
-recovery.  Replicates run one after another on the calling thread, and
-the fit keeps every BLAS thread; only the two data draws of a replicate
-may overlap, on one helper thread.  Every set has its own stream, so the
-results are the same for any thread count.
+recovery.  The stream keys leave the covariance kind out on purpose, so
+that replicate i of both kinds shares theta*, Z and the label uniforms:
+that pairs the two columns of each table, and lets `run_studies` fit
+every kind on one draw.  Replicates run one after another on the calling
+thread, and the fit keeps every BLAS thread; only the two data draws of
+a replicate may overlap, on one helper thread.  Every set has its own
+stream, so the results are the same for any thread count.
 """
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import GenerativeConfig, derive_seed, generate_dataset, make_covariance
+from .datagen import derive_seed, draw_latent, label_rows, make_covariance, sample_theta_star
 from .model import Dataset
 from .solver import FitResult, SolverOptions, fit_constrained
 
-SIGN_HEADS = (10, 100, 500)
+COV_KINDS = ("reciprocal", "identity")
 
 # stream tags for the per-replicate hashes
 _THETA_TAG, _TRAIN_TAG, _TEST_TAG = 0, 1, 2
@@ -46,7 +49,7 @@ class StudyConfig:
     def __post_init__(self):
         if min(self.p, self.n, self.n_test, self.replications) < 1:
             raise ValueError("p, n, n_test, replications must be >= 1")
-        if self.cov_kind not in ("reciprocal", "identity"):
+        if self.cov_kind not in COV_KINDS:
             raise ValueError("cov_kind must be 'reciprocal' or 'identity'")
         if not (0 <= self.beta < np.inf and 0 <= self.R < np.inf):
             raise ValueError("beta and R must be finite and >= 0")
@@ -130,38 +133,7 @@ def sign_recovery(theta_hat, theta_star, head="all", weights=None) -> float:
     return float(np.mean(hits[:k]))
 
 
-def _replicate_gen(cfg: StudyConfig, index: int, theta_star, n: int, tag: int) -> GenerativeConfig:
-    cov = make_covariance(cfg.cov_kind, cfg.p)
-    return GenerativeConfig(
-        p=cfg.p,
-        n=n,
-        cov=cov,
-        beta=cfg.beta,
-        theta_star=theta_star,
-        seed=derive_seed(cfg.base_seed, index, tag),
-    )
-
-
-def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | None = None) -> ReplicationResult:
-    """One experiment: generate train/test data, fit, score. Deterministic
-    given (cfg.base_seed, index).
-
-    With a ``helper`` executor the test set is drawn on it while the
-    calling thread draws the training set; Philox ``standard_normal``
-    releases the GIL, so the two draws overlap."""
-    from .datagen import sample_theta_star
-
-    theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, index, _THETA_TAG))
-    train_gen = _replicate_gen(cfg, index, theta_star, cfg.n, _TRAIN_TAG)
-    test_gen = _replicate_gen(cfg, index, theta_star, cfg.n_test, _TEST_TAG)
-    if helper is None:
-        train, _ = generate_dataset(train_gen)
-        test, _ = generate_dataset(test_gen)
-    else:
-        test_draw = helper.submit(generate_dataset, test_gen)
-        train, _ = generate_dataset(train_gen)
-        test, _ = test_draw.result()
-
+def _fit_and_score(cfg: StudyConfig, train: Dataset, test: Dataset, theta_star, eigenvalues) -> ReplicationResult:
     fit: FitResult = fit_constrained(train, cfg.R, cfg.solver_opts)
     theta_hat = fit.theta_hat
 
@@ -179,24 +151,55 @@ def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | N
         sign_recovery_100=head_recovery(100),
         sign_recovery_500=head_recovery(500),
         sign_recovery_all=sign_recovery(theta_hat, theta_star, head="all"),
-        sign_recovery_weighted=sign_recovery(theta_hat, theta_star, weights=train_gen.cov.eigenvalues),
+        sign_recovery_weighted=sign_recovery(theta_hat, theta_star, weights=eigenvalues),
         on_boundary=fit.on_boundary,
         converged=fit.converged,
     )
 
 
-def run_study(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> StudyResult:
-    """Run all replications in index order and aggregate.  With
-    ``threads`` > 1 one helper thread draws each replicate's test set;
-    ``threads`` = 1 starts no thread.  Results are identical either way
-    because every data set is seeded independently."""
-    results = []
+def _replicate(cfg: StudyConfig, kinds, index: int, helper: ThreadPoolExecutor | None) -> dict[str, ReplicationResult]:
+    """Replicate ``index`` of every kind in ``kinds`` from one draw, freed on
+    return.  A ``helper`` executor draws the test set while this thread
+    draws the training set; Philox releases the GIL, so the draws overlap."""
+    theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, index, _THETA_TAG))
+    train_seed, test_seed = (derive_seed(cfg.base_seed, index, tag) for tag in (_TRAIN_TAG, _TEST_TAG))
+    test_draw = helper.submit(draw_latent, test_seed, cfg.n_test, cfg.p) if helper else None
+    train_draw = draw_latent(train_seed, cfg.n, cfg.p)
+    draws = train_draw, (test_draw.result() if test_draw else draw_latent(test_seed, cfg.n_test, cfg.p))
+
+    results = {}
+    # Z is scaled in place, so the scalings compound: the identity kind,
+    # whose scale is exactly 1, must read Z first
+    for kind in sorted(set(kinds), key=lambda kind: kind != "identity"):
+        eigenvalues = make_covariance(kind, cfg.p).eigenvalues
+        for z, _ in draws:
+            z *= np.sqrt(eigenvalues)
+        train, test = (label_rows(z, u, theta_star, cfg.beta) for z, u in draws)
+        results[kind] = _fit_and_score(cfg, train, test, theta_star, eigenvalues)
+    return results
+
+
+def run_studies(cfg: StudyConfig, kinds, threads: int = 1, progress: bool = False) -> dict[str, StudyResult]:
+    """One study per kind in ``kinds`` (``cfg.cov_kind`` is ignored), each
+    equal to a study of that kind alone.  ``threads`` > 1 draws each test
+    set on one helper thread; the results are the same for any count."""
+    rows = []
     with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as helper:
         for i in range(cfg.replications):
-            results.append(run_replication(cfg, i, helper))
+            rows.append(_replicate(cfg, kinds, i, helper))
             if progress:
                 print(f"replicate {i + 1}/{cfg.replications} done", flush=True)
-    return StudyResult(config=cfg, replications=results)
+    return {kind: StudyResult(replace(cfg, cov_kind=kind), [row[kind] for row in rows]) for kind in kinds}
+
+
+def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | None = None) -> ReplicationResult:
+    """Replicate ``index`` of ``cfg.cov_kind``; deterministic given (cfg.base_seed, index)."""
+    return _replicate(cfg, (cfg.cov_kind,), index, helper)[cfg.cov_kind]
+
+
+def run_study(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> StudyResult:
+    """All replications of ``cfg.cov_kind`` in index order, aggregated."""
+    return run_studies(cfg, (cfg.cov_kind,), threads, progress)[cfg.cov_kind]
 
 
 def _fmt(x: float) -> str:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test (and one printed PASS/FAIL line) per criterion.
 
 Criteria 1-2 share two full-scale replicated studies (100 replications
-each, p=3000, n=1000), so this module is the slow part of the test run;
+each, p=3000, n=1000), run jointly on one draw per replicate; this
+module is the slow part of the test run;
 everything is deterministic through fixed base seeds.
 """
 import math
@@ -25,7 +26,7 @@ from ulln import (
 )
 from ulln.datagen import derive_seed, sample_theta_star
 from ulln.deviation import sup_deviation_grid, sup_deviation_search
-from ulln.experiments import StudyConfig, run_study
+from ulln.experiments import COV_KINDS, StudyConfig, run_studies
 from ulln.theory_checks import format_report, run_suite
 
 BASE_SEED = 20260808
@@ -37,13 +38,19 @@ def announce(criterion: str, passed: bool) -> None:
 
 
 @pytest.fixture(scope="session")
-def study_reciprocal():
-    return run_study(StudyConfig(cov_kind="reciprocal", base_seed=BASE_SEED), threads=2)
+def studies():
+    # one draw per replicate serves both covariance kinds
+    return run_studies(StudyConfig(base_seed=BASE_SEED), COV_KINDS, threads=2)
 
 
 @pytest.fixture(scope="session")
-def study_identity():
-    return run_study(StudyConfig(cov_kind="identity", base_seed=BASE_SEED), threads=2)
+def study_reciprocal(studies):
+    return studies["reciprocal"]
+
+
+@pytest.fixture(scope="session")
+def study_identity(studies):
+    return studies["identity"]
 
 
 class TestCriterion1PredictionTable:

@@ -3,11 +3,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import ulln
 from ulln import read_dataset
 from ulln.cli import main
 
@@ -92,13 +95,14 @@ class TestExperimentCommand:
         import ulln.cli
 
         seen = []
-        real_run_study = ulln.cli.run_study
+        real_run_studies = ulln.cli.run_studies
 
-        def spy(cfg, **kwargs):
-            seen.append((cfg.solver_opts.max_iters, cfg.solver_opts.grad_map_tol))
-            return real_run_study(cfg, **kwargs)
+        def spy(cfg, kinds, **kwargs):
+            studies = real_run_studies(cfg, kinds, **kwargs)
+            seen.extend((s.config.solver_opts.max_iters, s.config.solver_opts.grad_map_tol) for s in studies.values())
+            return studies
 
-        monkeypatch.setattr(ulln.cli, "run_study", spy)
+        monkeypatch.setattr(ulln.cli, "run_studies", spy)
         payload = {k: v for k, v in SMOKE_EXPERIMENT.items() if k != "solver"}
         if solver is not None:
             payload["solver"] = solver
@@ -125,7 +129,7 @@ class TestExperimentCommand:
         import ulln.cli
 
         studies = []
-        monkeypatch.setattr(ulln.cli, "run_study", lambda *args, **kwargs: studies.append(args))
+        monkeypatch.setattr(ulln.cli, "run_studies", lambda *args, **kwargs: studies.append(args))
         cfg = write_json(tmp_path / "cfg.json", SMOKE_EXPERIMENT)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -143,6 +147,19 @@ class TestExperimentCommand:
         assert exc.value.code == 2
         assert "must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", dict(SMOKE_EXPERIMENT, p=300, n=100, n_test=100))
+        src = os.path.dirname(os.path.dirname(ulln.__file__))
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "ulln.cli", "experiment", cfg, str(out)], env=env,
+                           capture_output=True, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes() for name in ("table1.csv", "table2.csv", "replications.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_single_replication_full_size_under_60s(self, tmp_path):
         payload = {
@@ -280,6 +297,23 @@ class TestBoundsCommand:
         assert capsys.readouterr().out == ""
         rows = list(csv.reader(sweep_csv.open()))
         assert rows[0] == ["n", "trace", "delta", "classical_total"] and len(rows) == 4
+
+    @pytest.mark.parametrize("flag", [["--trace-rule", "n_over_log_n"], ["--delta-rule", "inverse_n_squared"],
+                                      ["--out", "x.csv"]])
+    def test_sweep_flag_without_a_sweep_exits_2(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1"] + flag) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and flag[0] in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_flag_with_a_config_without_a_sweep_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "b.json", {"command": "bounds", "n": 100, "delta": 0.1, "trace": 1.0,
+                                               "norm": 1.0})
+        assert main(["bounds", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "--out" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_config_file_variant(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import multiprocessing
@@ -14,10 +15,14 @@ from ulln import (
     make_covariance,
     prediction_precision,
     run_replication,
+    run_studies,
     run_study,
     sign_recovery,
 )
+from ulln import experiments
+from ulln.datagen import derive_seed, sample_theta_star
 from ulln.experiments import (
+    COV_KINDS,
     StudyConfig,
     write_replications,
     write_table1,
@@ -188,3 +193,56 @@ class TestStudy:
                 StudyConfig(beta=value)
             with pytest.raises(ValueError):
                 StudyConfig(R=value)
+
+
+class TestJointStudies:
+    def test_each_kind_equals_its_own_study(self):
+        cfg = small_config()
+        joint = run_studies(cfg, COV_KINDS)
+        assert list(joint) == list(COV_KINDS)
+        for kind in COV_KINDS:
+            assert joint[kind] == run_study(dataclasses.replace(cfg, cov_kind=kind))
+
+    def test_datasets_match_generate_dataset(self, monkeypatch):
+        cfg = small_config(replications=2, n_test=25)
+        seen = []
+        real_fit_and_score = experiments._fit_and_score
+
+        def spy(cfg, train, test, theta_star, eigenvalues):
+            # the driver scales Z in place after a kind is scored, so keep copies
+            seen.append([(d.inputs.copy(), d.labels.copy()) for d in (train, test)] + [theta_star.copy()])
+            return real_fit_and_score(cfg, train, test, theta_star, eigenvalues)
+
+        monkeypatch.setattr(experiments, "_fit_and_score", spy)
+        run_studies(cfg, COV_KINDS)
+        # per replicate the identity kind is fitted first
+        assert len(seen) == 2 * cfg.replications
+        for i in range(cfg.replications):
+            theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, i, 0))
+            for kind, (train, test, theta) in zip(("identity", "reciprocal"), seen[2 * i:2 * i + 2]):
+                assert np.array_equal(theta, theta_star)
+                for (inputs, labels), n, tag in ((train, cfg.n, 1), (test, cfg.n_test, 2)):
+                    gen = GenerativeConfig(p=cfg.p, n=n, cov=make_covariance(kind, cfg.p), beta=cfg.beta,
+                                           theta_star=theta_star, seed=derive_seed(cfg.base_seed, i, tag))
+                    data, _ = generate_dataset(gen)
+                    assert inputs.tobytes() == data.inputs.tobytes()
+                    assert np.array_equal(labels, data.labels)
+
+    def test_order_of_kinds_does_not_matter(self):
+        cfg = small_config(replications=3)
+        forward = run_studies(cfg, ("reciprocal", "identity"))
+        backward = run_studies(cfg, ("identity", "reciprocal"))
+        assert list(backward) == ["identity", "reciprocal"]
+        assert forward == backward
+
+    def test_thread_count_does_not_change_results(self):
+        cfg = small_config(replications=3)
+        assert run_studies(cfg, COV_KINDS, threads=1) == run_studies(cfg, COV_KINDS, threads=2)
+
+    def test_progress_prints_one_line_per_replicate(self, capsys):
+        run_studies(small_config(replications=2), COV_KINDS, progress=True)
+        assert capsys.readouterr().out.splitlines() == ["replicate 1/2 done", "replicate 2/2 done"]
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError):
+            run_studies(small_config(), ("reciprocal", "diagonal"))
