@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it on first use otherwise, inside the first draw
 
 from .model import Dataset, sigmoid
 

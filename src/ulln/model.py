@@ -10,6 +10,12 @@ which is exact and overflow-free for any finite score (the naive
 -y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).  The two
 softplus terms share the tail log1p(exp(-|s|)) bit for bit, so the loss
 kernel computes it once per score: one exp and one log1p per element.
+
+The logistic link sigma(t) = 1/(1+exp(-t)) is one in-place kernel,
+`_sigmoid_into`, shared by `sigmoid`, the surface gradients and the gap
+surface of `theory_checks`.  It is exactly 0 far in the left tail, where
+exp(-t) overflows to inf, and exactly 1 far in the right tail, with no
+floating-point warning on either.
 """
 from __future__ import annotations
 
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import expit
 
 from .quadrature import gauss_hermite_tensor
 
@@ -25,9 +30,26 @@ if TYPE_CHECKING:
     from .datagen import GenerativeConfig
 
 
+def _sigmoid_into(t, out):
+    """Write sigma(t) = 1 / (1 + exp(-t)) into `out`; `t` may be `out` itself.
+
+    exp(-t) overflows to inf for t below about -709, giving exactly 0, and
+    falls below half an ulp of 1 for t above about 37, giving exactly 1;
+    neither tail raises a floating-point warning.  NaN gives NaN.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        np.negative(t, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out
+
+
 def sigmoid(t):
-    """Logistic link 1/(1+exp(-t)), overflow-free on both tails."""
-    out = expit(np.asarray(t, dtype=float))
+    """Logistic link 1/(1+exp(-t)) by `_sigmoid_into`: exactly 0 and 1 far
+    in the left and right tails, with no warning on either."""
+    t = np.asarray(t, dtype=float)
+    out = _sigmoid_into(t, np.empty_like(t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -35,8 +57,7 @@ def _sigmoid_derivative_into(t, out, tmp):
     """Write sigma'(t) = a / (1 + a)**2, a = exp(-|t|), into `out`.
 
     `tmp` is scratch of `out`'s shape; `t` may be `out` itself.  One exp
-    per element in place of the two of expit(t) * expit(-t), and stable on
-    both tails.
+    per element, and stable on both tails.
     """
     np.abs(t, out=out)
     np.negative(out, out=out)
@@ -181,7 +202,9 @@ class LogisticSurface:
 
     def grad_at(self, scores: np.ndarray) -> np.ndarray:
         """grad F = sum_i w_i (sigma(s_i) - t_i) x_i from precomputed scores."""
-        return self._weighted_grad(expit(scores) - self.targets)
+        residual = _sigmoid_into(scores, np.empty(scores.shape))
+        residual -= self.targets
+        return self._weighted_grad(residual)
 
     def _losses(self, thetas: np.ndarray):
         """Scores and losses of a block in the workspace, plus the free residual buffer."""
@@ -200,7 +223,7 @@ class LogisticSurface:
 
     def value_and_grad(self, thetas: np.ndarray):
         scores, losses, residual = self._losses(thetas)
-        expit(scores, out=residual)
+        _sigmoid_into(scores, residual)
         residual -= self.targets
         return self._reduce(losses), self._weighted_grad(residual)
 

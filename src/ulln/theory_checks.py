@@ -35,11 +35,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_hermitenorm, expit
+from numpy.polynomial.hermite_e import hermeval
 
 from .bounds import BoundParams
 from .datagen import CovarianceSpec, make_covariance, make_rng
-from .model import Dataset, _sigmoid_derivative_into, per_example_loss, sigmoid, sigmoid_derivative, softplus
+from .model import (
+    Dataset,
+    _sigmoid_derivative_into,
+    _sigmoid_into,
+    per_example_loss,
+    sigmoid,
+    sigmoid_derivative,
+    softplus,
+)
 from .quadrature import (
     gauss_hermite,
     gauss_hermite_tensor,
@@ -163,8 +171,8 @@ def hermite_identity_residual(name, d: int, order: str = "first") -> CheckReport
     else:
         raise ValueError("order must be 'first' or 'second'")
     z, w = gauss_hermite(HERMITE_NODES)
-    lhs = float(w @ (np.asarray(derivative(z)) * eval_hermitenorm(d, z)))
-    rhs = float(w @ (np.asarray(fn.f(z)) * eval_hermitenorm(d + shift, z)))
+    lhs = float(w @ (np.asarray(derivative(z)) * hermeval(z, [0] * d + [1])))
+    rhs = float(w @ (np.asarray(fn.f(z)) * hermeval(z, [0] * (d + shift) + [1])))
     return _equality_report(f"hermite:{name}:d{d}:{order}", lhs, rhs, 1e-10)
 
 
@@ -414,8 +422,9 @@ class _GapSurface:
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         mu = self.directions @ theta
-        smoothed = expit(mu[:, None] + self.t_offsets) @ self.h_weights
-        return self.directions.T @ (2.0 * self.coef * (smoothed - expit(mu)))
+        args = mu[:, None] + self.t_offsets
+        smoothed = _sigmoid_into(args, args) @ self.h_weights
+        return self.directions.T @ (2.0 * self.coef * (smoothed - sigmoid(mu)))
 
     def value_many(self, thetas: np.ndarray) -> np.ndarray:
         mus = (self.directions @ thetas.T)[:, :, None]  # (rows, m, 1)

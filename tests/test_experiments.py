@@ -246,3 +246,25 @@ class TestJointStudies:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             run_studies(small_config(), ("reciprocal", "diagonal"))
+
+    @pytest.mark.parametrize("p, n, replications, base_seeds, expected", [
+        (300, 100, 2, (20260808, 20260809), [31, 55, 30, 27, 28, 28, 29, 11]),
+        # the paper-scale input whose first fit takes 33 iterations, not 34,
+        # when the risk and its gradient are summed as dot products with 1/n weights
+        (3000, 1000, 1, (20260859,), [34, 59]),
+    ])
+    def test_solver_iteration_counts_are_pinned(self, monkeypatch, p, n, replications, base_seeds, expected):
+        # fit_constrained stops at grad_map_tol within last-ulp noise, so any
+        # change to a kernel's rounding or summation order can move these counts
+        iterations = []
+        real_fit = experiments.fit_constrained
+
+        def spy(*args, **kwargs):
+            fit = real_fit(*args, **kwargs)
+            iterations.append(fit.iterations)
+            return fit
+
+        monkeypatch.setattr(experiments, "fit_constrained", spy)
+        for base_seed in base_seeds:
+            run_studies(StudyConfig(p=p, n=n, n_test=n, replications=replications, base_seed=base_seed), COV_KINDS)
+        assert iterations == expected

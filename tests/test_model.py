@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from ulln import (
     Dataset,
@@ -20,6 +21,7 @@ from ulln import (
     softplus,
 )
 from ulln.datagen import make_rng
+from ulln.model import _sigmoid_into
 from ulln.quadrature import gauss_hermite_tensor
 
 LOG2 = math.log(2.0)
@@ -50,6 +52,29 @@ class TestSigmoid:
         t = np.linspace(-30, 30, 201)
         values = sigmoid(t)
         assert np.all(np.diff(values) > 0)
+
+    def test_kernel_matches_scipy_expit(self):
+        t = np.linspace(-745.0, 745.0, 2_000_001)
+        ours, oracle = _sigmoid_into(t, np.empty_like(t)), expit(t)
+        assert np.abs(ours - oracle).max() <= 2.3e-16
+        ulps = np.abs(ours - oracle) / np.spacing(np.maximum(oracle, np.finfo(float).tiny))
+        assert ulps.max() <= 4.0
+
+    def test_kernel_tails_are_exact_and_silent(self):
+        t = np.array([-np.inf, -800.0, 800.0, np.inf])
+        with np.errstate(all="raise"):
+            assert np.array_equal(_sigmoid_into(t, np.empty_like(t)), [0.0, 0.0, 1.0, 1.0])
+            assert sigmoid(-800.0) == 0.0 and sigmoid(800.0) == 1.0
+
+    def test_kernel_propagates_nan(self):
+        out = _sigmoid_into(np.array([np.nan, 0.0]), np.empty(2))
+        assert np.isnan(out[0]) and out[1] == 0.5
+
+    def test_kernel_may_write_over_its_input(self):
+        t = np.linspace(-40.0, 40.0, 101)
+        expected = sigmoid(t)
+        assert _sigmoid_into(t, t) is t
+        assert np.array_equal(t, expected)
 
 
 class TestPerExampleLoss:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial.hermite_e import hermeval
 from scipy import integrate
+from scipy.special import eval_hermitenorm
 
 from ulln import Dataset, make_covariance, theory_checks
 from ulln.bounds import BoundParams
@@ -489,3 +491,24 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     code = "import sys, ulln.cli; print('scipy.integrate' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_and_verify_load_no_scipy_module():
+    src = os.path.dirname(os.path.dirname(theory_checks.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "def loaded(): return sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+        "from ulln import cli\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "code = cli.main(['verify', 'hermite'])\n"
+        "print(code, loaded(), file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stderr.splitlines() == ["[]", "0 []"]
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_hermeval_unit_coefficients_match_scipy_hermitenorm(d):
+    z = np.linspace(-12.0, 12.0, 241)
+    np.testing.assert_allclose(hermeval(z, [0] * d + [1]), eval_hermitenorm(d, z), rtol=1e-14, atol=1e-12)
