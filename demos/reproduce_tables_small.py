@@ -12,7 +12,6 @@ Run:  python demos/reproduce_tables_small.py
 import time
 
 from ulln.experiments import (
-    COV_KINDS,
     StudyConfig,
     run_studies,
     write_replications,
@@ -33,7 +32,7 @@ cfg = StudyConfig(
     solver_opts=SolverOptions(max_iters=800, grad_map_tol=1e-7),
 )
 # one draw per replicate serves both spectra
-studies = run_studies(cfg, COV_KINDS, threads=2)
+studies = run_studies(cfg, threads=2)
 for cov_kind, study in studies.items():
     means = study.means()
     print(f"--- {cov_kind} spectrum ---")

@@ -44,7 +44,6 @@ from .experiments import (
     prediction_precision,
     run_replication,
     run_studies,
-    run_study,
     sign_recovery,
 )
 from . import theory_checks

@@ -6,7 +6,8 @@ discriminator.  Every config value, and every `bounds` flag, is checked
 once against its subcommand's schema (`_typed`), which also holds the
 defaults and the required keys; unknown keys are rejected.  `bounds`
 takes either a config or plain flags, not both.  Exit codes: 0 success,
-1 check failure, 2 usage/config error, 3 IO error.  Only `experiment`
+1 check failure, 2 usage/config error (also a config that asks for more
+memory than there is), 3 IO error.  Only `experiment`
 takes `--threads`: above 1, each replicate draws its test set on a
 helper thread while the calling thread draws its training set.  Inputs
 are drawn as X = Lambda^{1/2} Z with a diagonal covariance Lambda.
@@ -147,7 +148,7 @@ def cmd_experiment(args) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     print(f"running {cfg.replications} replications with {' and '.join(COV_KINDS)} covariance ...", flush=True)
-    studies = run_studies(cfg, COV_KINDS, threads=threads, progress=args.verbose)
+    studies = run_studies(cfg, threads=threads, progress=args.verbose)
     try:
         write_table1(os.path.join(args.out_dir, "table1.csv"), studies["reciprocal"], studies["identity"])
         write_table2(os.path.join(args.out_dir, "table2.csv"), studies["reciprocal"], studies["identity"])
@@ -453,6 +454,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        # a config that asks for more memory than the machine has is a config error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -1,13 +1,13 @@
 """Replicated prediction / sign-recovery studies for the constrained
 logistic minimizer under anisotropic Gaussian designs.
 
-Each replication draws its own theta_star, training set, and test set
-from streams hashed out of (base_seed, index), fits the ball-constrained
-minimizer, and records prediction precision plus head/weighted sign
-recovery.  The stream keys leave the covariance kind out on purpose, so
-that replicate i of both kinds shares theta*, Z and the label uniforms:
-that pairs the two columns of each table, and lets `run_studies` fit
-every kind on one draw.  Replicates run one after another on the calling
+`run_replication` draws theta_star, a training set and a test set once,
+from streams hashed out of (base_seed, index), and serves every kind in
+COV_KINDS: it fits the ball-constrained minimizer on the identity design,
+scales Z in place by the square root of the reciprocal spectrum and fits
+again, recording prediction precision plus head/weighted sign recovery
+of each fit.  Sharing the draw pairs the two columns of each table.
+`run_studies` runs the replicates one after another on the calling
 thread, and the fit keeps every BLAS thread; only the two data draws of
 a replicate may overlap, on one helper thread.  Every set has its own
 stream, so the results are the same for any thread count.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class StudyConfig:
     p: int = 3000
     n: int = 1000
     n_test: int = 1000
-    cov_kind: str = "reciprocal"  # "reciprocal" | "identity"
     beta: float = 1e3
     R: float = 1.0
     replications: int = 100
@@ -49,8 +48,6 @@ class StudyConfig:
     def __post_init__(self):
         if min(self.p, self.n, self.n_test, self.replications) < 1:
             raise ValueError("p, n, n_test, replications must be >= 1")
-        if self.cov_kind not in COV_KINDS:
-            raise ValueError("cov_kind must be 'reciprocal' or 'identity'")
         if not (0 <= self.beta < np.inf and 0 <= self.R < np.inf):
             raise ValueError("beta and R must be finite and >= 0")
 
@@ -157,10 +154,11 @@ def _fit_and_score(cfg: StudyConfig, train: Dataset, test: Dataset, theta_star, 
     )
 
 
-def _replicate(cfg: StudyConfig, kinds, index: int, helper: ThreadPoolExecutor | None) -> dict[str, ReplicationResult]:
-    """Replicate ``index`` of every kind in ``kinds`` from one draw, freed on
-    return.  A ``helper`` executor draws the test set while this thread
-    draws the training set; Philox releases the GIL, so the draws overlap."""
+def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | None = None) -> dict[str, ReplicationResult]:
+    """Replicate ``index`` of every kind in COV_KINDS from one draw, freed on
+    return; deterministic given (cfg.base_seed, index).  A ``helper``
+    executor draws the test set while this thread draws the training set;
+    Philox releases the GIL, so the draws overlap."""
     theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, index, _THETA_TAG))
     train_seed, test_seed = (derive_seed(cfg.base_seed, index, tag) for tag in (_TRAIN_TAG, _TEST_TAG))
     test_draw = helper.submit(draw_latent, test_seed, cfg.n_test, cfg.p) if helper else None
@@ -170,7 +168,7 @@ def _replicate(cfg: StudyConfig, kinds, index: int, helper: ThreadPoolExecutor |
     results = {}
     # Z is scaled in place, so the scalings compound: the identity kind,
     # whose scale is exactly 1, must read Z first
-    for kind in sorted(set(kinds), key=lambda kind: kind != "identity"):
+    for kind in ("identity", "reciprocal"):
         eigenvalues = make_covariance(kind, cfg.p).eigenvalues
         for z, _ in draws:
             z *= np.sqrt(eigenvalues)
@@ -179,27 +177,18 @@ def _replicate(cfg: StudyConfig, kinds, index: int, helper: ThreadPoolExecutor |
     return results
 
 
-def run_studies(cfg: StudyConfig, kinds, threads: int = 1, progress: bool = False) -> dict[str, StudyResult]:
-    """One study per kind in ``kinds`` (``cfg.cov_kind`` is ignored), each
-    equal to a study of that kind alone.  ``threads`` > 1 draws each test
-    set on one helper thread; the results are the same for any count."""
+def run_studies(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> dict[str, StudyResult]:
+    """One study per kind, in COV_KINDS order, from one `run_replication`
+    call per index.  The call goes through the module attribute, so a
+    wrapper set there sees every replicate.  ``threads`` > 1 draws each
+    test set on one helper thread; the results are the same for any count."""
     rows = []
     with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as helper:
         for i in range(cfg.replications):
-            rows.append(_replicate(cfg, kinds, i, helper))
+            rows.append(run_replication(cfg, i, helper))
             if progress:
                 print(f"replicate {i + 1}/{cfg.replications} done", flush=True)
-    return {kind: StudyResult(replace(cfg, cov_kind=kind), [row[kind] for row in rows]) for kind in kinds}
-
-
-def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | None = None) -> ReplicationResult:
-    """Replicate ``index`` of ``cfg.cov_kind``; deterministic given (cfg.base_seed, index)."""
-    return _replicate(cfg, (cfg.cov_kind,), index, helper)[cfg.cov_kind]
-
-
-def run_study(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> StudyResult:
-    """All replications of ``cfg.cov_kind`` in index order, aggregated."""
-    return run_studies(cfg, (cfg.cov_kind,), threads, progress)[cfg.cov_kind]
+    return {kind: StudyResult(cfg, [row[kind] for row in rows]) for kind in COV_KINDS}
 
 
 def _fmt(x: float) -> str:

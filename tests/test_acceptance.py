@@ -26,7 +26,7 @@ from ulln import (
 )
 from ulln.datagen import derive_seed, sample_theta_star
 from ulln.deviation import sup_deviation_grid, sup_deviation_search
-from ulln.experiments import COV_KINDS, StudyConfig, run_studies
+from ulln.experiments import StudyConfig, run_studies
 from ulln.theory_checks import format_report, run_suite
 
 BASE_SEED = 20260808
@@ -40,7 +40,7 @@ def announce(criterion: str, passed: bool) -> None:
 @pytest.fixture(scope="session")
 def studies():
     # one draw per replicate serves both covariance kinds
-    return run_studies(StudyConfig(base_seed=BASE_SEED), COV_KINDS, threads=2)
+    return run_studies(StudyConfig(base_seed=BASE_SEED), threads=2)
 
 
 @pytest.fixture(scope="session")

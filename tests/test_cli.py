@@ -97,8 +97,8 @@ class TestExperimentCommand:
         seen = []
         real_run_studies = ulln.cli.run_studies
 
-        def spy(cfg, kinds, **kwargs):
-            studies = real_run_studies(cfg, kinds, **kwargs)
+        def spy(cfg, **kwargs):
+            studies = real_run_studies(cfg, **kwargs)
             seen.extend((s.config.solver_opts.max_iters, s.config.solver_opts.grad_map_tol) for s in studies.values())
             return studies
 
@@ -160,6 +160,15 @@ class TestExperimentCommand:
                            capture_output=True, check=True, timeout=300)
             outputs.append([(out / name).read_bytes() for name in ("table1.csv", "table2.csv", "replications.csv")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_out_of_memory_request_exits_2(self, tmp_path, capsys, threads):
+        # numpy refuses a 21.8 TiB test set before touching any memory
+        cfg = write_json(tmp_path / "cfg.json", dict(SMOKE_EXPERIMENT, p=3, n_test=10**12))
+        assert main(["experiment", cfg, str(tmp_path / "out"), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory:")
+        assert "Traceback" not in err
 
     def test_single_replication_full_size_under_60s(self, tmp_path):
         payload = {
@@ -401,6 +410,14 @@ class TestDeviationCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+
+    def test_out_of_memory_request_exits_2(self, tmp_path, capsys):
+        # numpy refuses a 21.8 TiB Monte Carlo sample before touching any memory
+        payload = {"command": "deviation", "p": 3, "n": 10, "replicates": 1, "starts": 1, "budget": 10**12}
+        assert main(["deviation", write_json(tmp_path / "oom.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory:")
+        assert "Traceback" not in err
 
 
     def test_unknown_cov_kind_exits_2_before_any_output(self, tmp_path, capsys):

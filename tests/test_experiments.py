@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import multiprocessing
@@ -16,7 +15,6 @@ from ulln import (
     prediction_precision,
     run_replication,
     run_studies,
-    run_study,
     sign_recovery,
 )
 from ulln import experiments
@@ -32,7 +30,7 @@ from ulln.solver import SolverOptions
 
 
 def small_config(**kw):
-    base = dict(p=40, n=30, n_test=30, cov_kind="reciprocal", beta=1e3, R=1.0,
+    base = dict(p=40, n=30, n_test=30, beta=1e3, R=1.0,
                 replications=4, base_seed=17,
                 solver_opts=SolverOptions(max_iters=400, grad_map_tol=1e-7))
     base.update(kw)
@@ -114,23 +112,19 @@ class TestReplication:
 
     def test_distinct_indices_differ(self):
         cfg = small_config()
-        assert run_replication(cfg, 0) != run_replication(cfg, 1)
+        first, second = run_replication(cfg, 0), run_replication(cfg, 1)
+        for kind in COV_KINDS:
+            assert first[kind] != second[kind]
 
     def test_abs_diff_consistency(self):
-        result = run_replication(small_config(), 0)
-        assert result.abs_diff == pytest.approx(abs(result.train_precision - result.test_precision))
+        for result in run_replication(small_config(), 0).values():
+            assert result.abs_diff == pytest.approx(abs(result.train_precision - result.test_precision))
 
 
 class TestStudy:
     def test_thread_count_does_not_change_results(self):
         cfg = small_config(replications=6)
-        serial = run_study(cfg, threads=1)
-        pooled = run_study(cfg, threads=2)
-        assert serial.replications == pooled.replications
-
-    def test_identity_covariance_matches_across_thread_counts(self):
-        cfg = small_config(cov_kind="identity")
-        assert run_study(cfg, threads=1).replications == run_study(cfg, threads=2).replications
+        assert run_studies(cfg, threads=1) == run_studies(cfg, threads=2)
 
     def test_study_starts_no_child_process(self, monkeypatch):
         # progress lines are printed while the study runs, so each write sees its live children
@@ -142,25 +136,38 @@ class TestStudy:
                 return super().write(text)
 
         monkeypatch.setattr(sys, "stdout", Probe())
-        run_study(small_config(replications=2), threads=2, progress=True)
+        run_studies(small_config(replications=2), threads=2, progress=True)
         assert sys.stdout.getvalue().count("done") == 2
         assert children == []
 
     def test_means_are_plain_averages(self):
-        study = run_study(small_config(), threads=1)
-        by_hand = np.mean([r.test_precision for r in study.replications])
-        assert study.mean("test_precision") == pytest.approx(by_hand)
+        for study in run_studies(small_config(), threads=1).values():
+            by_hand = np.mean([r.test_precision for r in study.replications])
+            assert study.mean("test_precision") == pytest.approx(by_hand)
+
+    def test_reaches_each_replicate_through_the_module_attribute(self, monkeypatch):
+        # a wrapper set on experiments.run_replication must see every replicate
+        indices = []
+        real_run_replication = experiments.run_replication
+
+        def spy(cfg, index, helper=None):
+            indices.append(index)
+            return real_run_replication(cfg, index, helper)
+
+        monkeypatch.setattr(experiments, "run_replication", spy)
+        run_studies(small_config(replications=3))
+        assert indices == [0, 1, 2]
 
     def test_csv_layout(self, tmp_path):
-        study_rec = run_study(small_config(), threads=1)
-        study_id = run_study(small_config(cov_kind="identity"), threads=1)
+        studies = run_studies(small_config(), threads=1)
+        study_rec, study_id = studies["reciprocal"], studies["identity"]
 
         t1 = tmp_path / "table1.csv"
         t2 = tmp_path / "table2.csv"
         reps = tmp_path / "replications.csv"
         write_table1(t1, study_rec, study_id)
         write_table2(t2, study_rec, study_id)
-        write_replications(reps, {"reciprocal": study_rec, "identity": study_id})
+        write_replications(reps, studies)
 
         rows1 = list(csv.reader(t1.open()))
         assert rows1[0] == ["metric", "sigma_rec", "identity"]
@@ -175,6 +182,8 @@ class TestStudy:
 
         rep_rows = list(csv.reader(reps.open()))
         assert len(rep_rows) == 1 + 2 * 4
+        # the reciprocal rows come first
+        assert [row[:2] for row in rep_rows[1:]] == [[kind, str(i)] for kind in COV_KINDS for i in range(4)]
 
         # frozen seeds make re-emission byte-identical
         t1b = tmp_path / "table1_again.csv"
@@ -182,8 +191,6 @@ class TestStudy:
         assert t1.read_bytes() == t1b.read_bytes()
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StudyConfig(cov_kind="diagonal")
         with pytest.raises(ValueError):
             StudyConfig(replications=0)
         with pytest.raises(ValueError):
@@ -196,13 +203,6 @@ class TestStudy:
 
 
 class TestJointStudies:
-    def test_each_kind_equals_its_own_study(self):
-        cfg = small_config()
-        joint = run_studies(cfg, COV_KINDS)
-        assert list(joint) == list(COV_KINDS)
-        for kind in COV_KINDS:
-            assert joint[kind] == run_study(dataclasses.replace(cfg, cov_kind=kind))
-
     def test_datasets_match_generate_dataset(self, monkeypatch):
         cfg = small_config(replications=2, n_test=25)
         seen = []
@@ -214,7 +214,7 @@ class TestJointStudies:
             return real_fit_and_score(cfg, train, test, theta_star, eigenvalues)
 
         monkeypatch.setattr(experiments, "_fit_and_score", spy)
-        run_studies(cfg, COV_KINDS)
+        run_studies(cfg)
         # per replicate the identity kind is fitted first
         assert len(seen) == 2 * cfg.replications
         for i in range(cfg.replications):
@@ -228,24 +228,9 @@ class TestJointStudies:
                     assert inputs.tobytes() == data.inputs.tobytes()
                     assert np.array_equal(labels, data.labels)
 
-    def test_order_of_kinds_does_not_matter(self):
-        cfg = small_config(replications=3)
-        forward = run_studies(cfg, ("reciprocal", "identity"))
-        backward = run_studies(cfg, ("identity", "reciprocal"))
-        assert list(backward) == ["identity", "reciprocal"]
-        assert forward == backward
-
-    def test_thread_count_does_not_change_results(self):
-        cfg = small_config(replications=3)
-        assert run_studies(cfg, COV_KINDS, threads=1) == run_studies(cfg, COV_KINDS, threads=2)
-
     def test_progress_prints_one_line_per_replicate(self, capsys):
-        run_studies(small_config(replications=2), COV_KINDS, progress=True)
+        run_studies(small_config(replications=2), progress=True)
         assert capsys.readouterr().out.splitlines() == ["replicate 1/2 done", "replicate 2/2 done"]
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            run_studies(small_config(), ("reciprocal", "diagonal"))
 
     @pytest.mark.parametrize("p, n, replications, base_seeds, expected", [
         (300, 100, 2, (20260808, 20260809), [31, 55, 30, 27, 28, 28, 29, 11]),
@@ -266,5 +251,5 @@ class TestJointStudies:
 
         monkeypatch.setattr(experiments, "fit_constrained", spy)
         for base_seed in base_seeds:
-            run_studies(StudyConfig(p=p, n=n, n_test=n, replications=replications, base_seed=base_seed), COV_KINDS)
+            run_studies(StudyConfig(p=p, n=n, n_test=n, replications=replications, base_seed=base_seed))
         assert iterations == expected
