@@ -336,7 +336,7 @@ _DEVIATION_SCHEMA = {
 def cmd_deviation(args) -> int:
     cfg = _load_config(args.config, "deviation", _DEVIATION_SCHEMA)
     p, n, radius, delta, base_seed = cfg["p"], cfg["n"], cfg["R"], cfg["delta"], cfg["base_seed"]
-    # checked before the CSV header is written, so a bad config leaves stdout empty;
+    # checked before any replicate runs, so a bad config fails at once;
     # make_covariance checks p and cov_kind, BoundParams checks n, R and delta
     for key in ("replicates", "starts", "budget"):
         if cfg[key] < 1:
@@ -350,11 +350,11 @@ def cmd_deviation(args) -> int:
     theorem_total = bound_theorem(params).total if delta <= 1 / 6 else float("nan")
     classical_total = bound_classical(params).total
 
-    writer = csv.writer(sys.stdout)
     header = ["replicate", "sup_estimate", "theorem_bound", "classical_bound", "holds_theorem"]
     if p == 1:
         header.append("grid_estimate")
-    writer.writerow(header)
+    # the rows are written once every replicate has run, so a run that fails part way leaves stdout empty
+    rows = [header]
     held = 0
     for rep in range(cfg["replicates"]):
         theta_star = sample_theta_star(p, derive_seed(base_seed, rep, 0))
@@ -369,7 +369,8 @@ def cmd_deviation(args) -> int:
         if p == 1:
             grid = sup_deviation_grid(data, gen, radius, cfg["grid_resolution"])
             row.append(f"{grid.sup_value:.5f}")
-        writer.writerow(row)
+        rows.append(row)
+    csv.writer(sys.stdout).writerows(rows)
     print(f"holding_frequency={held / cfg['replicates']:.5f}")
     return EXIT_OK
 

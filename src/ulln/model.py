@@ -53,27 +53,12 @@ def sigmoid(t):
     return float(out) if out.ndim == 0 else out
 
 
-def _sigmoid_derivative_into(t, out, tmp):
-    """Write sigma'(t) = a / (1 + a)**2, a = exp(-|t|), into `out`.
-
-    `tmp` is scratch of `out`'s shape; `t` may be `out` itself.  One exp
-    per element, and stable on both tails.
-    """
-    np.abs(t, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(out, 1.0, out=tmp)
-    np.square(tmp, out=tmp)
-    np.divide(out, tmp, out=out)
-    return out
-
-
 def sigmoid_derivative(t):
     """sigma'(t) = sigma(t)(1 - sigma(t)), computed as a / (1 + a)**2 with
-    a = exp(-|t|) (see `_sigmoid_derivative_into`), stable on both tails."""
+    a = exp(-|t|): one exp per element, and stable on both tails."""
     t = np.asarray(t, dtype=float)
-    out, tmp = np.empty_like(t), np.empty_like(t)
-    _sigmoid_derivative_into(t, out, tmp)
+    a = np.exp(-np.abs(t))
+    out = a / (1.0 + a) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,6 +22,12 @@ Checks covered:
   by the heat-semigroup identity
       lambda int_0^t E[f''(mu + sqrt(s lambda) Z)] ds
           = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu)).
+  The values of the gap surface keep the time integral on a fixed
+  Legendre by Hermite rule and sum its symmetric Hermite nodes in pairs,
+      sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
+      X = 2 cosh(mu), Y = 2 cosh(c),
+  which is finite for |mu| and |c| up to GAP_PAIR_LIMIT (350); a surface
+  or probe beyond that raises ValueError.
 
 Every integral is a fixed rule from `quadrature`, and every Monte Carlo
 assertion uses a 3-standard-error tolerance and a stream seeded from the
@@ -41,7 +47,6 @@ from .bounds import BoundParams
 from .datagen import CovarianceSpec, make_covariance, make_rng
 from .model import (
     Dataset,
-    _sigmoid_derivative_into,
     _sigmoid_into,
     per_example_loss,
     sigmoid,
@@ -382,8 +387,14 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 # centered Laplacian gap functional and its expected-supremum bound
 
 
-# the inner expectation of the gap values on 48 Gauss-Hermite nodes; the expsup check values depend on this exact rule
+# the inner expectation of the gap values: 48 Gauss-Hermite nodes, summed as 24 symmetric pairs +/-z_k;
+# the expsup check values depend on this exact rule
 GAP_HERMITE_NODES = 48
+# the paired closed form keeps X = 2 cosh(mu), Y = 2 cosh(c) and (X + Y)^2 finite for |mu| and |c| up to this;
+# (X + Y)^2 overflows at about 354
+GAP_PAIR_LIMIT = 350.0
+# probes per pass of the value kernel, so that its two (rows, 8, 24) work arrays stay in a 2 MB L2 cache
+GAP_PROBE_BLOCK = 8
 
 
 def _gap_rows(z_rows: np.ndarray, ref_rows: np.ndarray, cov: CovarianceSpec):
@@ -396,6 +407,23 @@ def _gap_rows(z_rows: np.ndarray, ref_rows: np.ndarray, cov: CovarianceSpec):
     return coef, cov.transform(rows), (rows**2) @ cov.eigenvalues
 
 
+def _paired_sigma_prime(x, y, out, tmp):
+    """Write sigma'(mu + c) + sigma'(mu - c) = (4 + x y) / (x + y)^2 into
+    `out`, for x = 2 cosh(mu) and y = 2 cosh(c).
+
+    Expanding e^{+/-mu} and e^{+/-c}, the two denominators 2 + 2 cosh(mu +/- c)
+    multiply to (x + y)^2 and add to 4 + x y.  `tmp` is scratch of `out`'s
+    shape.  Finite while x + y stays below about 1.3e154, i.e. for |mu| and
+    |c| up to GAP_PAIR_LIMIT.
+    """
+    np.multiply(x, y, out=out)
+    out += 4.0
+    np.add(x, y, out=tmp)
+    np.square(tmp, out=tmp)
+    out /= tmp
+    return out
+
+
 class _GapSurface:
     """Values and gradient of the centered time-integrated Laplacian gap
     sum_i coef_i lambda_i int_0^t E[sigma'(mu_i + sqrt(s lambda_i) Z)] ds,
@@ -403,20 +431,34 @@ class _GapSurface:
     fixed data rows and a frozen reference sample.
 
     Values use the fixed TIME_PANELS x TIME_PANEL_NODES Gauss-Legendre by
-    GAP_HERMITE_NODES Gauss-Hermite rule.  The gradient is the exact one,
-    from the heat-semigroup identity with f = sigma, on HERMITE_NODES
-    Gauss-Hermite nodes; it is accurate to about 1e-11 for sqrt(t lambda)
-    up to about 3.6, the largest value in the `g` suite.  It is not the
-    derivative of the discretized value.
+    GAP_HERMITE_NODES Gauss-Hermite rule.  The Hermite rule is symmetric, so
+    node +z_k is summed with -z_k: with c = sqrt(s lambda_i) z_k,
+    X = 2 cosh(mu) and Y = 2 cosh(c),
+        sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
+    a sum and quotient of positive terms with no exp per node.  Y is stored
+    once per surface; X is computed once per call.  The form overflows once
+    |mu| or |c| passes about 354, so a surface or probe with either above
+    GAP_PAIR_LIMIT raises ValueError.
+
+    The gradient is the exact one, from the heat-semigroup identity with
+    f = sigma, on HERMITE_NODES Gauss-Hermite nodes; it is accurate to about
+    1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the `g`
+    suite.  It is not the derivative of the discretized value.
     """
 
     def __init__(self, z_rows: np.ndarray, ref_rows: np.ndarray, t: float, cov: CovarianceSpec):
         self.coef, self.directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
         self.row_weight = self.coef * lambda_sq
         s_nodes, self.s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
-        z_nodes, self.z_weights = gauss_hermite(GAP_HERMITE_NODES)
-        # offsets[s, i, k] = sqrt(s * lambda_sq_i) * z_k
-        self.offsets = np.sqrt(s_nodes[:, None] * lambda_sq[None, :])[:, :, None] * z_nodes
+        z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
+        # the nodes are sorted and symmetric: the upper half holds z_k > 0 and the weights of the pairs
+        half = GAP_HERMITE_NODES // 2
+        self.pair_weights = z_weights[half:]
+        # c[s, i, 0, k] = sqrt(s * lambda_sq_i) * z_k; the 1 axis broadcasts over a block of probes
+        c = np.sqrt(s_nodes[:, None] * lambda_sq[None, :])[:, :, None, None] * z_nodes[half:]
+        if not np.all(c <= GAP_PAIR_LIMIT):
+            raise ValueError(f"gap surface: sqrt(t lambda) z exceeds {GAP_PAIR_LIMIT:g}")
+        self.y = 2.0 * np.cosh(c)
         h_nodes, self.h_weights = gauss_hermite(HERMITE_NODES)
         self.t_offsets = np.sqrt(t * lambda_sq)[:, None] * h_nodes
 
@@ -427,14 +469,18 @@ class _GapSurface:
         return self.directions.T @ (2.0 * self.coef * (smoothed - sigmoid(mu)))
 
     def value_many(self, thetas: np.ndarray) -> np.ndarray:
-        mus = (self.directions @ thetas.T)[:, :, None]  # (rows, m, 1)
-        args = np.empty(mus.shape[:2] + self.z_weights.shape)  # (rows, m, nodes)
-        tmp = np.empty_like(args)
-        out = np.zeros(thetas.shape[0])
-        for weight, offsets in zip(self.s_weights, self.offsets):
-            np.add(mus, offsets[:, None, :], out=args)
-            _sigmoid_derivative_into(args, args, tmp)
-            out += weight * (self.row_weight @ (args @ self.z_weights))
+        mus = self.directions @ thetas.T  # (rows, m)
+        if not np.all(np.abs(mus) <= GAP_PAIR_LIMIT):
+            raise ValueError(f"gap surface: |<Lambda^1/2 z, theta>| exceeds {GAP_PAIR_LIMIT:g}")
+        x = 2.0 * np.cosh(mus)[:, :, None]
+        pairs, scratch = np.empty((2, mus.shape[0], GAP_PROBE_BLOCK, self.pair_weights.size))
+        out = np.zeros(mus.shape[1])
+        for lo in range(0, mus.shape[1], GAP_PROBE_BLOCK):
+            xb = x[:, lo:lo + GAP_PROBE_BLOCK]
+            pb, sb = pairs[:, :xb.shape[1]], scratch[:, :xb.shape[1]]
+            for weight, y in zip(self.s_weights, self.y):
+                _paired_sigma_prime(xb, y, pb, sb)
+                out[lo:lo + GAP_PROBE_BLOCK] += weight * (self.row_weight @ (pb @ self.pair_weights))
         return out
 
 

@@ -411,13 +411,18 @@ class TestDeviationCommand:
         assert captured.out == ""
         assert key in captured.err
 
-    def test_out_of_memory_request_exits_2(self, tmp_path, capsys):
+    def test_out_of_memory_request_exits_2_with_empty_stdout(self, tmp_path):
         # numpy refuses a 21.8 TiB Monte Carlo sample before touching any memory
         payload = {"command": "deviation", "p": 3, "n": 10, "replicates": 1, "starts": 1, "budget": 10**12}
-        assert main(["deviation", write_json(tmp_path / "oom.json", payload)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: out of memory:")
-        assert "Traceback" not in err
+        src = os.path.dirname(os.path.dirname(ulln.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-m", "ulln.cli", "deviation",
+                                 write_json(tmp_path / "oom.json", payload)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: out of memory:")
+        assert "Traceback" not in result.stderr
 
 
     def test_unknown_cov_kind_exits_2_before_any_output(self, tmp_path, capsys):

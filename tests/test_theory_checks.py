@@ -21,6 +21,7 @@ from ulln.solver import project_to_ball
 from ulln.theory_checks import (
     CATALOG,
     GAP_HERMITE_NODES,
+    GAP_PAIR_LIMIT,
     HERMITE_NODES,
     TIME_PANEL_NODES,
     TIME_PANELS,
@@ -38,6 +39,7 @@ from ulln.theory_checks import (
     smoothing_identity_residual,
     _gap_rows,
     _GapSurface,
+    _paired_sigma_prime,
 )
 
 
@@ -396,10 +398,39 @@ class TestGapSurface:
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("n,m", [(1, 1), (7, 3), (50, 160)])
     @pytest.mark.parametrize("count", [1, 3, 49])
-    def test_values_bitwise_equal_to_the_direct_rule(self, n, m, p, count):
+    def test_values_match_the_direct_rule(self, n, m, p, count):
+        # the paired closed form rounds differently from the 48 single nodes; measured worst 2.8e-14
         surface, args, rng = _gap_case(n, m, p, 0.7)
         thetas = rng.standard_normal((count, p))
-        assert np.array_equal(surface.value_many(thetas), _direct_value_many(*args, thetas))
+        np.testing.assert_allclose(surface.value_many(thetas), _direct_value_many(*args, thetas), rtol=1e-13, atol=0)
+
+    def test_pair_identity_up_to_the_guard(self):
+        ends = np.geomspace(1e-3, GAP_PAIR_LIMIT, 60)
+        grid = np.concatenate([-ends[::-1], [0.0], ends])
+        mu, c = np.meshgrid(grid, grid, indexing="ij")
+        x, y = 2.0 * np.cosh(mu), 2.0 * np.cosh(c)
+        got = _paired_sigma_prime(x, y, np.empty_like(x), np.empty_like(x))
+        want = sigmoid_derivative(mu + c) + sigmoid_derivative(mu - c)
+        assert np.all(np.isfinite(got))
+        # sigma'(mu +/- c) itself carries the rounding of mu +/- c, which grows with the arguments
+        assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(mu) + np.abs(c)) * want)
+        assert got[60, 60] == 0.5
+
+    @pytest.mark.parametrize("theta", [400.0, -400.0, math.nan])
+    def test_probe_outside_the_guard_raises(self, theta):
+        surface = _GapSurface(np.array([[1.0]]), np.array([[0.5]]), 1.0, make_covariance("identity", 1))
+        assert np.all(np.isfinite(surface.value_many(np.array([[GAP_PAIR_LIMIT]]))))
+        with pytest.raises(ValueError, match="exceeds"):
+            surface.value_many(np.array([[theta]]))
+
+    def test_row_outside_the_guard_raises(self):
+        # sqrt(t lambda) z_k reaches about 40 * 12 for the largest of the 48 nodes
+        with pytest.raises(ValueError, match="exceeds"):
+            _GapSurface(np.array([[40.0]]), np.array([[0.5]]), 1.0, make_covariance("identity", 1))
+
+    def test_expsup_on_a_ball_outside_the_guard_raises(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            expsup_gap_check(3, 50, 1.0, 400.0, make_covariance("reciprocal", 3), replicates=2, seed=9)
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("n,m,t", [(1, 1, 0.7), (7, 3, 0.3), (50, 160, 1.0)])

@@ -1,11 +1,21 @@
-"""The benchmark's tracer (bench/spans.py) wraps a few entry points by name
-and looks each module up in sys.modules; every one must be there."""
+"""Tier-1 checks of what the benchmark in bench/ relies on, made without
+writing into bench/.
+
+The tracer (bench/spans.py) wraps a few entry points by name and looks each
+module up in sys.modules; every one must be there.  The identity_checks
+gate compares `verify all` with its checked-in reference; a change that
+would fail that gate fails here first."""
+import ast
+import csv
+import io
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import ulln
+from ulln.theory_checks import run_suite
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -31,3 +41,32 @@ def test_every_extra_wrap_exists_after_importing_the_cli():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == ""
+
+
+RUN = SPANS.with_name("run.py")
+IDENTITY_REFERENCE = SPANS.parent / "references" / "paper_identity_checks.json"
+
+
+def _gate_tolerances() -> tuple[float, float]:
+    """CHECK_RTOL and CHECK_ATOL of the benchmark's correctness gate, read
+    from the source of bench/run.py without importing it."""
+    for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            names = [target.id for target in node.targets[0].elts]
+            if names == ["CHECK_RTOL", "CHECK_ATOL"]:
+                return ast.literal_eval(node.value)
+    raise AssertionError("CHECK_RTOL, CHECK_ATOL not found in bench/run.py")
+
+
+def test_verify_all_passes_the_benchmark_gate():
+    # the identity_checks gate: same names, every check passes, lhs and rhs within atol + rtol |reference|
+    rtol, atol = _gate_tolerances()
+    reference = json.loads(IDENTITY_REFERENCE.read_text(encoding="utf-8"))
+    (checks_csv,) = [call["checks.csv"] for call in reference["inputs"].values()]
+    want = list(csv.DictReader(io.StringIO(checks_csv)))
+    got = run_suite("all")
+    assert [r.name for r in got] == [row["name"] for row in want]
+    for report, row in zip(got, want):
+        assert report.passed and row["passed"] == "1", report.name
+        for value, ref in ((report.lhs, float(row["lhs"])), (report.rhs, float(row["rhs"]))):
+            assert abs(value - ref) <= atol + rtol * abs(ref), (report.name, value, ref)
