@@ -36,7 +36,6 @@ from .datagen import (
 )
 from .deviation import sup_deviation_grid, sup_deviation_search
 from .experiments import (
-    COV_KINDS,
     StudyConfig,
     run_studies,
     write_replications,
@@ -147,7 +146,6 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    print(f"running {cfg.replications} replications with {' and '.join(COV_KINDS)} covariance ...", flush=True)
     studies = run_studies(cfg, threads=threads, progress=args.verbose)
     try:
         write_table1(os.path.join(args.out_dir, "table1.csv"), studies["reciprocal"], studies["identity"])

@@ -31,12 +31,16 @@ Checks covered:
 
 Every integral is a fixed rule from `quadrature`, and every Monte Carlo
 assertion uses a 3-standard-error tolerance and a stream seeded from the
-check name, so the suite is deterministic.
+check name, so the suite is deterministic.  The replicates of the two gap
+checks run on a thread pool after all their draws are taken, and are
+collected in replicate order, so the thread count changes no value.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -526,6 +530,35 @@ EXPSUP_ASCENT_ITERS = 40
 EXPSUP_POLISH_TOP = 3
 
 
+def _map_replicates(fn, *columns) -> np.ndarray:
+    """``fn`` over the zipped ``columns`` on a pool of min(CPUs, replicates)
+    threads, as a float array in replicate order.
+
+    The order makes every reduction over the result the same bit for bit
+    for any thread count.  Callers draw every random input beforehand, in
+    replicate order, and fill the `quadrature` caches that ``fn`` reads, so
+    the threads share only read-only arrays.
+    """
+    count = len(columns[0])
+    with ThreadPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), count)) as pool:
+        return np.fromiter(pool.map(fn, *columns), dtype=float, count=count)
+
+
+def _expsup_replicate(z_rows, ref_rows, probes, t, radius, cov) -> float:
+    """The best gap value one replicate finds: a scan of ``probes``, then
+    projected ascent from the best EXPSUP_POLISH_TOP of them."""
+    surface = _GapSurface(z_rows, ref_rows, t, cov)
+    values = surface.value_many(probes)
+    best = float(np.max(values))
+    if radius > 0:
+        polished = probes[np.argsort(values)[-EXPSUP_POLISH_TOP:]]
+        for theta in polished:
+            for k in range(1, EXPSUP_ASCENT_ITERS + 1):
+                theta[:] = project_to_ball(theta + (0.1 / math.sqrt(k)) * surface.gradient(theta), radius)
+        best = max(best, float(np.max(surface.value_many(polished))))
+    return best
+
+
 def expsup_gap_check(
     p: int,
     n: int,
@@ -542,10 +575,14 @@ def expsup_gap_check(
     random probes of the ball, and polishes the best probes by projected
     ascent; the replicate maxima are averaged.  The search only ever
     underestimates the sup, which is the safe direction for checking an
-    upper bound.
+    upper bound.  All draws come first, from one stream in replicate order;
+    the replicates then run on as many threads as the process has CPUs
+    (`_map_replicates`), so the report is the same for any count.
     """
     if p > 5:
         raise ValueError("supremum search supports p <= 5 only")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     if replicates < 2:
@@ -556,31 +593,26 @@ def expsup_gap_check(
         raise ValueError("covariance dimension does not match p")
 
     rng = make_rng(seed)
-    sups = np.empty(replicates)
-    for rep in range(replicates):
-        z_rows = rng.standard_normal((n, p))
-        ref_rows = rng.standard_normal((EXPSUP_REF_SAMPLES, p))
-        surface = _GapSurface(z_rows, ref_rows, t, cov)
-
-        probes = [np.zeros(p)]
+    z_rows, ref_rows, probes = [], [], []
+    for _ in range(replicates):
+        z_rows.append(rng.standard_normal((n, p)))
+        ref_rows.append(rng.standard_normal((EXPSUP_REF_SAMPLES, p)))
+        rep_probes = [np.zeros(p)]
         if radius > 0:
             g = rng.standard_normal((EXPSUP_PROBES, p))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             radii = radius * np.concatenate(
                 [np.ones(EXPSUP_PROBES // 2), rng.random(EXPSUP_PROBES - EXPSUP_PROBES // 2) ** (1.0 / p)]
             )
-            probes.extend(g * radii[:, None])
-        probes = np.asarray(probes)
-        values = surface.value_many(probes)
-        best = float(np.max(values))
+            rep_probes.extend(g * radii[:, None])
+        probes.append(np.asarray(rep_probes))
 
-        if radius > 0:
-            polished = probes[np.argsort(values)[-EXPSUP_POLISH_TOP:]]
-            for theta in polished:
-                for k in range(1, EXPSUP_ASCENT_ITERS + 1):
-                    theta[:] = project_to_ball(theta + (0.1 / math.sqrt(k)) * surface.gradient(theta), radius)
-            best = max(best, float(np.max(surface.value_many(polished))))
-        sups[rep] = best
+    # the rules every _GapSurface reads, built here once rather than raced for by the threads
+    gauss_hermite(GAP_HERMITE_NODES)
+    gauss_hermite(HERMITE_NODES)
+    legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
+    sups = _map_replicates(
+        lambda z, ref, pr: _expsup_replicate(z, ref, pr, t, radius, cov), z_rows, ref_rows, probes)
 
     mean_sup = float(np.mean(sups))
     stderr = float(np.std(sups, ddof=1) / math.sqrt(replicates))
@@ -598,13 +630,23 @@ def gap_centering_check(
     seed: int,
 ) -> CheckReport:
     """Average the gap functional over fresh latent samples; the mean must
-    vanish within 3 standard errors by construction."""
+    vanish within 3 standard errors by construction.
+
+    The samples are drawn first, from one stream; the functional then runs
+    on them through `_map_replicates`, so the report is the same for any
+    thread count.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if draws < 2:
+        raise ValueError("draws must be >= 2")
     rng = make_rng(seed)
     theta = project_to_ball(rng.standard_normal(p), 1.0)
-    values = np.empty(draws)
-    for i in range(draws):
-        z = rng.standard_normal((n, p))
-        values[i] = laplacian_gap_functional(z, theta, t, cov, ref_samples=256, seed=seed + 7 * i + 1)
+    zs = [rng.standard_normal((n, p)) for _ in range(draws)]
+    gauss_hermite(HERMITE_NODES)  # the functional's rule, built before the threads start
+    values = _map_replicates(
+        lambda z, ref_seed: laplacian_gap_functional(z, theta, t, cov, ref_samples=256, seed=ref_seed),
+        zs, range(seed + 1, seed + 1 + 7 * draws, 7))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(draws))
     return _hinge_report(f"gap_centering:p{p}:n{n}:t{t:g}", mean, 0.0, abs(mean) - 3.0 * stderr)

@@ -166,7 +166,8 @@ class TestExperimentCommand:
         # numpy refuses a 21.8 TiB test set before touching any memory
         cfg = write_json(tmp_path / "cfg.json", dict(SMOKE_EXPERIMENT, p=3, n_test=10**12))
         assert main(["experiment", cfg, str(tmp_path / "out"), "--threads", threads]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: out of memory:")
         assert "Traceback" not in err
 
@@ -367,6 +368,24 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 2
+
+    def test_identity_checks_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # one child runs on a single CPU from before numpy loads, so its BLAS and the
+        # replicate pool of the g suite both get one thread; the other may use every CPU
+        src = os.path.dirname(os.path.dirname(ulln.__file__))
+        run = ("import os, sys\n"
+               "if sys.argv[2] == 'one':\n"
+               "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+               "from ulln import cli\n"
+               "sys.exit(cli.main(['verify', 'g', '--csv', sys.argv[1]]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs = []
+        for cpus in ("one", "all"):
+            out = tmp_path / f"{cpus}.csv"
+            subprocess.run([sys.executable, "-c", run, str(out), cpus], env=env, capture_output=True, check=True,
+                           timeout=300)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDeviationCommand:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from ulln.theory_checks import (
     smoothing_identity_residual,
     _gap_rows,
     _GapSurface,
+    _map_replicates,
     _paired_sigma_prime,
 )
 
@@ -289,6 +291,15 @@ class TestLaplacianGap:
         report = gap_centering_check(2, 6, 0.5, make_covariance("reciprocal", 2), draws=24, seed=3)
         assert report.passed
 
+    @pytest.mark.parametrize("draws", [0, 1])
+    def test_fewer_than_two_draws_is_rejected(self, draws):
+        with pytest.raises(ValueError, match="draws"):
+            gap_centering_check(2, 6, 0.5, make_covariance("reciprocal", 2), draws=draws, seed=3)
+
+    def test_empty_sample_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be"):
+            gap_centering_check(2, 0, 0.5, make_covariance("reciprocal", 2), draws=4, seed=3)
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
     def test_matches_the_quadrature_oracle(self, p, t):
@@ -458,6 +469,13 @@ def test_sigmoid_derivative_is_the_one_exp_form_bitwise(t):
     assert sigmoid_derivative(float(t[0])) == float(a[0] / (1.0 + a[0]) ** 2)
 
 
+def test_replicate_map_keeps_the_replicate_order():
+    # with two or more threads the first replicate finishes last
+    delays = [0.2, 0.0, 0.0, 0.0]
+    got = _map_replicates(lambda i, delay: time.sleep(delay) or float(i), range(4), delays)
+    assert got.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 class TestExpSup:
     def test_degenerate_radius(self):
         report = expsup_gap_check(2, 10, 1.0, 0.0, make_covariance("reciprocal", 2), replicates=4, seed=8)
@@ -481,6 +499,10 @@ class TestExpSup:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             expsup_gap_check(6, 10, 1.0, 1.0, make_covariance("reciprocal", 6), replicates=2, seed=0)
+
+    def test_empty_sample_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be"):
+            expsup_gap_check(2, 0, 1.0, 1.0, make_covariance("reciprocal", 2), replicates=2, seed=0)
 
     @pytest.mark.parametrize("radius", [math.nan, -0.5, math.inf])
     def test_nan_negative_or_infinite_radius_is_rejected(self, radius):

@@ -43,6 +43,40 @@ def test_every_extra_wrap_exists_after_importing_the_cli():
     assert result.stdout == ""
 
 
+# the g suite traced the way bench/run.py traces a call: its replicates run on a thread pool, and
+# every span they open must close after it opened, with no quadrature rule built twice
+TRACED_G_SUITE = """
+import importlib.util, json, sys
+import ulln.cli
+from ulln import quadrature, theory_checks
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+try:
+    reports = theory_checks.run_suite("g")
+finally:
+    tracer.restore()
+caches = [fn.cache_info() for fn in vars(quadrature).values() if hasattr(fn, "cache_info")]
+print(json.dumps({"passed": all(r.passed for r in reports), "spans": len(tracer.spans),
+                  "backwards": sum(1 for span in tracer.spans if span[4] < span[3]),
+                  "rebuilt": sum(info.misses - info.currsize for info in caches)}))
+"""
+
+
+def test_traced_g_suite_runs_on_its_thread_pool():
+    src = os.path.dirname(os.path.dirname(ulln.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-B", "-c", TRACED_G_SUITE, str(SPANS)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout)
+    assert summary["passed"] and summary["spans"] > 0
+    assert summary["backwards"] == 0
+    assert summary["rebuilt"] == 0
+
+
 RUN = SPANS.with_name("run.py")
 IDENTITY_REFERENCE = SPANS.parent / "references" / "paper_identity_checks.json"
 
