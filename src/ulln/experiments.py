@@ -166,12 +166,13 @@ def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | N
     draws = train_draw, (test_draw.result() if test_draw else draw_latent(test_seed, cfg.n_test, cfg.p))
 
     results = {}
-    # Z is scaled in place, so the scalings compound: the identity kind,
-    # whose scale is exactly 1, must read Z first
+    # the identity kind, whose scale is exactly 1, reads Z as drawn; then Z
+    # is scaled in place for the reciprocal kind
     for kind in ("identity", "reciprocal"):
         eigenvalues = make_covariance(kind, cfg.p).eigenvalues
-        for z, _ in draws:
-            z *= np.sqrt(eigenvalues)
+        if kind == "reciprocal":
+            for z, _ in draws:
+                z *= np.sqrt(eigenvalues)
         train, test = (label_rows(z, u, theta_star, cfg.beta) for z, u in draws)
         results[kind] = _fit_and_score(cfg, train, test, theta_star, eigenvalues)
     return results

@@ -6,6 +6,11 @@ Stationarity is certified through the gradient mapping
 rather than the raw gradient, since minimizers typically sit on the
 boundary of the ball.  The objective is non-increasing across accepted
 iterates and every iterate is feasible.
+
+The projection is a scaling, P_B[R](v) = c v with c = min(1, R / ||v||),
+so a candidate's scores are c (scores - s X grad): each iteration reads
+the design twice, once for X grad and once for the gradient, however
+often it halves the step.
 """
 from __future__ import annotations
 
@@ -44,14 +49,19 @@ class FitResult:
     grad_map_norm: float
 
 
+def _ball_scale(v: np.ndarray, radius: float) -> np.ndarray:
+    """The factor min(1, radius / ||v||) that projects v onto the ball, row-wise over the last axis."""
+    norm = np.linalg.norm(v, axis=-1)
+    outside = norm > radius
+    return np.where(outside, radius / np.where(outside, norm, 1.0), 1.0)
+
+
 def project_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {theta : ||theta|| <= radius}, row-wise over the last axis."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    outside = norm > radius
-    return np.where(outside, (radius / np.where(outside, norm, 1.0)) * v, v)
+    return _ball_scale(v, radius)[..., None] * v
 
 
 def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = None) -> FitResult:
@@ -68,7 +78,6 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
         raise ValueError("radius must be finite and >= 0")
     opts = opts or SolverOptions()
     x, n = data.inputs, data.n
-    # one matvec per candidate and per accepted step: loss and gradient start from the scores
     surface = LogisticSurface(x, data.labels)
     theta = np.zeros(data.p)
     scores = np.zeros(n)
@@ -85,12 +94,15 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
     iterations = 0
 
     for iterations in range(1, opts.max_iters + 1):
+        x_grad = x @ grad  # with the gradient below, the iteration's only passes over X
         backtracked = False
         for _ in range(_MAX_BACKTRACKS):
-            candidate = project_to_ball(theta - step * grad, radius)
+            moved = theta - step * grad
+            scale = _ball_scale(moved, radius)
+            candidate = scale * moved  # project_to_ball(moved, radius), bit for bit
             direction = candidate - theta
             decrease = float(grad @ direction)  # <= 0 by the projection property
-            cand_scores = x @ candidate
+            cand_scores = scale * (scores - step * x_grad)
             cand_risk = float(surface.value_at(cand_scores))
             if cand_risk <= risk + _ARMIJO_CONST * decrease:
                 break

@@ -275,7 +275,9 @@ def ito_expansion_residual(
     else:
         nodes, weights = gauss_hermite_tensor(_ITO_AXIS_NODES[p], p)
         w_points = theta[None, :] + math.sqrt(t) * nodes
-        lhs = float(weights @ f_of(w_points))
+        # fsum is correctly rounded, so unlike a BLAS dot it gives the same
+        # sum for every thread count
+        lhs = math.fsum(weights * f_of(w_points))
         tolerance = 1e-6
 
     return _equality_report(f"ito:{payload}:p{p}:t{t:g}{suffix}", lhs, rhs, tolerance)

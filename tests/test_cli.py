@@ -371,21 +371,23 @@ class TestVerifyCommand:
 
     def test_identity_checks_do_not_depend_on_the_cpu_count(self, tmp_path):
         # one child runs on a single CPU from before numpy loads, so its BLAS and the
-        # replicate pool of the g suite both get one thread; the other may use every CPU
+        # replicate pool of the g suite both get one thread; the others may use every
+        # CPU, with the inherited BLAS setting, one BLAS thread and two
         src = os.path.dirname(os.path.dirname(ulln.__file__))
         run = ("import os, sys\n"
                "if sys.argv[2] == 'one':\n"
                "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                "from ulln import cli\n"
-               "sys.exit(cli.main(['verify', 'g', '--csv', sys.argv[1]]))\n")
+               "sys.exit(cli.main(['verify', 'all', '--csv', sys.argv[1]]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         outputs = []
-        for cpus in ("one", "all"):
-            out = tmp_path / f"{cpus}.csv"
-            subprocess.run([sys.executable, "-c", run, str(out), cpus], env=env, capture_output=True, check=True,
-                           timeout=300)
+        for cpus, blas in (("one", {}), ("all", {}), ("all", {"OPENBLAS_NUM_THREADS": "1"}),
+                           ("all", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / f"{cpus}{len(outputs)}.csv"
+            subprocess.run([sys.executable, "-c", run, str(out), cpus], env=dict(env, **blas), capture_output=True,
+                           check=True, timeout=300)
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[1:] == outputs[:1] * 3
 
 
 class TestDeviationCommand:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ulln import Dataset, SolverOptions, empirical_risk, fit_constrained, project_to_ball
-from ulln.experiments import prediction_precision
+from ulln import Dataset, SolverOptions, empirical_risk, fit_constrained, project_to_ball, sigmoid
+from ulln import experiments, solver
+from ulln.experiments import StudyConfig, prediction_precision, run_replication
+from ulln.model import LogisticSurface
 
 
 class TestProjectToBall:
@@ -128,6 +130,81 @@ class TestFitConstrained:
         fit = fit_constrained(data, 1.0, SolverOptions(max_iters=2, grad_map_tol=1e-14))
         assert not fit.converged
         assert fit.iterations == 2
+
+
+def per_trial_matvec_fit(data, radius, opts):
+    """The solver loop as it was before the linear score updates: every Armijo
+    trial reads X for its candidate's scores.  Returns theta, the iteration
+    count and the number of step halvings."""
+    x, n = data.inputs, data.n
+    surface = LogisticSurface(x, data.labels)
+    theta, scores = np.zeros(data.p), np.zeros(n)
+    risk, grad = float(surface.value_at(scores)), surface.grad_at(scores)
+    step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
+    iterations = halvings = 0
+    for iterations in range(1, opts.max_iters + 1):
+        backtracked = False
+        for _ in range(solver._MAX_BACKTRACKS):
+            candidate = project_to_ball(theta - step * grad, radius)
+            direction = candidate - theta
+            cand_scores = x @ candidate
+            cand_risk = float(surface.value_at(cand_scores))
+            if cand_risk <= risk + solver._ARMIJO_CONST * float(grad @ direction):
+                break
+            step *= solver._BACKTRACK_FACTOR
+            backtracked = True
+            halvings += 1
+        else:
+            break
+        grad_map_norm = float(np.linalg.norm(direction)) / step
+        theta, risk = candidate, cand_risk
+        grad = surface.grad_at(cand_scores)
+        if grad_map_norm <= opts.grad_map_tol:
+            break
+        if not backtracked:
+            step *= solver._STEP_GROWTH
+    return theta, iterations, halvings
+
+
+class TestLinearScoreUpdates:
+    @staticmethod
+    def problem(seed, n=80, p=12):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p)) / np.sqrt(np.arange(1, p + 1))
+        theta_star = rng.standard_normal(p)
+        theta_star /= np.linalg.norm(theta_star)
+        return Dataset(x, (rng.random(n) < sigmoid(3.0 * (x @ theta_star))).astype(int))
+
+    @pytest.mark.parametrize("seed, radius, on_boundary", [
+        (5, 0.5, True), (9, 0.5, True), (0, 50.0, False), (2, 50.0, False),
+    ])
+    @pytest.mark.parametrize("grad_map_tol", [1e-7, 1e-8])
+    def test_matches_the_per_trial_matvec_loop(self, seed, radius, on_boundary, grad_map_tol):
+        data = self.problem(seed)
+        opts = SolverOptions(max_iters=5000, grad_map_tol=grad_map_tol)
+        theta, iterations, halvings = per_trial_matvec_fit(data, radius, opts)
+        fit = fit_constrained(data, radius, opts)
+        assert halvings > 0
+        assert fit.converged and fit.on_boundary == on_boundary
+        assert fit.iterations == iterations
+        np.testing.assert_allclose(fit.theta_hat, theta, rtol=0, atol=1e-12)
+
+    def test_running_scores_keep_the_risk_of_an_unconverged_fit(self, monkeypatch):
+        # replicate 3's reciprocal fit runs all 1500 iterations on scores that
+        # are never read back from X, so their rounding could drift
+        fits = []
+        real_fit = experiments.fit_constrained
+
+        def spy(data, radius, opts):
+            fit = real_fit(data, radius, opts)
+            fits.append((fit, empirical_risk(data, fit.theta_hat)))
+            return fit
+
+        monkeypatch.setattr(experiments, "fit_constrained", spy)
+        run_replication(StudyConfig(p=300, n=100, n_test=100, replications=4, base_seed=20260808), 3)
+        fit, risk = fits[1]
+        assert fit.iterations == 1500 and not fit.converged
+        assert fit.risk == pytest.approx(risk, rel=1e-13, abs=0)
 
 
 class TestSolverOptions:
