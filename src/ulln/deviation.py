@@ -24,7 +24,7 @@ ASCENT_STEP = 0.1  # step at iteration k is ASCENT_STEP / sqrt(k)
 class DeviationEstimate:
     sup_value: float
     arg_theta: np.ndarray
-    method: str  # "multistart_ascent" | "random_search" | "grid"
+    method: str  # "multistart_ascent" | "grid"
     starts: int
     pop_risk_stderr: float
 
@@ -87,7 +87,8 @@ def sup_deviation_search(
     best_thetas = thetas.copy()
 
     for k in range(1, ascent_iters + 2):  # the last pass only scores the final iterates
-        values, grads = gap.value_and_grad(thetas)
+        s = gap.scores(thetas)
+        values, grads = gap.value(s), gap.grad(s)
         better = np.abs(values) > best_values
         best_values[better] = np.abs(values[better])
         best_thetas[better] = thetas[better]
@@ -95,9 +96,8 @@ def sup_deviation_search(
             thetas = project_to_ball(thetas + (ASCENT_STEP / np.sqrt(k)) * (signs * grads), radius)
 
     best = int(np.argmax(best_values))
-    return DeviationEstimate(
-        float(best_values[best]), best_thetas[best], "multistart_ascent", starts, pop.std_error(best_thetas[best])
-    )
+    return DeviationEstimate(float(best_values[best]), best_thetas[best], "multistart_ascent", starts,
+                             pop.std_error(pop.scores(best_thetas[best])))
 
 
 def sup_deviation_grid(
@@ -120,7 +120,7 @@ def sup_deviation_grid(
     gap = _gap_surface(data, population_surface(gen, 1, 0))
     if radius == 0.0:
         theta0 = np.zeros(data.p)
-        return DeviationEstimate(abs(float(gap.value(theta0))), theta0, "grid", 1, 0.0)
+        return DeviationEstimate(abs(float(gap.value(gap.scores(theta0)))), theta0, "grid", 1, 0.0)
 
     axis = np.linspace(-radius, radius, resolution)
     if data.p == 1:
@@ -135,7 +135,7 @@ def sup_deviation_grid(
     chunk = max(1, int(2**22 // gap.x.shape[0]))
     for lo in range(0, thetas.shape[0], chunk):
         block = thetas[lo : lo + chunk]
-        gaps = np.abs(gap.value(block))
+        gaps = np.abs(gap.value(gap.scores(block)))
         idx = int(np.argmax(gaps))
         if gaps[idx] > best_value:
             best_value = float(gaps[idx])

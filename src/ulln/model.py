@@ -149,16 +149,14 @@ class LogisticSurface:
     (equal weights on a Monte Carlo sample or Gauss-Hermite weights), and
     both stacked with opposite signs the gap between them.
 
-    A parameter block `thetas` is one vector (p,) or a matrix (m, p);
-    scores, values and gradients follow it with a leading axis of m.
-
-    `value` and `value_and_grad` work in a workspace the surface holds:
-    four arrays of the block's score shape (scores, losses, the shared
-    softplus tail and the residual), allocated on first use and again only
-    when that shape changes, so repeated calls on same-shaped blocks
-    allocate no score-sized memory.  The values and gradients they return
-    are fresh arrays.  Because of the workspace a surface must not be
-    evaluated from two threads at once; give each thread its own surface.
+    Every evaluation takes scores: `scores` maps one parameter vector (p,)
+    or a block (m, p) to scores (rows,) or (m, rows), and `value`, `grad`
+    and `std_error` take either shape and return a leading axis of m.
+    They share a workspace of four score-shaped arrays (scores, losses, the
+    softplus tail and the residual), allocated again only when the score
+    shape changes.  `scores` returns the workspace's array, which the next
+    `scores` call overwrites; what the others return is fresh.  A surface
+    must not be evaluated from two threads at once; give each thread its own.
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
@@ -168,70 +166,54 @@ class LogisticSurface:
         self._one_minus_targets = 1.0 - self.targets
         self._work = None
 
-    def scores(self, thetas: np.ndarray) -> np.ndarray:
-        return thetas @ self.x.T
+    def _workspace(self, shape: tuple) -> tuple:
+        if self._work is None or self._work[0].shape != shape:
+            self._work = tuple(np.empty(shape) for _ in range(4))
+        return self._work
 
-    def _reduce(self, losses: np.ndarray):
+    def scores(self, thetas: np.ndarray) -> np.ndarray:
+        """thetas @ x.T in the workspace; the next `scores` call overwrites the returned array."""
+        thetas = np.asarray(thetas, dtype=float)
+        out = self._workspace(thetas.shape[:-1] + self.targets.shape)[0]
+        return np.matmul(thetas, self.x.T, out=out)
+
+    def value(self, scores: np.ndarray):
+        """F at the given scores."""
+        _, losses, tail, residual = self._workspace(scores.shape)
+        _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
         return np.mean(losses, axis=-1) if self.weights is None else losses @ self.weights
 
-    def _weighted_grad(self, residual: np.ndarray) -> np.ndarray:
-        """sum_i w_i r_i x_i; scales `residual` in place when weights are explicit."""
+    def grad(self, scores: np.ndarray) -> np.ndarray:
+        """grad F = sum_i w_i (sigma(s_i) - t_i) x_i at the given scores."""
+        residual = _sigmoid_into(scores, self._workspace(scores.shape)[3])
+        residual -= self.targets
         if self.weights is None:
             return residual @ self.x / self.x.shape[0]
         residual *= self.weights
         return residual @ self.x
 
-    def value_at(self, scores: np.ndarray):
-        """F from precomputed scores (rows,) or (m, rows)."""
-        return self._reduce(per_example_loss(self.targets, scores))
-
-    def grad_at(self, scores: np.ndarray) -> np.ndarray:
-        """grad F = sum_i w_i (sigma(s_i) - t_i) x_i from precomputed scores."""
-        residual = _sigmoid_into(scores, np.empty(scores.shape))
-        residual -= self.targets
-        return self._weighted_grad(residual)
-
-    def _losses(self, thetas: np.ndarray):
-        """Scores and losses of a block in the workspace, plus the free residual buffer."""
-        thetas = np.asarray(thetas, dtype=float)
-        shape = thetas.shape[:-1] + self.targets.shape
-        if self._work is None or self._work[0].shape != shape:
-            self._work = tuple(np.empty(shape) for _ in range(4))
-        scores, losses, tail, residual = self._work
-        np.matmul(thetas, self.x.T, out=scores)
-        _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
-        return scores, losses, residual
-
-    def value(self, thetas: np.ndarray):
-        _, losses, _ = self._losses(thetas)
-        return self._reduce(losses)
-
-    def value_and_grad(self, thetas: np.ndarray):
-        scores, losses, residual = self._losses(thetas)
-        _sigmoid_into(scores, residual)
-        residual -= self.targets
-        return self._reduce(losses), self._weighted_grad(residual)
-
-    def std_error(self, theta: np.ndarray) -> float:
-        """Standard error of the value as a sample mean over equally weighted
-        rows; 0 for explicit weights, which form an exact rule."""
+    def std_error(self, scores: np.ndarray):
+        """Standard error of F as a sample mean: 0 for explicit weights (an exact rule), inf for one row."""
         rows = self.x.shape[0]
-        if self.weights is not None:
-            return 0.0
-        if rows == 1:
-            return float("inf")
-        return float(np.std(per_example_loss(self.targets, self.scores(theta)), ddof=1) / np.sqrt(rows))
+        if self.weights is not None or rows == 1:
+            se = np.full(scores.shape[:-1], 0.0 if self.weights is not None else np.inf)
+        else:
+            _, losses, tail, residual = self._workspace(scores.shape)
+            _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
+            se = np.std(losses, axis=-1, ddof=1) / np.sqrt(rows)
+        return float(se) if se.ndim == 0 else se
 
 
 def empirical_risk(data: Dataset, theta: np.ndarray) -> float:
     """Mean cross-entropy loss over the sample."""
-    return float(LogisticSurface(data.inputs, data.labels).value(_check_theta(data.p, theta)))
+    surface = LogisticSurface(data.inputs, data.labels)
+    return float(surface.value(surface.scores(_check_theta(data.p, theta))))
 
 
 def risk_gradient(data: Dataset, theta: np.ndarray) -> np.ndarray:
     """(1/n) sum_i (sigma(<X_i, theta>) - Y_i) X_i."""
     surface = LogisticSurface(data.inputs, data.labels)
-    return surface.grad_at(surface.scores(_check_theta(data.p, theta)))
+    return surface.grad(surface.scores(_check_theta(data.p, theta)))
 
 
 def risk_laplacian(data: Dataset, theta: np.ndarray) -> float:

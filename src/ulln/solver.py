@@ -10,7 +10,8 @@ iterates and every iterate is feasible.
 The projection is a scaling, P_B[R](v) = c v with c = min(1, R / ||v||),
 so a candidate's scores are c (scores - s X grad): each iteration reads
 the design twice, once for X grad and once for the gradient, however
-often it halves the step.
+often it halves the step.  The risk and gradient come from those scores
+through `LogisticSurface.value` and `grad`, on the surface's workspace.
 """
 from __future__ import annotations
 
@@ -81,10 +82,10 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
     surface = LogisticSurface(x, data.labels)
     theta = np.zeros(data.p)
     scores = np.zeros(n)
-    risk = float(surface.value_at(scores))
+    risk = float(surface.value(scores))
     if radius == 0.0:
         return FitResult(theta, risk, 0, True, True, 0.0)
-    grad = surface.grad_at(scores)
+    grad = surface.grad(scores)
 
     # inverse of the global Lipschitz bound ||X||_F^2 / (4n) for the risk gradient
     step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
@@ -103,7 +104,7 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
             direction = candidate - theta
             decrease = float(grad @ direction)  # <= 0 by the projection property
             cand_scores = scale * (scores - step * x_grad)
-            cand_risk = float(surface.value_at(cand_scores))
+            cand_risk = float(surface.value(cand_scores))
             if cand_risk <= risk + _ARMIJO_CONST * decrease:
                 break
             step *= _BACKTRACK_FACTOR
@@ -113,7 +114,7 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
 
         grad_map_norm = float(np.linalg.norm(direction)) / step
         theta, scores, risk = candidate, cand_scores, cand_risk
-        grad = surface.grad_at(scores)
+        grad = surface.grad(scores)
         if grad_map_norm <= opts.grad_map_tol:
             converged = True
             break

@@ -229,11 +229,14 @@ def ito_expansion_residual(
     tensorized Gauss-Hermite rule (p <= 3); the right side integrates the
     pointwise Laplacian over s on TIME_PANELS x TIME_PANEL_NODES
     Gauss-Legendre nodes, each a HERMITE_NODES Gauss-Hermite mean.  With
-    ``mc_samples > 0`` the left side is estimated by Monte Carlo instead
-    and the tolerance widens to three standard errors.
+    ``mc_samples >= 2`` the left side is estimated by Monte Carlo instead
+    and the tolerance widens to three standard errors; 0 selects the
+    quadrature, and any other count raises ValueError.
     """
     theta, t = smoothing.center, smoothing.time
     p = smoothing.p
+    if mc_samples != 0 and mc_samples < 2:
+        raise ValueError("mc_samples must be 0 (quadrature) or >= 2")
     if p > 3:
         raise ValueError("quadrature check supports p <= 3 only")
     if payload == "logistic":
@@ -562,7 +565,6 @@ def _expsup_replicate(z_rows, ref_rows, probes, t, radius, cov) -> float:
 
 
 def expsup_gap_check(
-    p: int,
     n: int,
     t: float,
     radius: float,
@@ -581,6 +583,7 @@ def expsup_gap_check(
     the replicates then run on as many threads as the process has CPUs
     (`_map_replicates`), so the report is the same for any count.
     """
+    p = cov.p
     if p > 5:
         raise ValueError("supremum search supports p <= 5 only")
     if n < 1:
@@ -591,8 +594,6 @@ def expsup_gap_check(
         raise ValueError("replicates must be >= 2")
     if not 0.0 <= radius < math.inf:
         raise ValueError("radius must be finite and >= 0")
-    if cov.p != p:
-        raise ValueError("covariance dimension does not match p")
 
     rng = make_rng(seed)
     z_rows, ref_rows, probes = [], [], []
@@ -624,7 +625,6 @@ def expsup_gap_check(
 
 
 def gap_centering_check(
-    p: int,
     n: int,
     t: float,
     cov: CovarianceSpec,
@@ -642,6 +642,7 @@ def gap_centering_check(
         raise ValueError("n must be >= 1")
     if draws < 2:
         raise ValueError("draws must be >= 2")
+    p = cov.p
     rng = make_rng(seed)
     theta = project_to_ball(rng.standard_normal(p), 1.0)
     zs = [rng.standard_normal((n, p)) for _ in range(draws)]
@@ -732,10 +733,9 @@ def _moments_suite() -> list[CheckReport]:
 def _g_suite() -> list[CheckReport]:
     rec3 = make_covariance("reciprocal", 3)
     return [
-        gap_centering_check(2, 8, 0.5, make_covariance("reciprocal", 2), draws=48,
-                            seed=_seed_from_name("gap_centering")),
-        expsup_gap_check(3, 50, 1.0, 1.0, rec3, replicates=12, seed=_seed_from_name("expsup:main")),
-        expsup_gap_check(3, 50, 1.0, 0.0, rec3, replicates=4, seed=_seed_from_name("expsup:degenerate")),
+        gap_centering_check(8, 0.5, make_covariance("reciprocal", 2), draws=48, seed=_seed_from_name("gap_centering")),
+        expsup_gap_check(50, 1.0, 1.0, rec3, replicates=12, seed=_seed_from_name("expsup:main")),
+        expsup_gap_check(50, 1.0, 0.0, rec3, replicates=4, seed=_seed_from_name("expsup:degenerate")),
     ]
 
 

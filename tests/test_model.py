@@ -187,7 +187,7 @@ class TestRiskGradient:
 
 
 class TestRiskLaplacian:
-    def test_value_at_zero(self):
+    def test_laplacian_at_the_origin(self):
         rng = np.random.default_rng(7)
         data = random_dataset(rng, 6, 3)
         expected = np.mean(np.sum(data.inputs**2, axis=1)) / 4.0
@@ -219,8 +219,9 @@ class TestPopulationRisk:
             theta_star=np.array([1.0, 0.0, 0.0]), seed=0,
         )
         surface = population_surface(gen, budget=500, seed=1)
-        assert surface.value(np.zeros(3)) == pytest.approx(LOG2, abs=1e-14)
-        assert surface.std_error(np.zeros(3)) <= 1e-15
+        scores = surface.scores(np.zeros(3))
+        assert surface.value(scores) == pytest.approx(LOG2, abs=1e-14)
+        assert surface.std_error(scores) <= 1e-15
 
     def test_quadrature_matches_monte_carlo(self):
         gen = GenerativeConfig(
@@ -230,14 +231,14 @@ class TestPopulationRisk:
         theta = np.array([1.0])
         quad = population_surface(gen, budget=10, seed=0)
         assert quad.weights is not None
-        assert quad.std_error(theta) == 0.0
+        assert quad.std_error(quad.scores(theta)) == 0.0
         # independent Monte Carlo oracle with the same label mixture
         rng = np.random.default_rng(42)
         x = rng.standard_normal((400_000, 1))
         losses = per_example_loss(sigmoid(1.0 * (x @ np.array([1.0]))), x @ theta)
         mc_mean = losses.mean()
         mc_se = losses.std(ddof=1) / math.sqrt(losses.size)
-        assert abs(quad.value(theta) - mc_mean) <= 3 * mc_se
+        assert abs(quad.value(quad.scores(theta)) - mc_mean) <= 3 * mc_se
 
     def test_std_error_scaling_with_budget(self):
         gen = GenerativeConfig(
@@ -245,10 +246,8 @@ class TestPopulationRisk:
             theta_star=np.array([0.6, -0.6, 0.5]), seed=0,
         )
         theta = np.array([0.3, 0.2, -0.4])
-        base, doubled, quadrupled = (
-            population_surface(gen, budget, seed).std_error(theta)
-            for budget, seed in ((20_000, 5), (40_000, 6), (80_000, 7))
-        )
+        surfaces = (population_surface(gen, budget, seed) for budget, seed in ((20_000, 5), (40_000, 6), (80_000, 7)))
+        base, doubled, quadrupled = (surface.std_error(surface.scores(theta)) for surface in surfaces)
         # sample-std / sqrt(budget): doubling shrinks by ~1/sqrt(2), quadrupling halves
         assert doubled / base == pytest.approx(1 / math.sqrt(2), rel=0.2)
         assert quadrupled / base == pytest.approx(0.5, rel=0.2)
@@ -269,7 +268,8 @@ class TestLogisticSurface:
         theta = rng.standard_normal(6)
         scores = data.inputs @ theta
         surface = LogisticSurface(data.inputs, data.labels)
-        value, grad = surface.value_and_grad(theta)
+        np.testing.assert_array_equal(surface.scores(theta), scores)
+        value, grad = surface.value(scores), surface.grad(scores)
         assert value == pytest.approx(np.mean(per_example_loss(data.labels, scores)), rel=1e-12)
         np.testing.assert_allclose(grad, data.inputs.T @ (sigmoid(scores) - data.labels) / data.n, rtol=1e-12)
         assert empirical_risk(data, theta) == pytest.approx(value, rel=1e-12)
@@ -292,34 +292,57 @@ class TestLogisticSurface:
         losses = per_example_loss(sigmoid(3.0 * (x @ gen.theta_star)), x @ theta)
         surface = population_surface(gen, 900, 17)
         np.testing.assert_array_equal(surface.x, x)
-        assert surface.value(theta) == pytest.approx(weights @ losses, rel=1e-12)
+        scores = surface.scores(theta)
+        assert surface.value(scores) == pytest.approx(weights @ losses, rel=1e-12)
         assert (surface.weights is None) == (p > 2)
         if p > 2:
-            assert surface.std_error(theta) == pytest.approx(np.std(losses, ddof=1) / 30.0, rel=1e-12)
+            assert surface.std_error(scores) == pytest.approx(np.std(losses, ddof=1) / 30.0, rel=1e-12)
 
     def signed_soft_surface(self, rng, rows=30, p=4):
         """Soft targets and weights of both signs, like the gap R_n - Rhat."""
         return LogisticSurface(rng.standard_normal((rows, p)), rng.random(rows), rng.uniform(-0.1, 0.1, rows))
 
+    @staticmethod
+    def evaluate(surface, thetas):
+        scores = surface.scores(thetas)
+        return surface.value(scores), surface.grad(scores)
+
     def test_batched_rows_equal_single_calls(self):
         rng = np.random.default_rng(10)
         surface = self.signed_soft_surface(rng)
         thetas = rng.standard_normal((7, 4)) * 2.0
-        values, grads = surface.value_and_grad(thetas)
+        values, grads = self.evaluate(surface, thetas)
         assert values.shape == (7,) and grads.shape == (7, 4)
         for theta, value, grad in zip(thetas, values, grads):
-            single_value, single_grad = surface.value_and_grad(theta)
+            single_value, single_grad = self.evaluate(surface, theta)
             assert value == pytest.approx(single_value, rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(grad, single_grad, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(surface.value(thetas), values)
+
+    def test_std_error_of_a_block_matches_single_calls(self):
+        rng = np.random.default_rng(14)
+        x, targets, weights = rng.standard_normal((30, 4)), rng.random(30), rng.uniform(-0.1, 0.1, 30)
+        thetas = rng.standard_normal((5, 4))
+        surface = LogisticSurface(x, targets)
+        errors = surface.std_error(surface.scores(thetas))
+        assert errors.shape == (5,)
+        for theta, error in zip(thetas, errors):
+            assert error == pytest.approx(surface.std_error(surface.scores(theta)), rel=1e-12)
+        weighted, one_row = LogisticSurface(x, targets, weights), LogisticSurface(x[:1], targets[:1])
+        assert weighted.std_error(weighted.scores(thetas)).tolist() == [0.0] * 5
+        assert one_row.std_error(one_row.scores(thetas)).tolist() == [math.inf] * 5
+        assert weighted.std_error(weighted.scores(thetas[0])) == 0.0
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(11)
         surface = self.signed_soft_surface(rng)
         theta = rng.standard_normal(4) * 0.8
         h = 1e-5
-        fd = np.array([(surface.value(theta + h * e) - surface.value(theta - h * e)) / (2 * h) for e in np.eye(4)])
-        _, grad = surface.value_and_grad(theta)
+
+        def f(point):
+            return surface.value(surface.scores(point))
+
+        fd = np.array([(f(theta + h * e) - f(theta - h * e)) / (2 * h) for e in np.eye(4)])
+        _, grad = self.evaluate(surface, theta)
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
 
     def test_reused_workspace_matches_fresh_surfaces_bitwise(self):
@@ -333,29 +356,30 @@ class TestLogisticSurface:
         for block in blocks:
             for surface, make in ((shared, lambda: LogisticSurface(*args)),
                                   (unweighted, lambda: LogisticSurface(*args[:2]))):
-                value, grad = surface.value_and_grad(block)
-                fresh_value, fresh_grad = make().value_and_grad(block)
+                value, grad = self.evaluate(surface, block)
+                fresh_value, fresh_grad = self.evaluate(make(), block)
                 assert np.shape(value) == block.shape[:-1] and grad.shape == block.shape
                 assert np.asarray(value).tobytes() == np.asarray(fresh_value).tobytes()
                 assert grad.tobytes() == fresh_grad.tobytes()
-                assert np.asarray(surface.value(block)).tobytes() == np.asarray(make().value(block)).tobytes()
 
-    def test_returned_arrays_survive_later_calls(self):
+    def test_scores_are_overwritten_while_values_and_gradients_survive(self):
         rng = np.random.default_rng(13)
         surface = self.signed_soft_surface(rng)
-        first = rng.standard_normal((6, 4))
-        value, grad = surface.value_and_grad(first)
-        only_value = surface.value(first)
-        kept = value.copy(), grad.copy(), only_value.copy()
+        scores = surface.scores(rng.standard_normal((6, 4)))
+        value, grad = surface.value(scores), surface.grad(scores)
+        kept = scores.copy(), value.copy(), grad.copy()
         for _ in range(2):
-            surface.value_and_grad(rng.standard_normal((6, 4)) * 3.0)
-            surface.value(rng.standard_normal((6, 4)))
-        for before, after in zip(kept, (value, grad, only_value)):
+            later = surface.scores(rng.standard_normal((6, 4)) * 3.0)
+            surface.value(later), surface.grad(later)
+        # the later scores call wrote into the array the first one returned
+        np.testing.assert_array_equal(scores, later)
+        assert scores.tobytes() != kept[0].tobytes()
+        for before, after in zip(kept[1:], (value, grad)):
             assert before.tobytes() == after.tobytes()
 
     def test_extreme_scores_stay_finite(self):
         surface = LogisticSurface(np.array([[1.0], [-1.0]]), np.array([1.0, 0.3]), np.array([0.5, -0.5]))
-        value, grad = surface.value_and_grad(np.array([[1e300], [-1e300]]))
+        value, grad = self.evaluate(surface, np.array([[1e300], [-1e300]]))
         assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
 
 

@@ -38,8 +38,8 @@ def test_loss_and_gradient_are_finite_for_any_score(scores, data):
     x = data.draw(arrays(float, (rows, 3), elements=st.floats(-1e3, 1e3)))
     assert np.all(np.isfinite(per_example_loss(targets, scores)))
     surface = LogisticSurface(x, targets)
-    assert np.isfinite(surface.value_at(scores))
-    assert np.all(np.isfinite(surface.grad_at(scores)))
+    assert np.isfinite(surface.value(scores))
+    assert np.all(np.isfinite(surface.grad(scores)))
 
 
 @PROPERTY_SETTINGS

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ulln import Dataset, SolverOptions, empirical_risk, fit_constrained, project_to_ball, sigmoid
+from ulln import Dataset, SolverOptions, empirical_risk, fit_constrained, per_example_loss, project_to_ball, sigmoid
 from ulln import experiments, solver
 from ulln.experiments import StudyConfig, prediction_precision, run_replication
-from ulln.model import LogisticSurface
 
 
 class TestProjectToBall:
@@ -134,12 +133,19 @@ class TestFitConstrained:
 
 def per_trial_matvec_fit(data, radius, opts):
     """The solver loop as it was before the linear score updates: every Armijo
-    trial reads X for its candidate's scores.  Returns theta, the iteration
-    count and the number of step halvings."""
-    x, n = data.inputs, data.n
-    surface = LogisticSurface(x, data.labels)
-    theta, scores = np.zeros(data.p), np.zeros(n)
-    risk, grad = float(surface.value_at(scores)), surface.grad_at(scores)
+    trial reads X for its candidate's scores.  The risk and gradient come
+    straight from the loss and link kernels, not from `LogisticSurface`.
+    Returns theta, the iteration count and the number of step halvings."""
+    x, n, labels = data.inputs, data.n, data.labels
+
+    def risk_of(s):
+        return float(np.mean(per_example_loss(labels, s)))
+
+    def grad_of(s):
+        return (sigmoid(s) - labels) @ x / n
+
+    theta = np.zeros(data.p)
+    risk, grad = risk_of(np.zeros(n)), grad_of(np.zeros(n))
     step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
     iterations = halvings = 0
     for iterations in range(1, opts.max_iters + 1):
@@ -148,7 +154,7 @@ def per_trial_matvec_fit(data, radius, opts):
             candidate = project_to_ball(theta - step * grad, radius)
             direction = candidate - theta
             cand_scores = x @ candidate
-            cand_risk = float(surface.value_at(cand_scores))
+            cand_risk = risk_of(cand_scores)
             if cand_risk <= risk + solver._ARMIJO_CONST * float(grad @ direction):
                 break
             step *= solver._BACKTRACK_FACTOR
@@ -158,7 +164,7 @@ def per_trial_matvec_fit(data, radius, opts):
             break
         grad_map_norm = float(np.linalg.norm(direction)) / step
         theta, risk = candidate, cand_risk
-        grad = surface.grad_at(cand_scores)
+        grad = grad_of(cand_scores)
         if grad_map_norm <= opts.grad_map_tol:
             break
         if not backtracked:

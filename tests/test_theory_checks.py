@@ -154,6 +154,19 @@ class TestItoExpansion:
         assert report.passed
         assert report.tolerance >= 1e-6
 
+    @pytest.mark.parametrize("mc_samples", [1, -1, -100_000])
+    def test_one_or_negative_mc_samples_is_rejected(self, mc_samples):
+        # one draw has no standard error; a negative count is no quadrature request
+        row = Dataset(np.array([[1.5]]), np.array([1]))
+        with pytest.raises(ValueError, match="mc_samples"):
+            ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5), mc_samples=mc_samples, seed=9)
+
+    def test_zero_mc_samples_is_the_quadrature_check(self):
+        row = Dataset(np.array([[1.5]]), np.array([1]))
+        report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5), mc_samples=0)
+        assert report.name == "ito:logistic:p1:t0.5" and report.tolerance == 1e-6
+        assert report == ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5))
+
     def test_three_dimensional(self):
         row = Dataset(np.array([[0.9, -0.7, 0.4]]), np.array([1]))
         report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.3, 0.1, -0.2]), 0.3))
@@ -288,17 +301,17 @@ class TestLaplacianGap:
         assert value == 0.0
 
     def test_centering(self):
-        report = gap_centering_check(2, 6, 0.5, make_covariance("reciprocal", 2), draws=24, seed=3)
+        report = gap_centering_check(6, 0.5, make_covariance("reciprocal", 2), draws=24, seed=3)
         assert report.passed
 
     @pytest.mark.parametrize("draws", [0, 1])
     def test_fewer_than_two_draws_is_rejected(self, draws):
         with pytest.raises(ValueError, match="draws"):
-            gap_centering_check(2, 6, 0.5, make_covariance("reciprocal", 2), draws=draws, seed=3)
+            gap_centering_check(6, 0.5, make_covariance("reciprocal", 2), draws=draws, seed=3)
 
     def test_empty_sample_is_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
-            gap_centering_check(2, 0, 0.5, make_covariance("reciprocal", 2), draws=4, seed=3)
+            gap_centering_check(0, 0.5, make_covariance("reciprocal", 2), draws=4, seed=3)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.05, 0.5, 1.0])
@@ -441,7 +454,7 @@ class TestGapSurface:
 
     def test_expsup_on_a_ball_outside_the_guard_raises(self):
         with pytest.raises(ValueError, match="exceeds"):
-            expsup_gap_check(3, 50, 1.0, 400.0, make_covariance("reciprocal", 3), replicates=2, seed=9)
+            expsup_gap_check(50, 1.0, 400.0, make_covariance("reciprocal", 3), replicates=2, seed=9)
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("n,m,t", [(1, 1, 0.7), (7, 3, 0.3), (50, 160, 1.0)])
@@ -478,19 +491,19 @@ def test_replicate_map_keeps_the_replicate_order():
 
 class TestExpSup:
     def test_degenerate_radius(self):
-        report = expsup_gap_check(2, 10, 1.0, 0.0, make_covariance("reciprocal", 2), replicates=4, seed=8)
+        report = expsup_gap_check(10, 1.0, 0.0, make_covariance("reciprocal", 2), replicates=4, seed=8)
         assert report.rhs == 0.0
         assert report.passed
 
     def test_bound_holds_with_margin(self):
-        report = expsup_gap_check(3, 50, 1.0, 1.0, make_covariance("reciprocal", 3), replicates=6, seed=9)
+        report = expsup_gap_check(50, 1.0, 1.0, make_covariance("reciprocal", 3), replicates=6, seed=9)
         assert report.passed
         assert report.lhs < report.rhs
 
     def test_bound_halves_when_n_quadruples(self):
         cov = make_covariance("reciprocal", 2)
-        small = expsup_gap_check(2, 20, 0.5, 1.0, cov, replicates=2, seed=10)
-        large = expsup_gap_check(2, 80, 0.5, 1.0, cov, replicates=2, seed=10)
+        small = expsup_gap_check(20, 0.5, 1.0, cov, replicates=2, seed=10)
+        large = expsup_gap_check(80, 0.5, 1.0, cov, replicates=2, seed=10)
         assert large.rhs == pytest.approx(small.rhs / 2.0, rel=1e-12)
         # the 8x12 Legendre by 48 Hermite value at the points the identity gradient climbs to,
         # pinned bit for bit
@@ -498,16 +511,16 @@ class TestExpSup:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            expsup_gap_check(6, 10, 1.0, 1.0, make_covariance("reciprocal", 6), replicates=2, seed=0)
+            expsup_gap_check(10, 1.0, 1.0, make_covariance("reciprocal", 6), replicates=2, seed=0)
 
     def test_empty_sample_is_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
-            expsup_gap_check(2, 0, 1.0, 1.0, make_covariance("reciprocal", 2), replicates=2, seed=0)
+            expsup_gap_check(0, 1.0, 1.0, make_covariance("reciprocal", 2), replicates=2, seed=0)
 
     @pytest.mark.parametrize("radius", [math.nan, -0.5, math.inf])
     def test_nan_negative_or_infinite_radius_is_rejected(self, radius):
         with pytest.raises(ValueError, match="radius"):
-            expsup_gap_check(2, 10, 1.0, radius, make_covariance("reciprocal", 2), replicates=2, seed=0)
+            expsup_gap_check(10, 1.0, radius, make_covariance("reciprocal", 2), replicates=2, seed=0)
 
 
 @pytest.mark.parametrize("violation, passed", [(-1.0, True), (0.0, True), (1e-12, False), (math.nan, False)])

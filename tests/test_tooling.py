@@ -2,9 +2,11 @@
 writing into bench/.
 
 The tracer (bench/spans.py) wraps a few entry points by name and looks each
-module up in sys.modules; every one must be there.  The identity_checks
-gate compares `verify all` with its checked-in reference; a change that
-would fail that gate fails here first."""
+module up in sys.modules; every one must be there.  The correctness gate
+compares each call's output with its checked-in reference: here `verify
+all` meets the identity_checks reference, and three reference inputs run
+through `cli.main` meet the deviation_coverage and table_study ones, so a
+change that would fail a gate fails here first."""
 import ast
 import csv
 import io
@@ -14,7 +16,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import ulln
+from ulln import cli
 from ulln.theory_checks import run_suite
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -78,24 +83,33 @@ def test_traced_g_suite_runs_on_its_thread_pool():
 
 
 RUN = SPANS.with_name("run.py")
-IDENTITY_REFERENCE = SPANS.parent / "references" / "paper_identity_checks.json"
+REFERENCES = SPANS.parent / "references"
 
 
-def _gate_tolerances() -> tuple[float, float]:
-    """CHECK_RTOL and CHECK_ATOL of the benchmark's correctness gate, read
-    from the source of bench/run.py without importing it."""
+def _bench_constants() -> dict:
+    """The literal top-level constants of bench/run.py (the gate's
+    tolerances, CONFIGS, BASE_SEED), read from its source without importing it."""
+    constants = {}
     for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
-            names = [target.id for target in node.targets[0].elts]
-            if names == ["CHECK_RTOL", "CHECK_ATOL"]:
-                return ast.literal_eval(node.value)
-    raise AssertionError("CHECK_RTOL, CHECK_ATOL not found in bench/run.py")
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        try:
+            value = ast.literal_eval(node.value)
+        except ValueError:
+            continue
+        target = node.targets[0]
+        if isinstance(target, ast.Tuple):
+            constants.update(zip((name.id for name in target.elts), value))
+        else:
+            constants[target.id] = value
+    return constants
 
 
 def test_verify_all_passes_the_benchmark_gate():
     # the identity_checks gate: same names, every check passes, lhs and rhs within atol + rtol |reference|
-    rtol, atol = _gate_tolerances()
-    reference = json.loads(IDENTITY_REFERENCE.read_text(encoding="utf-8"))
+    constants = _bench_constants()
+    rtol, atol = constants["CHECK_RTOL"], constants["CHECK_ATOL"]
+    reference = json.loads((REFERENCES / "paper_identity_checks.json").read_text(encoding="utf-8"))
     (checks_csv,) = [call["checks.csv"] for call in reference["inputs"].values()]
     want = list(csv.DictReader(io.StringIO(checks_csv)))
     got = run_suite("all")
@@ -104,3 +118,40 @@ def test_verify_all_passes_the_benchmark_gate():
         assert report.passed and row["passed"] == "1", report.name
         for value, ref in ((report.lhs, float(row["lhs"])), (report.rhs, float(row["rhs"]))):
             assert abs(value - ref) <= atol + rtol * abs(ref), (report.name, value, ref)
+
+
+def _cells(text: str) -> list[list[str]]:
+    # holding_frequency=<value> becomes two cells; a text cell is compared whole on both sides
+    return list(csv.reader(text.replace("=", ",").splitlines()))
+
+
+# deviation_coverage input 0 and table_study input 34 are the cheapest of their workloads; table_study
+# input 33 holds an under-converged reciprocal fit, the one most likely to move when the solver's rounding does
+@pytest.mark.parametrize("workload, k", [("deviation_coverage", 0), ("table_study", 34), ("table_study", 33)])
+def test_reference_inputs_pass_the_benchmark_gate(workload, k, tmp_path, capsys):
+    # the deviation_coverage and table_study gates: the same rows and text, every number within
+    # TABLE_ATOL of the reference, and every fit converged
+    constants = _bench_constants()
+    config_path = tmp_path / "config.json"
+    config = dict(constants["CONFIGS"]["paper"][workload], base_seed=constants["BASE_SEED"] + k)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    reference = json.loads((REFERENCES / f"paper_{workload}.json").read_text(encoding="utf-8"))["inputs"][str(k)]
+    if workload == "table_study":
+        assert cli.main(["experiment", str(config_path), str(tmp_path)]) == 0
+        got = {name: (tmp_path / name).read_text(encoding="utf-8") for name in reference}
+    else:
+        assert cli.main(["deviation", str(config_path)]) == 0
+        got = {"stdout.txt": capsys.readouterr().out}
+    atol = constants["TABLE_ATOL"]
+    for name, want in reference.items():
+        got_rows, want_rows = _cells(got[name]), _cells(want)
+        assert [len(row) for row in got_rows] == [len(row) for row in want_rows], name
+        for got_row, want_row in zip(got_rows, want_rows):
+            for a, b in zip(got_row, want_row):
+                try:
+                    assert abs(float(a) - float(b)) <= atol, (name, got_row, want_row)
+                except ValueError:
+                    assert a == b, (name, got_row, want_row)
+    if workload == "table_study":
+        header, *rows = _cells(got["replications.csv"])
+        assert [row[header.index("converged")] for row in rows] == ["1"] * len(rows)
