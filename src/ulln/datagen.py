@@ -14,7 +14,9 @@ the reciprocal and identity columns of the study tables.
 """
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,21 @@ def derive_seed(*parts: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for the given stream key."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+
+
+def map_replicates(fn, *columns) -> list:
+    """``fn`` over the zipped ``columns`` on a pool of min(CPUs, replicates)
+    threads, with the results in replicate order.
+
+    The contract: ``fn`` depends only on its arguments, and any state the
+    threads share (a config, a cached quadrature rule) is read-only, built
+    by the caller before the pool starts.  Then each result is the same
+    for any thread count, and the order makes every reduction over them
+    the same bit for bit.
+    """
+    count = len(columns[0])
+    with ThreadPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), count)) as pool:
+        return list(pool.map(fn, *columns))
 
 
 @dataclass(frozen=True)

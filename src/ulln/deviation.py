@@ -5,6 +5,11 @@ signed gaps +/-(R_n - Rhat); for p <= 2 an exhaustive grid oracle with a
 deterministic quadrature population risk is available for cross-checks.
 No exactness is claimed for p > 2 — a lower bound is what is needed to
 sanity-check the upper bounds.
+
+Both estimators read only their arguments, and the search draws only
+from streams derived from its `seed`.  So `ulln deviation` runs its
+replicates on as many threads as the process has CPUs, and its output is
+identical for any CPU or BLAS thread count.
 """
 from __future__ import annotations
 

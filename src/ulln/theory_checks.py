@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +46,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
 from .bounds import BoundParams
-from .datagen import CovarianceSpec, make_covariance, make_rng
+from .datagen import CovarianceSpec, make_covariance, make_rng, map_replicates
 from .model import (
     Dataset,
     _sigmoid_into,
@@ -535,20 +533,6 @@ EXPSUP_ASCENT_ITERS = 40
 EXPSUP_POLISH_TOP = 3
 
 
-def _map_replicates(fn, *columns) -> np.ndarray:
-    """``fn`` over the zipped ``columns`` on a pool of min(CPUs, replicates)
-    threads, as a float array in replicate order.
-
-    The order makes every reduction over the result the same bit for bit
-    for any thread count.  Callers draw every random input beforehand, in
-    replicate order, and fill the `quadrature` caches that ``fn`` reads, so
-    the threads share only read-only arrays.
-    """
-    count = len(columns[0])
-    with ThreadPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), count)) as pool:
-        return np.fromiter(pool.map(fn, *columns), dtype=float, count=count)
-
-
 def _expsup_replicate(z_rows, ref_rows, probes, t, radius, cov) -> float:
     """The best gap value one replicate finds: a scan of ``probes``, then
     projected ascent from the best EXPSUP_POLISH_TOP of them."""
@@ -581,7 +565,7 @@ def expsup_gap_check(
     underestimates the sup, which is the safe direction for checking an
     upper bound.  All draws come first, from one stream in replicate order;
     the replicates then run on as many threads as the process has CPUs
-    (`_map_replicates`), so the report is the same for any count.
+    (`datagen.map_replicates`), so the report is the same for any count.
     """
     p = cov.p
     if p > 5:
@@ -614,7 +598,7 @@ def expsup_gap_check(
     gauss_hermite(GAP_HERMITE_NODES)
     gauss_hermite(HERMITE_NODES)
     legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
-    sups = _map_replicates(
+    sups = map_replicates(
         lambda z, ref, pr: _expsup_replicate(z, ref, pr, t, radius, cov), z_rows, ref_rows, probes)
 
     mean_sup = float(np.mean(sups))
@@ -635,8 +619,8 @@ def gap_centering_check(
     vanish within 3 standard errors by construction.
 
     The samples are drawn first, from one stream; the functional then runs
-    on them through `_map_replicates`, so the report is the same for any
-    thread count.
+    on them through `datagen.map_replicates`, so the report is the same
+    for any thread count.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -647,7 +631,7 @@ def gap_centering_check(
     theta = project_to_ball(rng.standard_normal(p), 1.0)
     zs = [rng.standard_normal((n, p)) for _ in range(draws)]
     gauss_hermite(HERMITE_NODES)  # the functional's rule, built before the threads start
-    values = _map_replicates(
+    values = map_replicates(
         lambda z, ref_seed: laplacian_gap_functional(z, theta, t, cov, ref_samples=256, seed=ref_seed),
         zs, range(seed + 1, seed + 1 + 7 * draws, 7))
     mean = float(np.mean(values))

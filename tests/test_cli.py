@@ -13,6 +13,7 @@ import pytest
 import ulln
 from ulln import read_dataset
 from ulln.cli import main
+from ulln.quadrature import gauss_hermite_tensor
 
 
 def write_json(path, payload):
@@ -433,17 +434,59 @@ class TestDeviationCommand:
         assert key in captured.err
 
     def test_out_of_memory_request_exits_2_with_empty_stdout(self, tmp_path):
-        # numpy refuses a 21.8 TiB Monte Carlo sample before touching any memory
-        payload = {"command": "deviation", "p": 3, "n": 10, "replicates": 1, "starts": 1, "budget": 10**12}
+        # numpy refuses a 21.8 TiB Monte Carlo sample before touching any memory; with
+        # 3 replicates the error is raised on a pool thread
         src = os.path.dirname(os.path.dirname(ulln.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-m", "ulln.cli", "deviation",
-                                 write_json(tmp_path / "oom.json", payload)],
-                                env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr.startswith("error: out of memory:")
-        assert "Traceback" not in result.stderr
+        for replicates in (1, 3):
+            payload = {"command": "deviation", "p": 3, "n": 10, "replicates": replicates, "starts": 1,
+                       "budget": 10**12}
+            result = subprocess.run([sys.executable, "-m", "ulln.cli", "deviation",
+                                     write_json(tmp_path / "oom.json", payload)],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 2, replicates
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: out of memory:")
+            assert "Traceback" not in result.stderr
+
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path):
+        # as for `verify all`: one child runs on a single CPU from before numpy loads, so
+        # its BLAS and the replicate pool both get one thread; the others may use every
+        # CPU, with the inherited BLAS setting, one BLAS thread and two.  Every child holds
+        # replicate 0 back for a moment, so on two or more threads it finishes last
+        configs = [
+            {"command": "deviation", "p": 5, "n": 200, "replicates": 3, "starts": 2, "budget": 1000,
+             "base_seed": 11},
+            {"command": "deviation", "p": 1, "n": 40, "cov_kind": "identity", "beta": 2.0, "replicates": 3,
+             "starts": 2, "budget": 200, "base_seed": 3, "grid_resolution": 2000},
+        ]
+        src = os.path.dirname(os.path.dirname(ulln.__file__))
+        run = ("import os, sys\n"
+               "if sys.argv[2] == 'one':\n"
+               "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+               "import time\n"
+               "from ulln import cli\n"
+               "seed = cli.derive_seed\n"
+               "cli.derive_seed = lambda *parts: (parts[1:] == (0, 0) and time.sleep(0.5)) or seed(*parts)\n"
+               "sys.exit(cli.main(['deviation', sys.argv[1]]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for k, payload in enumerate(configs):
+            cfg = write_json(tmp_path / f"d{k}.json", payload)
+            outputs = [subprocess.run([sys.executable, "-c", run, cfg, cpus], env=dict(env, **blas),
+                                      capture_output=True, check=True, timeout=300).stdout
+                       for cpus, blas in (("one", {}), ("all", {}), ("all", {"OPENBLAS_NUM_THREADS": "1"}),
+                                          ("all", {"OPENBLAS_NUM_THREADS": "2"}))]
+            assert outputs[0].startswith(b"replicate,")
+            assert outputs[1:] == outputs[:1] * 3, payload
+
+    def test_quadrature_rule_is_built_once_for_all_replicates(self, tmp_path, capsys):
+        payload = {"command": "deviation", "p": 2, "n": 30, "beta": 5.0, "replicates": 3, "starts": 1,
+                   "budget": 100}
+        cfg = write_json(tmp_path / "p2.json", payload)
+        gauss_hermite_tensor.cache_clear()
+        assert main(["deviation", cfg]) == 0
+        assert gauss_hermite_tensor.cache_info().misses == 1
+        assert capsys.readouterr().out.count("\n") == 5
 
 
     def test_unknown_cov_kind_exits_2_before_any_output(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ulln import (
     write_dataset,
 )
 from ulln.bounds import effective_rank
+from ulln.datagen import map_replicates
 
 
 class TestMakeCovariance:
@@ -177,3 +179,10 @@ def test_config_validation():
         GenerativeConfig(p=3, n=5, cov=cov, beta=1.0, theta_star="banana")
     with pytest.raises(ValueError):
         GenerativeConfig(p=3, n=5, cov=cov, beta=1.0, theta_star=np.ones(2))
+
+
+def test_replicate_map_keeps_the_replicate_order():
+    # with two or more threads the first replicate finishes last
+    delays = [0.2, 0.0, 0.0, 0.0]
+    got = map_replicates(lambda i, delay: time.sleep(delay) or float(i), range(4), delays)
+    assert got == [0.0, 1.0, 2.0, 3.0]

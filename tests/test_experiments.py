@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import expit, ndtr
 
 from ulln import (
     Dataset,
@@ -253,3 +255,54 @@ class TestJointStudies:
         for base_seed in base_seeds:
             run_studies(StudyConfig(p=p, n=n, n_test=n, replications=replications, base_seed=base_seed))
         assert iterations == expected
+
+
+def _expected_precision(theta_hat, theta_star, eigenvalues, beta):
+    """P(1(<x, theta_hat> >= 0) = y) for a fresh row x ~ N(0, Lambda), y ~ Ber(sigma(beta <x, theta*>)).
+
+    (U, V) = (<x, theta_hat>, <x, theta*>) is a zero-mean Gaussian pair, and
+    U given V is N(c V / b, a - c^2 / b); so P(U >= 0 | V) = Phi(m V) and the
+    precision is a 1-D integral over V ~ N(0, b), split where sigma(beta V)
+    turns from 0 to 1.
+    """
+    a, b, c = (u @ (eigenvalues * v) for u, v in ((theta_hat, theta_hat), (theta_star, theta_star),
+                                                   (theta_hat, theta_star)))
+    m = (c / b) / math.sqrt(a - c * c / b)
+
+    def integrand(v):
+        agree, label = ndtr(m * v), expit(beta * v)
+        density = math.exp(-0.5 * v * v / b) / math.sqrt(2.0 * math.pi * b)
+        return (agree * label + (1.0 - agree) * (1.0 - label)) * density
+
+    edge = 40.0 / beta
+    pieces = ((-math.inf, -edge), (-edge, edge), (edge, math.inf))
+    return sum(integrate.quad(integrand, lo, hi)[0] for lo, hi in pieces)
+
+
+def test_test_precision_matches_the_gaussian_pair_integral(monkeypatch):
+    # an oracle independent of the data pipeline: given the fit, a test row's precision is
+    # an exact integral, so each kind's mean test precision must meet the mean of the
+    # exact values within 3 binomial standard errors
+    cfg = StudyConfig(replications=10, base_seed=20260808)
+    fits, scored = [], []
+    real_fit, real_fit_and_score = experiments.fit_constrained, experiments._fit_and_score
+
+    def fit_spy(*args, **kwargs):
+        fit = real_fit(*args, **kwargs)
+        fits.append(fit.theta_hat)
+        return fit
+
+    def score_spy(cfg, train, test, theta_star, eigenvalues):
+        result = real_fit_and_score(cfg, train, test, theta_star, eigenvalues)
+        scored.append((fits[-1], theta_star, eigenvalues, result.test_precision))
+        return result
+
+    monkeypatch.setattr(experiments, "fit_constrained", fit_spy)
+    monkeypatch.setattr(experiments, "_fit_and_score", score_spy)
+    run_studies(cfg)
+    # per replicate the identity kind is scored first
+    for kind, rows in (("identity", scored[0::2]), ("reciprocal", scored[1::2])):
+        exact = np.array([_expected_precision(th, ts, eig, cfg.beta) for th, ts, eig, _ in rows])
+        sample = np.array([precision for *_, precision in rows])
+        stderr = math.sqrt(np.sum(exact * (1.0 - exact)) / cfg.n_test) / cfg.replications
+        assert abs(sample.mean() - exact.mean()) <= 3.0 * stderr, (kind, sample.mean(), exact.mean(), stderr)

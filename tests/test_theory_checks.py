@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ from ulln.theory_checks import (
     smoothing_identity_residual,
     _gap_rows,
     _GapSurface,
-    _map_replicates,
     _paired_sigma_prime,
 )
 
@@ -480,13 +478,6 @@ def test_sigmoid_derivative_is_the_one_exp_form_bitwise(t):
     a = np.exp(-np.abs(t))
     assert sigmoid_derivative(t).tobytes() == (a / (1.0 + a) ** 2).tobytes()
     assert sigmoid_derivative(float(t[0])) == float(a[0] / (1.0 + a[0]) ** 2)
-
-
-def test_replicate_map_keeps_the_replicate_order():
-    # with two or more threads the first replicate finishes last
-    delays = [0.2, 0.0, 0.0, 0.0]
-    got = _map_replicates(lambda i, delay: time.sleep(delay) or float(i), range(4), delays)
-    assert got.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 class TestExpSup:
