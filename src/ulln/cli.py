@@ -45,8 +45,6 @@ from .experiments import (
     write_table1,
     write_table2,
 )
-from .model import QUADRATURE_NODES_PER_AXIS
-from .quadrature import gauss_hermite_tensor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -370,8 +368,6 @@ def cmd_deviation(args) -> int:
         grid = sup_deviation_grid(data, gen, radius, cfg["grid_resolution"]).sup_value if p == 1 else None
         return est.sup_value, grid
 
-    if p <= 2:  # the rule of every population surface, built here once rather than raced for by the threads
-        gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, p)
     results = map_replicates(replicate, range(cfg["replicates"]))
 
     header = ["replicate", "sup_estimate", "theorem_bound", "classical_bound", "holds_theorem"]

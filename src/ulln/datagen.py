@@ -46,10 +46,9 @@ def map_replicates(fn, *columns) -> list:
     threads, with the results in replicate order.
 
     The contract: ``fn`` depends only on its arguments, and any state the
-    threads share (a config, a cached quadrature rule) is read-only, built
-    by the caller before the pool starts.  Then each result is the same
-    for any thread count, and the order makes every reduction over them
-    the same bit for bit.
+    threads share (a config, say) is read-only.  Then each result is the
+    same for any thread count, and the order makes every reduction over
+    them the same bit for bit.
     """
     count = len(columns[0])
     with ThreadPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), count)) as pool:

@@ -15,6 +15,7 @@ stream, so the results are the same for any thread count.
 from __future__ import annotations
 
 import csv
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -188,7 +189,7 @@ def run_studies(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> d
         for i in range(cfg.replications):
             rows.append(run_replication(cfg, i, helper))
             if progress:
-                print(f"replicate {i + 1}/{cfg.replications} done", flush=True)
+                print(f"replicate {i + 1}/{cfg.replications} done", file=sys.stderr, flush=True)
     return {kind: StudyResult(cfg, [row[kind] for row in rows]) for kind in COV_KINDS}
 
 

@@ -6,16 +6,35 @@ Everything here works with the probabilists' convention, i.e. nodes/weights
     E[f(zeta)] = int f(z) exp(-z^2/2)/sqrt(2*pi) dz ~ sum_i w_i f(z_i)
 
 for zeta ~ N(0, 1), so no sqrt(2) change of variables is needed at call
-sites.  Rules are cached since node counts are reused heavily.
+sites.  Rules are cached since node counts are reused heavily, and each is
+built once, even when threads ask for it at the same time.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+from functools import lru_cache, wraps
 
 import numpy as np
 
+# reentrant: gauss_hermite_tensor builds its rule from gauss_hermite while holding it
+_BUILD_LOCK = threading.RLock()
 
-@lru_cache(maxsize=64)
+
+def _built_once(fn):
+    """`lru_cache` a rule and read it under `_BUILD_LOCK`, so that threads
+    asking at the same time wait for one build instead of each making one."""
+    cached = lru_cache(maxsize=64)(fn)
+
+    @wraps(fn)
+    def rule(*args, **kwargs):
+        with _BUILD_LOCK:
+            return cached(*args, **kwargs)
+
+    rule.cache_info, rule.cache_clear = cached.cache_info, cached.cache_clear
+    return rule
+
+
+@_built_once
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for E[f(zeta)], zeta ~ N(0,1); weights sum to 1."""
     if n < 1:
@@ -24,7 +43,7 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w / np.sqrt(2.0 * np.pi)
 
 
-@lru_cache(maxsize=64)
+@_built_once
 def gauss_hermite_tensor(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensorized rule over N(0, I_dim): nodes (n^dim, dim), weights (n^dim,)."""
     if dim < 1:
@@ -39,7 +58,7 @@ def gauss_hermite_tensor(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@lru_cache(maxsize=64)
+@_built_once
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1]."""
     if n < 1:
@@ -47,19 +66,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def legendre_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to [a, b]."""
-    x, w = gauss_legendre(n)
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * x, half * w
-
-
 def legendre_panels(a: float, b: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule: `panels` equal subintervals of [a, b]."""
+    """Composite Gauss-Legendre rule: `panels` equal subintervals of [a, b],
+    each panel's nodes in order; one panel maps the rule onto [a, b] itself."""
+    x, w = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = legendre_interval(lo, hi, n)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()

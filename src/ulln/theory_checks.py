@@ -55,12 +55,7 @@ from .model import (
     sigmoid_derivative,
     softplus,
 )
-from .quadrature import (
-    gauss_hermite,
-    gauss_hermite_tensor,
-    legendre_interval,
-    legendre_panels,
-)
+from .quadrature import gauss_hermite, gauss_hermite_tensor, legendre_panels
 from .solver import project_to_ball
 
 HERMITE_NODES = 128
@@ -380,7 +375,7 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 
     total = 0.0
     for a, b in ((0.0, root), (root, _ABS_MOMENT_CUTOFF)):
-        x, w = legendre_interval(a, b, nodes)
+        x, w = legendre_panels(a, b, 1, nodes)
         total += float(w @ (np.abs(x**3 - 3.0 * x) * density(x)))
     value = 2.0 * total
 
@@ -400,8 +395,6 @@ GAP_HERMITE_NODES = 48
 # the paired closed form keeps X = 2 cosh(mu), Y = 2 cosh(c) and (X + Y)^2 finite for |mu| and |c| up to this;
 # (X + Y)^2 overflows at about 354
 GAP_PAIR_LIMIT = 350.0
-# probes per pass of the value kernel, so that its two (rows, 8, 24) work arrays stay in a 2 MB L2 cache
-GAP_PROBE_BLOCK = 8
 
 
 def _gap_rows(z_rows: np.ndarray, ref_rows: np.ndarray, cov: CovarianceSpec):
@@ -461,7 +454,7 @@ class _GapSurface:
         # the nodes are sorted and symmetric: the upper half holds z_k > 0 and the weights of the pairs
         half = GAP_HERMITE_NODES // 2
         self.pair_weights = z_weights[half:]
-        # c[s, i, 0, k] = sqrt(s * lambda_sq_i) * z_k; the 1 axis broadcasts over a block of probes
+        # c[s, i, 0, k] = sqrt(s * lambda_sq_i) * z_k; the 1 axis broadcasts over the probes
         c = np.sqrt(s_nodes[:, None] * lambda_sq[None, :])[:, :, None, None] * z_nodes[half:]
         if not np.all(c <= GAP_PAIR_LIMIT):
             raise ValueError(f"gap surface: sqrt(t lambda) z exceeds {GAP_PAIR_LIMIT:g}")
@@ -480,14 +473,11 @@ class _GapSurface:
         if not np.all(np.abs(mus) <= GAP_PAIR_LIMIT):
             raise ValueError(f"gap surface: |<Lambda^1/2 z, theta>| exceeds {GAP_PAIR_LIMIT:g}")
         x = 2.0 * np.cosh(mus)[:, :, None]
-        pairs, scratch = np.empty((2, mus.shape[0], GAP_PROBE_BLOCK, self.pair_weights.size))
+        pairs, scratch = np.empty((2, *mus.shape, self.pair_weights.size))
         out = np.zeros(mus.shape[1])
-        for lo in range(0, mus.shape[1], GAP_PROBE_BLOCK):
-            xb = x[:, lo:lo + GAP_PROBE_BLOCK]
-            pb, sb = pairs[:, :xb.shape[1]], scratch[:, :xb.shape[1]]
-            for weight, y in zip(self.s_weights, self.y):
-                _paired_sigma_prime(xb, y, pb, sb)
-                out[lo:lo + GAP_PROBE_BLOCK] += weight * (self.row_weight @ (pb @ self.pair_weights))
+        for weight, y in zip(self.s_weights, self.y):
+            _paired_sigma_prime(x, y, pairs, scratch)
+            out += weight * (self.row_weight @ (pairs @ self.pair_weights))
         return out
 
 
@@ -594,10 +584,6 @@ def expsup_gap_check(
             rep_probes.extend(g * radii[:, None])
         probes.append(np.asarray(rep_probes))
 
-    # the rules every _GapSurface reads, built here once rather than raced for by the threads
-    gauss_hermite(GAP_HERMITE_NODES)
-    gauss_hermite(HERMITE_NODES)
-    legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
     sups = map_replicates(
         lambda z, ref, pr: _expsup_replicate(z, ref, pr, t, radius, cov), z_rows, ref_rows, probes)
 
@@ -630,7 +616,6 @@ def gap_centering_check(
     rng = make_rng(seed)
     theta = project_to_ball(rng.standard_normal(p), 1.0)
     zs = [rng.standard_normal((n, p)) for _ in range(draws)]
-    gauss_hermite(HERMITE_NODES)  # the functional's rule, built before the threads start
     values = map_replicates(
         lambda z, ref_seed: laplacian_gap_functional(z, theta, t, cov, ref_samples=256, seed=ref_seed),
         zs, range(seed + 1, seed + 1 + 7 * draws, 7))

@@ -137,9 +137,9 @@ class TestStudy:
                 children.extend(multiprocessing.active_children())
                 return super().write(text)
 
-        monkeypatch.setattr(sys, "stdout", Probe())
+        monkeypatch.setattr(sys, "stderr", Probe())
         run_studies(small_config(replications=2), threads=2, progress=True)
-        assert sys.stdout.getvalue().count("done") == 2
+        assert sys.stderr.getvalue().count("done") == 2
         assert children == []
 
     def test_means_are_plain_averages(self):
@@ -232,7 +232,7 @@ class TestJointStudies:
 
     def test_progress_prints_one_line_per_replicate(self, capsys):
         run_studies(small_config(replications=2), progress=True)
-        assert capsys.readouterr().out.splitlines() == ["replicate 1/2 done", "replicate 2/2 done"]
+        assert capsys.readouterr().err.splitlines() == ["replicate 1/2 done", "replicate 2/2 done"]
 
     @pytest.mark.parametrize("p, n, replications, base_seeds, expected", [
         (300, 100, 2, (20260808, 20260809), [31, 55, 30, 27, 28, 28, 29, 11]),
