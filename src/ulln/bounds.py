@@ -14,7 +14,8 @@ alone — none depends on the ambient dimension p:
                         user-overridable), coverage 1 - 3*delta.
 
 The PAC-Bayes smoothing time inside the four-term bound is pinned at
-t = 1/(12 log(1/delta)) and never exposed.
+t = 1/(12 log(1/delta)) and never exposed.  Squares are products, which
+give inf where a float ``**`` raises; a bound that is not finite raises.
 """
 from __future__ import annotations
 
@@ -70,7 +71,10 @@ class BoundReport:
 
 
 def _report(kind: str, terms: dict[str, float], confidence: float) -> BoundReport:
-    return BoundReport(kind=kind, terms=terms, total=float(sum(terms.values())), confidence=confidence)
+    total = float(sum(terms.values()))
+    if not math.isfinite(total):  # a term overflowed: an infinite bound says nothing
+        raise ValueError(f"the {kind} bound is not finite for these parameters")
+    return BoundReport(kind=kind, terms=terms, total=total, confidence=confidence)
 
 
 def effective_rank(trace_sigma: float, norm_sigma: float) -> float:
@@ -93,16 +97,17 @@ def bound_theorem(params: BoundParams) -> BoundReport:
         raise ValueError("bound_theorem requires delta in (0, 1/6]")
     n, R, K = params.n, params.R, params.K
     L = params.log_inv_delta
-    c_k = (1.0 + math.sqrt(3.0) * K) ** 2
+    root_c_k = 1.0 + math.sqrt(3.0) * K
+    c_k = root_c_k * root_c_k
     term1 = math.sqrt(
         27.0
-        * (L + c_k * (params.trace_sigma / 12.0 + params.norm_sigma * R**2 * L))
-        * (1.0 + 6.0 * R**2)
+        * (L + c_k * (params.trace_sigma / 12.0 + params.norm_sigma * (R * R) * L))
+        * (1.0 + 6.0 * (R * R))
         / n
     )
     term2 = 2.0 * R * math.sqrt(params.trace_sigma / n)
-    term3 = math.sqrt(78.0 * K**2 * (256.0 + R**2 * params.trace_sigma) / n)
-    term4 = 9.0 * K**2 * R * params.norm_sigma * math.sqrt(L) / n
+    term3 = math.sqrt(78.0 * (K * K) * (256.0 + (R * R) * params.trace_sigma) / n)
+    term4 = 9.0 * (K * K) * R * params.norm_sigma * math.sqrt(L) / n
     terms = {
         "pac_bayes": term1,
         "laplacian_gap_mean": term2,
@@ -117,8 +122,8 @@ def bound_classical(params: BoundParams) -> BoundReport:
     n, R, K = params.n, params.R, params.K
     r = params.effective_rank
     L = params.log_inv_delta
-    term1 = 2.0 * math.sqrt(R**2 * params.norm_sigma * r / n)
-    term2 = math.sqrt(8.0 * (1.0 + R**2 * K**2 * params.norm_sigma * r) * L / n)
+    term1 = 2.0 * math.sqrt((R * R) * params.norm_sigma * r / n)
+    term2 = math.sqrt(8.0 * (1.0 + (R * R) * (K * K) * params.norm_sigma * r) * L / n)
     return _report("classical", {"rademacher": term1, "mcdiarmid": term2}, 1.0 - params.delta)
 
 
@@ -133,10 +138,11 @@ def bound_extended(params: BoundParams) -> BoundReport:
     r = params.effective_rank
     L = params.log_inv_delta
     a = params.log_n_constant_a
-    term1 = 2.0 * math.sqrt(R**2 * params.norm_sigma * r / n)
+    term1 = 2.0 * math.sqrt((R * R) * params.norm_sigma * r / n)
     term2 = math.sqrt(
         8.0
-        * (1.0 + 2.0 * R**2 * params.norm_sigma * (r + a**2 * K**4 * params.norm_sigma * (math.log(n) + L)))
+        * (1.0 + 2.0 * (R * R) * params.norm_sigma
+           * (r + (a * a) * ((K * K) * (K * K)) * params.norm_sigma * (math.log(n) + L)))
         * L
         / n
     )

@@ -6,17 +6,20 @@ discriminator.  Every config value, and every `bounds` flag, is checked
 once against its subcommand's schema (`_typed`), which also holds the
 defaults and the required keys; unknown keys are rejected.  `bounds`
 takes either a config or plain flags, not both.  Exit codes: 0 success,
-1 check failure, 2 usage/config error (also a config that asks for more
-memory than there is), 3 IO error.  Only `experiment`
-takes `--threads`: above 1, each replicate draws its test set on a
-helper thread while the calling thread draws its training set; `verify`
-and `deviation` run their replicates on a pool sized to the CPUs
-(`datagen.map_replicates`).  Inputs are drawn as X = Lambda^{1/2} Z
+1 check failure, 2 usage/config error (also a bound that overflows, or a
+config that asks for more memory than there is), 3 IO error.  Commands
+raise, and `main` alone prints the `error:` line and picks the code;
+an IO error names the action that failed (`cannot write CSV: ...`).
+Only `experiment` takes `--threads`: above 1, each replicate draws its
+test set on a helper thread while the calling thread draws its training
+set; `verify` and `deviation` run their replicates on a pool sized to
+the CPUs (`datagen.map_replicates`).  Inputs are drawn as X = Lambda^{1/2} Z
 with a diagonal covariance Lambda.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -58,6 +61,15 @@ class ConfigError(ValueError):
 
 # the default of a schema entry that must be given
 REQUIRED = object()
+
+
+@contextlib.contextmanager
+def _io_action(action: str):
+    """Re-raise an OSError from the block with the failed action named."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot {action}: {exc}") from exc
 
 
 def _load_config(path: str, command: str, schema: dict) -> dict:
@@ -144,19 +156,13 @@ def cmd_experiment(args) -> int:
     cfg = StudyConfig(solver_opts=solver, **cfg_raw)
     threads = _thread_count(args)
     # made before any study runs, so that a bad path fails at once
-    try:
+    with _io_action("create output directory"):
         os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
     studies = run_studies(cfg, threads=threads, progress=args.verbose)
-    try:
+    with _io_action("write outputs"):
         write_table1(os.path.join(args.out_dir, "table1.csv"), studies["reciprocal"], studies["identity"])
         write_table2(os.path.join(args.out_dir, "table2.csv"), studies["reciprocal"], studies["identity"])
         write_replications(os.path.join(args.out_dir, "replications.csv"), studies)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
     print(f"wrote table1.csv, table2.csv, replications.csv to {args.out_dir}")
     return EXIT_OK
 
@@ -204,7 +210,7 @@ def _print_bounds_table(rows) -> None:
         print(f"{name:10s} total={report.total:.6g}  confidence={report.confidence:.6g}  [{terms}]")
 
 
-def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | None) -> int:
+def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | None) -> None:
     n_start, n_stop, steps = sweep["n_start"], sweep["n_stop"], sweep["steps"]
     trace_rule, delta_rule = sweep["trace_rule"], sweep["delta_rule"]
     if trace_rule not in ("fixed", "n_over_log_n"):
@@ -216,7 +222,6 @@ def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | Non
                           f"and 2 <= steps <= {_SWEEP_STEPS_MAX:.0e}")
 
     grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
-    writer = csv.writer(sys.stdout)
     rows_out = []
     for n in grid:
         n = int(n)
@@ -227,15 +232,10 @@ def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | Non
                         + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
     rows_out.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
     if out_path:
-        try:
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows_out)
-        except OSError as exc:
-            print(f"error: cannot write sweep CSV: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
+        with _io_action("write sweep CSV"), open(out_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows_out)
     else:
-        writer.writerows(rows_out)
-    return EXIT_OK
+        csv.writer(sys.stdout).writerows(rows_out)
 
 
 def _integral(text: str) -> int | float | str:
@@ -276,46 +276,35 @@ def cmd_bounds(args) -> int:
     params = BoundParams(n=cfg["n"], R=cfg["R"], delta=cfg["delta"], trace_sigma=cfg["trace"],
                          norm_sigma=cfg["norm"], K=cfg["K"], log_n_constant_a=cfg["a"])
     if "sweep" in cfg:
-        return _run_sweep(params, cfg["sweep"], args.bound, args.out)
+        _run_sweep(params, cfg["sweep"], args.bound, args.out)
+        return EXIT_OK
     unused = [flag for flag in ("--trace-rule", "--delta-rule", "--out") if getattr(args, flag[2:].replace("-", "_"))]
     if unused:
         raise ConfigError(f"{', '.join(unused)}: only used with a sweep")
     if args.bound == "theorem" and params.delta > 1 / 6:
-        print("error: the theorem bound requires delta <= 1/6", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("the theorem bound requires delta <= 1/6")
     _print_bounds_table(_bound_rows(params, args.bound))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    fh = None
-    if args.csv:
-        # open the target before any suite runs, so that a bad path fails at once
-        try:
-            fh = open(args.csv, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
-    try:
+    # the CSV is opened before any suite runs, so that a bad path fails at once
+    with _io_action("write CSV"):
+        fh = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else None
+    with fh or contextlib.nullcontext():
         reports = theory_checks.run_suite(args.suite)
         for report in reports:
             print(theory_checks.format_report(report))
         failed = [r for r in reports if not r.passed]
         print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
         if fh is not None:
-            try:
+            # closed here, so that a failed flush is named too
+            with _io_action("write CSV"), fh:
                 writer = csv.writer(fh)
                 writer.writerow(["name", "lhs", "rhs", "residual", "tolerance", "passed"])
                 for r in reports:
                     writer.writerow([r.name, repr(r.lhs), repr(r.rhs), repr(r.abs_residual),
                                      repr(r.tolerance), int(r.passed)])
-                fh.close()
-            except OSError as exc:
-                print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-                return EXIT_IO_ERROR
-    finally:
-        if fh is not None:
-            fh.close()
     return EXIT_OK if not failed else EXIT_CHECK_FAILURE
 
 
@@ -403,11 +392,8 @@ def cmd_generate(args) -> int:
     gen = GenerativeConfig(p=cfg["p"], n=cfg["n"], cov=make_covariance(cfg["cov_kind"], cfg["p"]),
                            beta=cfg["beta"], seed=cfg["seed"])
     data, theta_star = generate_dataset(gen)
-    try:
+    with _io_action("write dataset"):
         write_dataset(cfg["out"], data, theta_star)
-    except OSError as exc:
-        print(f"error: cannot write dataset: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
     print(f"wrote {data.n} x {data.p} dataset to {cfg['out']}")
     return EXIT_OK
 
@@ -466,13 +452,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except MemoryError as exc:
         # a config that asks for more memory than the machine has is a config error
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR if isinstance(exc, OSError) else EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -64,7 +64,8 @@ def sup_deviation_search(
     """Multistart projected ascent on +/-(R_n - Rhat) over the ball.
 
     Start points are `starts` uniform draws from the ball plus the origin
-    and +/-theta_star (projected to the ball) when available.  The best
+    and +/-theta_star (projected to the ball); a `gen` whose theta_star
+    is still the "uniform_sphere" directive raises ValueError.  The best
     absolute gap over every iterate visited is returned; it lower-bounds
     the true sup up to the Monte Carlo error of Rhat.
     """
@@ -79,11 +80,8 @@ def sup_deviation_search(
     gap = _gap_surface(data, pop)
 
     rng = make_rng(derive_seed(seed, 0x51ED270))
-    start_points = [np.zeros(data.p)]
-    if not isinstance(gen.theta_star, str):
-        anchor = project_to_ball(gen.concrete_theta_star(), radius)
-        start_points.extend([anchor, -anchor])
-    start_points.extend(_uniform_ball(data.p, radius, starts, rng))
+    anchor = project_to_ball(gen.concrete_theta_star(), radius)
+    start_points = [np.zeros(data.p), anchor, -anchor, *_uniform_ball(data.p, radius, starts, rng)]
 
     # path 2i climbs +gap and path 2i+1 climbs -gap from start i; all paths advance together
     thetas = np.repeat(np.asarray(start_points), 2, axis=0)

@@ -24,7 +24,7 @@ from ulln import (
     risk_gradient,
     risk_laplacian,
 )
-from ulln.datagen import derive_seed, sample_theta_star
+from ulln.datagen import derive_seed, map_replicates, sample_theta_star
 from ulln.deviation import sup_deviation_grid, sup_deviation_search
 from ulln.experiments import StudyConfig, run_studies
 from ulln.theory_checks import format_report, run_suite
@@ -174,16 +174,18 @@ class TestCriterion5Coverage:
                 BoundParams(n=n, R=radius, delta=delta, trace_sigma=cov.trace,
                             norm_sigma=cov.spectral_norm, K=SQRT2)
             ).total
-            held = 0
-            for rep in range(replicates):
+
+            # each replicate derives its own streams, so the pool returns the serial loop's sups
+            def replicate(rep):
                 theta_star = sample_theta_star(p, derive_seed(BASE_SEED, rep, 0))
                 gen = GenerativeConfig(p=p, n=n, cov=cov, beta=1e3, theta_star=theta_star,
                                        seed=derive_seed(BASE_SEED, rep, 1))
                 data, _ = generate_dataset(gen)
-                est = sup_deviation_search(data, gen, radius, starts=6, budget=4000,
-                                           seed=derive_seed(BASE_SEED, rep, 2))
-                held += int(est.sup_value <= total)
-            frequency = held / replicates
+                return sup_deviation_search(data, gen, radius, starts=6, budget=4000,
+                                            seed=derive_seed(BASE_SEED, rep, 2)).sup_value
+
+            sups = map_replicates(replicate, range(replicates))
+            frequency = sum(sup <= total for sup in sups) / replicates
             print(f"\ncoverage: {frequency:.3f} (bound total {total:.3f})")
             assert frequency >= 0.95
         except AssertionError:

@@ -204,6 +204,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundParams(**dict(fields, **{key: value}))
 
+    @pytest.mark.parametrize("bound", [bound_theorem, bound_classical, bound_extended])
+    @pytest.mark.parametrize("fields", [
+        dict(n=1, R=1e200), dict(n=1, K=1e200), dict(trace_sigma=1e308, norm_sigma=1e308),
+    ])
+    def test_overflowing_bound_raises(self, bound, fields):
+        # a product overflows to inf where `**` raised OverflowError; inf is rejected
+        prm = BoundParams(**(dict(n=10, R=1.0, delta=0.05, trace_sigma=1.0, norm_sigma=1.0) | fields))
+        with pytest.raises(ValueError, match="not finite"):
+            bound(prm)
+
+    def test_overflowing_extended_constant_raises(self):
+        prm = BoundParams(n=10, R=1.0, delta=0.05, trace_sigma=1.0, norm_sigma=1.0, log_n_constant_a=1e308)
+        with pytest.raises(ValueError, match="not finite"):
+            bound_extended(prm)
+
     def test_terms_nonnegative_and_total_additive(self):
         rng = np.random.default_rng(0)
         for _ in range(25):

@@ -206,6 +206,18 @@ class TestBoundsCommand:
     def test_missing_parameters_exit_2(self):
         assert main(["bounds", "--n", "50"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        "--n 1 --R 1e200 --trace 1 --norm 1",
+        "--n 1 --K 1e200 --trace 1 --norm 1",
+        "--n 10 --a 1e308 --trace 1 --norm 1",
+        "--n 10 --trace 1e308 --norm 1e308",
+    ])
+    def test_overflowing_bound_exits_2(self, capsys, flags):
+        # finite parameters whose bound is not: rejected, never printed as inf
+        assert main(["bounds", "--delta", "0.05", *flags.split()]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and "not finite" in err
+
     def test_sweep_vanishing_vs_stagnant(self, capsys):
         assert main([
             "bounds", "--R", "1", "--K", "1.4142135623730951", "--norm", "1",
@@ -392,6 +404,13 @@ class TestVerifyCommand:
 
 
 class TestDeviationCommand:
+    @pytest.mark.parametrize("p,radius", [(5, 1e200), (1, 1e308)])
+    def test_overflowing_bound_exits_2(self, tmp_path, capsys, p, radius):
+        cfg = write_json(tmp_path / "d.json", {"command": "deviation", "p": p, "R": radius})
+        assert main(["deviation", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and "not finite" in err
+
     def test_p1_grid_column_agrees(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "d.json", {
             "command": "deviation", "p": 1, "n": 20, "cov_kind": "identity", "beta": 2.0,
