@@ -8,7 +8,6 @@ from .model import (
     LogisticSurface,
     empirical_risk,
     per_example_loss,
-    population_surface,
     risk_gradient,
     risk_laplacian,
     sigmoid,
@@ -36,7 +35,7 @@ from .bounds import (
     effective_rank,
     ulln_ratio_table,
 )
-from .deviation import DeviationEstimate, sup_deviation_grid, sup_deviation_search
+from .deviation import DeviationEstimate, population_surface, sup_deviation_grid, sup_deviation_search
 from .experiments import (
     ReplicationResult,
     StudyConfig,

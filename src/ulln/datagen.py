@@ -6,7 +6,9 @@ bounds see it only through tr(Sigma) and ||Sigma||, which a rotation
 leaves unchanged.  All randomness flows through
 counter-based Philox streams keyed by integer seeds, so generation is
 bit-reproducible and independent of thread schedule; per-replicate
-streams are derived by hashing (seed, index, ...) tuples.
+streams are derived by hashing (seed, index, ...) tuples.  A seed spawns
+three streams: theta* (drawn when a `GenerativeConfig` is built), Z and
+the label uniforms.
 
 A stream key leaves the covariance out on purpose: one draw of Z and
 the label uniforms (`draw_latent`) serves every spectrum, which pairs
@@ -109,9 +111,20 @@ def sample_theta_star(p: int, seed: int) -> np.ndarray:
     return _unit_sphere(p, make_rng(seed))
 
 
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The theta*, Z and label-uniform streams of a stream key."""
+    root = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    return [np.random.Generator(np.random.Philox(s)) for s in root.spawn(3)]
+
+
 @dataclass(frozen=True)
 class GenerativeConfig:
-    """Sampling law: n draws of X = Lambda^{1/2} Z, Y ~ Ber(sigma(beta <X, theta*>))."""
+    """Sampling law: n draws of X = Lambda^{1/2} Z, Y ~ Ber(sigma(beta <X, theta*>)).
+
+    A "uniform_sphere" theta* is drawn when the config is built, from the
+    first stream of `seed`, so `theta_star` is always a vector of length p;
+    `dataclasses.replace` keeps it unless given the directive again.
+    """
 
     p: int
     n: int
@@ -130,22 +143,12 @@ class GenerativeConfig:
         if isinstance(self.theta_star, str):
             if self.theta_star != UNIFORM_SPHERE:
                 raise ValueError(f"unknown theta_star directive: {self.theta_star!r}")
+            ts = _unit_sphere(self.p, _streams(self.seed)[0])
         else:
             ts = np.asarray(self.theta_star, dtype=float).reshape(-1)
-            object.__setattr__(self, "theta_star", ts)
             if ts.size != self.p:
                 raise ValueError("theta_star dimension does not match p")
-
-    def concrete_theta_star(self) -> np.ndarray:
-        if isinstance(self.theta_star, str):
-            raise ValueError("theta_star has not been resolved to a vector")
-        return self.theta_star
-
-
-def _streams(seed: int) -> list[np.random.Generator]:
-    """The theta*, Z and label-uniform streams of a stream key."""
-    root = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    return [np.random.Generator(np.random.Philox(s)) for s in root.spawn(3)]
+        object.__setattr__(self, "theta_star", ts)
 
 
 def draw_latent(seed: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +164,10 @@ def label_rows(x: np.ndarray, u: np.ndarray, theta_star: np.ndarray, beta: float
 
 def generate_dataset(gen: GenerativeConfig) -> tuple[Dataset, np.ndarray]:
     """Draw (Dataset, theta_star) from the config; bit-deterministic given seed."""
-    if isinstance(gen.theta_star, str):
-        theta_star = _unit_sphere(gen.p, _streams(gen.seed)[0])
-    else:
-        theta_star = gen.theta_star
     z, u = draw_latent(gen.seed, gen.n, gen.p)
     # Lambda^{1/2} applied in place: no second n x p array
     z *= np.sqrt(gen.cov.eigenvalues)
-    return label_rows(z, u, theta_star, gen.beta), theta_star
+    return label_rows(z, u, gen.theta_star, gen.beta), gen.theta_star
 
 
 def write_dataset(path, data: Dataset, theta_star: np.ndarray) -> None:

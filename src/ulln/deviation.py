@@ -1,8 +1,9 @@
 """Lower-bound estimation of sup over the ball of |R_n(theta) - R(theta)|.
 
 The sup is estimated from below by multistart projected ascent on both
-signed gaps +/-(R_n - Rhat); for p <= 2 an exhaustive grid oracle with a
-deterministic quadrature population risk is available for cross-checks.
+signed gaps +/-(R_n - Rhat), where Rhat is the frozen `population_surface`;
+for p <= 2 an exhaustive grid oracle on its quadrature rule is available
+for cross-checks.
 No exactness is claimed for p > 2 — a lower bound is what is needed to
 sanity-check the upper bounds.
 
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GenerativeConfig, make_rng, derive_seed
-from .model import Dataset, LogisticSurface, population_surface
+from .model import Dataset, LogisticSurface, sigmoid
+from .quadrature import gauss_hermite_tensor
 from .solver import project_to_ball
 
 ASCENT_ITERS = 120
 ASCENT_STEP = 0.1  # step at iteration k is ASCENT_STEP / sqrt(k)
+QUADRATURE_NODES_PER_AXIS = 128
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,27 @@ class DeviationEstimate:
     method: str  # "multistart_ascent" | "grid"
     starts: int
     pop_risk_stderr: float
+
+
+def population_surface(gen: GenerativeConfig, budget: int, seed: int) -> LogisticSurface:
+    """The population risk R(theta) = E[loss] under the generative config, as one frozen surface.
+
+    The rows are x = Lambda^{1/2} z.  For p <= 2 the z are the nodes of a
+    tensorized 128-node-per-axis Gauss-Hermite rule with its weights,
+    giving a deterministic surface.  Otherwise they are `budget` equally
+    weighted standard normal draws from the `make_rng(seed)` stream, drawn
+    once so that every evaluation sees the same sample.  The targets are
+    the exact label probabilities sigma(beta <x, theta*>), so the label
+    is integrated out as a Bernoulli mixture.
+    """
+    if budget < 1:
+        raise ValueError("budget must be a positive integer")
+    if gen.p <= 2:
+        z, weights = gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, gen.p)
+    else:
+        z, weights = make_rng(seed).standard_normal((budget, gen.p)), None
+    x = gen.cov.transform(z)
+    return LogisticSurface(x, sigmoid(gen.beta * (x @ gen.theta_star)), weights)
 
 
 def _gap_surface(data: Dataset, pop: LogisticSurface) -> LogisticSurface:
@@ -64,10 +88,9 @@ def sup_deviation_search(
     """Multistart projected ascent on +/-(R_n - Rhat) over the ball.
 
     Start points are `starts` uniform draws from the ball plus the origin
-    and +/-theta_star (projected to the ball); a `gen` whose theta_star
-    is still the "uniform_sphere" directive raises ValueError.  The best
-    absolute gap over every iterate visited is returned; it lower-bounds
-    the true sup up to the Monte Carlo error of Rhat.
+    and +/-theta_star (projected to the ball).  The best absolute gap
+    over every iterate visited is returned; it lower-bounds the true sup
+    up to the Monte Carlo error of Rhat.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -80,7 +103,7 @@ def sup_deviation_search(
     gap = _gap_surface(data, pop)
 
     rng = make_rng(derive_seed(seed, 0x51ED270))
-    anchor = project_to_ball(gen.concrete_theta_star(), radius)
+    anchor = project_to_ball(gen.theta_star, radius)
     start_points = [np.zeros(data.p), anchor, -anchor, *_uniform_ball(data.p, radius, starts, rng)]
 
     # path 2i climbs +gap and path 2i+1 climbs -gap from start i; all paths advance together

@@ -1,5 +1,7 @@
 """Logistic risk: per-example loss, empirical risk, gradient, Laplacian,
-and population-risk estimation under a Gaussian generative law.
+and `LogisticSurface`, the one weighted loss-and-gradient kernel behind
+the empirical risk, the solver's objective, the population risk and the
+deviation gap.  The module imports no other ulln module.
 
 All score evaluations go through the softplus form
 
@@ -20,14 +22,8 @@ floating-point warning on either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .quadrature import gauss_hermite_tensor
-
-if TYPE_CHECKING:
-    from .datagen import GenerativeConfig
 
 
 def _sigmoid_into(t, out):
@@ -222,29 +218,3 @@ def risk_laplacian(data: Dataset, theta: np.ndarray) -> float:
     scores = data.inputs @ theta
     sq_norms = np.einsum("ij,ij->i", data.inputs, data.inputs)
     return float(np.mean(sigmoid_derivative(scores) * sq_norms))
-
-
-QUADRATURE_NODES_PER_AXIS = 128
-
-
-def population_surface(gen: "GenerativeConfig", budget: int, seed: int) -> LogisticSurface:
-    """The population risk R(theta) = E[loss] under the generative config, as one frozen surface.
-
-    The rows are x = Lambda^{1/2} z.  For p <= 2 the z are the nodes of a
-    tensorized 128-node-per-axis Gauss-Hermite rule with its weights,
-    giving a deterministic surface.  Otherwise they are `budget` equally
-    weighted standard normal draws from the `make_rng(seed)` stream, drawn
-    once so that every evaluation sees the same sample.  The targets are
-    the exact label probabilities sigma(beta <x, theta*>), so the label
-    is integrated out as a Bernoulli mixture.
-    """
-    from .datagen import make_rng
-
-    if budget < 1:
-        raise ValueError("budget must be a positive integer")
-    if gen.p <= 2:
-        z, weights = gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, gen.p)
-    else:
-        z, weights = make_rng(seed).standard_normal((budget, gen.p)), None
-    x = gen.cov.transform(z)
-    return LogisticSurface(x, sigmoid(gen.beta * (x @ gen.concrete_theta_star())), weights)

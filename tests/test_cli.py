@@ -203,6 +203,13 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "50", "--delta", "0.5", "--trace", "1", "--norm", "1",
                      "--bound", "theorem"]) == 2
 
+    def test_theorem_alone_in_a_sweep_with_large_delta_exits_2(self, capsys):
+        # asked for alone, the theorem bound needs delta <= 1/6 in every row
+        assert main(["bounds", "--n", "100", "--delta", "0.5", "--trace", "1", "--norm", "1",
+                     "--bound", "theorem", "--sweep", "n=10:1000:3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "1/6" in err
+
     def test_missing_parameters_exit_2(self):
         assert main(["bounds", "--n", "50"]) == 2
 
@@ -443,6 +450,7 @@ class TestDeviationCommand:
     @pytest.mark.parametrize("key, value", [
         ("p", 0), ("n", 0), ("replicates", 0), ("starts", 0), ("budget", 0), ("grid_resolution", 1),
         ("R", -0.5), ("beta", -1.0), ("beta", float("inf")), ("delta", 0.0), ("delta", 1.5),
+        ("delta", 0.2),  # every row is compared with the theorem bound, which needs delta <= 1/6
     ])
     def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
         payload = {"command": "deviation", "p": 1, "n": 10, "replicates": 1, "starts": 1, "budget": 50}

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import time
 
@@ -16,7 +17,7 @@ from ulln import (
     write_dataset,
 )
 from ulln.bounds import effective_rank
-from ulln.datagen import map_replicates
+from ulln.datagen import UNIFORM_SPHERE, map_replicates
 
 
 class TestMakeCovariance:
@@ -86,6 +87,25 @@ class TestGenerateDataset:
         x_stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(2026).spawn(3)[1]))
         reference = gen.cov.transform(x_stream.standard_normal((13, 7)))
         assert data.inputs.tobytes() == reference.tobytes()
+
+    def test_directive_theta_star_comes_from_the_first_stream(self):
+        gen = GenerativeConfig(p=7, n=13, cov=make_covariance("reciprocal", 7), beta=3.0, seed=2026)
+        # drawn when the config is built, from the first of the three spawned Philox streams
+        theta_stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(2026).spawn(3)[0]))
+        g = theta_stream.standard_normal(7)
+        assert gen.theta_star.tobytes() == (g / np.linalg.norm(g)).tobytes()
+
+    def test_generated_theta_star_is_the_configs(self):
+        gen = GenerativeConfig(p=5, n=8, cov=make_covariance("identity", 5), beta=1.0, seed=4)
+        np.testing.assert_array_equal(generate_dataset(gen)[1], gen.theta_star)
+
+    def test_replaced_directive_is_a_vector(self):
+        gen = GenerativeConfig(p=4, n=6, cov=make_covariance("identity", 4), beta=1.0,
+                               theta_star=np.array([1.0, 0.0, 0.0, 0.0]), seed=8)
+        redrawn = dataclasses.replace(gen, theta_star=UNIFORM_SPHERE)
+        assert redrawn.theta_star.dtype == np.float64 and redrawn.theta_star.shape == (4,)
+        drawn = GenerativeConfig(p=4, n=6, cov=gen.cov, beta=1.0, seed=8).theta_star
+        assert redrawn.theta_star.tobytes() == drawn.tobytes()
 
     def test_label_law_tracks_link(self):
         # p=1: empirical P(Y=1 | score in bin) should follow sigmoid(beta * center)

@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from ulln import GenerativeConfig, generate_dataset, make_covariance
-from ulln.datagen import UNIFORM_SPHERE, derive_seed, sample_theta_star
+from ulln.datagen import derive_seed, sample_theta_star
 from ulln.deviation import sup_deviation_grid, sup_deviation_search
 
 
@@ -65,13 +63,6 @@ class TestSearch:
         _, gen_other = make_instance(2, 10, 13)
         with pytest.raises(ValueError):
             sup_deviation_search(data, gen_other, 1.0, starts=1, budget=100, seed=0)
-
-    def test_unresolved_theta_star_raises(self):
-        # the +/-theta* start points need a vector, not the "uniform_sphere" directive
-        data, gen = make_instance(3, 10, 14)
-        unresolved = dataclasses.replace(gen, theta_star=UNIFORM_SPHERE)
-        with pytest.raises(ValueError, match="theta_star"):
-            sup_deviation_search(data, unresolved, 1.0, starts=1, budget=100, seed=0)
 
     def test_shrinks_with_sample_size(self):
         # deviation estimates fall as n grows at fixed dimension

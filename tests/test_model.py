@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ulln.model import _sigmoid_into
 from ulln.quadrature import gauss_hermite_tensor
 
 LOG2 = math.log(2.0)
+MODEL_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ulln" / "model.py"
 
 
 def random_dataset(rng, n, p):
@@ -411,3 +414,14 @@ def test_softplus_extremes():
     assert softplus(0.0) == pytest.approx(LOG2, abs=1e-16)
     assert softplus(800.0) == 800.0
     assert softplus(-800.0) == 0.0
+
+
+def test_model_imports_no_ulln_module():
+    # every import at any depth: module level, under `if`, inside functions
+    found = []
+    for node in ast.walk(ast.parse(MODEL_SOURCE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "ulln"):
+            found.append(f"line {node.lineno}: from {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name.split(".")[0] == "ulln"]
+    assert found == []
