@@ -11,7 +11,11 @@ alone — none depends on the ambient dimension p:
                         bounded-norm condition, coverage 1 - delta;
 * ``bound_extended``    subgaussian extension of the classical bound with
                         an unspecified absolute constant ``a`` (default 1,
-                        user-overridable), coverage 1 - 3*delta.
+                        user-overridable), coverage 1 - 3*delta, requires
+                        delta <= 1/3.
+
+A delta above a bound's limit raises rather than report a negative
+coverage.
 
 The PAC-Bayes smoothing time inside the four-term bound is pinned at
 t = 1/(12 log(1/delta)) and never exposed.  Squares are products, which
@@ -130,10 +134,14 @@ def bound_classical(params: BoundParams) -> BoundReport:
 def bound_extended(params: BoundParams) -> BoundReport:
     """Subgaussian extension of the classical bound, probability 1 - 3*delta.
 
-    The absolute constant ``a`` multiplying the log n inflation comes from
-    a covariance concentration theorem and is not pinned down numerically;
-    results quoting this bound must report the ``a`` used.
+    Requires delta <= 1/3, where the coverage is still >= 0; a larger
+    delta raises.  The absolute constant ``a`` multiplying the log n
+    inflation comes from a covariance concentration theorem and is not
+    pinned down numerically; results quoting this bound must report the
+    ``a`` used.
     """
+    if params.delta > 1.0 / 3.0:
+        raise ValueError("bound_extended requires delta in (0, 1/3]")
     n, R, K = params.n, params.R, params.K
     r = params.effective_rank
     L = params.log_inv_delta

@@ -190,22 +190,27 @@ _SWEEP_N_MAX = 10**18
 _SWEEP_STEPS_MAX = 10**6
 
 
+# each bound, the largest delta it admits, and that limit as the table names it
+_BOUNDS = {
+    "theorem": (bound_theorem, 1.0 / 6.0, "1/6"),
+    "classical": (bound_classical, 1.0, "1"),
+    "extended": (bound_extended, 1.0 / 3.0, "1/3"),
+}
+
+
 def _bound_rows(params: BoundParams, which: str) -> list[tuple[str, BoundReport | None]]:
     rows: list[tuple[str, BoundReport | None]] = []
-    if which in ("all", "theorem"):
-        # asked for alone, bound_theorem raises for delta > 1/6; beside the others it reads n/a
-        rows.append(("theorem", None if which == "all" and params.delta > 1 / 6 else bound_theorem(params)))
-    if which in ("all", "classical"):
-        rows.append(("classical", bound_classical(params)))
-    if which in ("all", "extended"):
-        rows.append(("extended", bound_extended(params)))
+    for name, (bound, limit, _) in _BOUNDS.items():
+        if which in ("all", name):
+            # asked for alone, a bound raises for a delta above its limit; beside the others it reads n/a
+            rows.append((name, None if which == "all" and params.delta > limit else bound(params)))
     return rows
 
 
 def _print_bounds_table(rows) -> None:
     for name, report in rows:
         if report is None:
-            print(f"{name:10s} n/a (delta > 1/6)")
+            print(f"{name:10s} n/a (delta > {_BOUNDS[name][2]})")
             continue
         terms = "  ".join(f"{k}={v:.6g}" for k, v in report.terms.items())
         print(f"{name:10s} total={report.total:.6g}  confidence={report.confidence:.6g}  [{terms}]")
@@ -424,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--trace", type=float)
     p_bounds.add_argument("--norm", type=float)
     p_bounds.add_argument("--a", type=float, help="absolute constant of the extended bound")
-    p_bounds.add_argument("--bound", choices=("all", "theorem", "classical", "extended"), default="all")
+    p_bounds.add_argument("--bound", choices=("all", *_BOUNDS), default="all")
     p_bounds.add_argument("--sweep", help="n=start:stop:steps sweep of totals vs n (CSV)")
     p_bounds.add_argument("--trace-rule", choices=("fixed", "n_over_log_n"), help="default: fixed")
     p_bounds.add_argument("--delta-rule", choices=("fixed", "inverse_n_squared"), help="default: fixed")

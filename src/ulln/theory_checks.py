@@ -18,16 +18,18 @@ Checks covered:
   across its kinks at 0 and +/-sqrt(3);
 * the centered, time-integrated Laplacian gap functional and the
   expected-supremum bound 2R sqrt(tr(Sigma)/n) it satisfies.  The
-  functional and the gradient of the gap surface drop the time integral
-  by the heat-semigroup identity
+  functional, the gradient of the gap surface and the ranking of the
+  `expsup` scan drop the time integral by the heat-semigroup identity
       lambda int_0^t E[f''(mu + sqrt(s lambda) Z)] ds
-          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu)).
-  The values of the gap surface keep the time integral on a fixed
-  Legendre by Hermite rule and sum its symmetric Hermite nodes in pairs,
+          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu)),
+  the functional and the ranking through one softplus kernel.  The four
+  values an `expsup` replicate reports (its top-ranked probe and its three
+  polished paths) keep the time integral on a fixed Legendre by Hermite
+  rule and sum its symmetric Hermite nodes in pairs,
       sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
       X = 2 cosh(mu), Y = 2 cosh(c),
-  which is finite for |mu| and |c| up to GAP_PAIR_LIMIT (350); a surface
-  or probe beyond that raises ValueError.
+  which is finite for |mu| and |c| up to GAP_PAIR_LIMIT (350); a surface,
+  or a point the pair rule scores, beyond that raises ValueError.
 
 Every integral is a fixed rule from `quadrature`, and every Monte Carlo
 assertion uses a 3-standard-error tolerance and a stream seeded from the
@@ -59,7 +61,7 @@ from .quadrature import gauss_hermite, gauss_hermite_tensor, legendre_panels
 from .solver import project_to_ball
 
 HERMITE_NODES = 128
-# the time integrals of the Ito check and of the gap values: 8 Gauss-Legendre panels of 12 nodes on [0, t]
+# the time integrals of the Ito check and of the pair-rule gap values: 8 Gauss-Legendre panels of 12 nodes on [0, t]
 TIME_PANELS, TIME_PANEL_NODES = 8, 12
 LOG2 = math.log(2.0)
 
@@ -389,15 +391,15 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 # centered Laplacian gap functional and its expected-supremum bound
 
 
-# the inner expectation of the gap values: 48 Gauss-Hermite nodes, summed as 24 symmetric pairs +/-z_k;
+# the inner expectation of the pair-rule gap values: 48 Gauss-Hermite nodes, summed as 24 symmetric pairs +/-z_k;
 # the expsup check values depend on this exact rule
 GAP_HERMITE_NODES = 48
 # the paired closed form keeps X = 2 cosh(mu), Y = 2 cosh(c) and (X + Y)^2 finite for |mu| and |c| up to this;
 # (X + Y)^2 overflows at about 354
 GAP_PAIR_LIMIT = 350.0
-# the largest probe block of the gap values; the probes are split into equal blocks (49 go as 7 of 7).
-# At the g suite's 210 rows a block's two (8, rows x 24) tensors take 0.65 MB and stay in L2;
-# 8 measured faster than 4, 12, 16 and one unblocked pass over 49 probes
+# the largest probe block of `_softplus_gap`; the probes are split into equal blocks (49 go as 7 of 7).
+# At the g suite's 210 rows a block's (8, rows, 128) softplus tensor takes 1.7 MB and stays in L2; of 4, 8
+# and 12, 8 gave the fastest `verify all` on 2 cores, and one unblocked pass over 49 probes doubled its peak RSS
 GAP_PROBE_BLOCK = 8
 
 
@@ -409,6 +411,24 @@ def _gap_rows(z_rows: np.ndarray, ref_rows: np.ndarray, cov: CovarianceSpec):
     rows = np.vstack([z_rows, ref_rows])
     coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
     return coef, cov.transform(rows), (rows**2) @ cov.eigenvalues
+
+
+def _softplus_gap(mus: np.ndarray, offsets: np.ndarray, weights: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The gap at each row mu of `mus` (probes x rows) by the heat-semigroup
+    identity with f = softplus: 2 coef @ (E[softplus(mu + sqrt(t lambda) Z)]
+    - softplus(mu)), the mean on the Hermite rule whose scaled nodes
+    `offsets` (rows x nodes) and weights are given.
+
+    softplus(mu) is subtracted node by node, so a row with lambda = 0 adds
+    exactly 0.  The probes go in equal blocks of at most GAP_PROBE_BLOCK,
+    and each probe is contracted on its own, so its value is the same to
+    the bit alone and in any block.
+    """
+    values = []
+    for block in np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK))):
+        increments = softplus(block[:, :, None] + offsets) - softplus(block)[:, :, None]
+        values.append(((increments @ weights)[:, None, :] @ (2.0 * coef))[:, 0])
+    return np.concatenate(values)
 
 
 def _paired_sigma_prime(x, y, out, tmp):
@@ -434,31 +454,33 @@ class _GapSurface:
     mu_i = <Lambda^{1/2} z_i, theta>, over the rows of `_gap_rows` for
     fixed data rows and a frozen reference sample.
 
-    Values use the fixed TIME_PANELS x TIME_PANEL_NODES Gauss-Legendre by
-    GAP_HERMITE_NODES Gauss-Hermite rule.  The Hermite rule is symmetric, so
-    node +z_k is summed with -z_k: with c = sqrt(s lambda_i) z_k,
-    X = 2 cosh(mu) and Y = 2 cosh(c),
+    `value_many` uses the fixed TIME_PANELS x TIME_PANEL_NODES
+    Gauss-Legendre by GAP_HERMITE_NODES Gauss-Hermite rule.  The Hermite
+    rule is symmetric, so node +z_k is summed with -z_k: with
+    c = sqrt(s lambda_i) z_k, X = 2 cosh(mu) and Y = 2 cosh(c),
         sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
     a sum and quotient of positive terms with no exp per node.  The form
     overflows once |mu| or |c| passes about 354, so a surface or probe with
     either above GAP_PAIR_LIMIT raises ValueError.
 
     Y is stored once per surface as `y`, one flat row per time node:
-    y[s, i * 24 + k] = 2 cosh(sqrt(s lambda_i) z_k).  `value_many` splits the
-    probes into equal blocks of at most GAP_PROBE_BLOCK, with X repeated over
-    the 24 pairs of each row into a (block, rows x 24) array, so each time
-    node's row of `y` broadcasts along the outer axis and every elementwise
-    pass runs one inner loop over all rows x 24 pairs.  The pairs are then
-    contracted with the pair weights and the rows with `row_weight` probe by
-    probe, and accumulated over the time nodes.
+    y[s, i * 24 + k] = 2 cosh(sqrt(s lambda_i) z_k).  `value_many` repeats X
+    over the 24 pairs of each row into a (probes, rows x 24) array, so each
+    time node's row of `y` broadcasts along the outer axis and every
+    elementwise pass runs one inner loop over all rows x 24 pairs.  The
+    pairs are then contracted with the pair weights and the rows with
+    `row_weight` probe by probe, and accumulated over the time nodes.  The
+    `expsup` replicate calls it on four probes.
 
-    `gradient` takes an (m, p) block of thetas and returns the (m, p) block
-    of gradients: the exact ones, from the heat-semigroup identity with
-    f = sigma, on HERMITE_NODES Gauss-Hermite nodes; they are accurate to
-    about 1e-11 for sqrt(t lambda) up to about 3.6, the largest value in
-    the `g` suite.  They are not the derivatives of the discretized value.
+    `identity_values` gives the same gap by the heat-semigroup identity with
+    f = softplus, through `_softplus_gap`, the kernel of
+    `laplacian_gap_functional`, and is as accurate; `gradient` gives the
+    (m, p) block of gradients by the identity with f = sigma, accurate to
+    about 1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the
+    `g` suite.  Both use HERMITE_NODES Gauss-Hermite nodes and need no
+    guard.  The gradient is not the derivative of the pair-rule value.
 
-    Both methods form each probe's products and contractions on their own,
+    Every method forms each probe's products and contractions on its own,
     so a probe's value and gradient do not depend, to the bit, on the other
     probes of the call or on the block it falls in.
     """
@@ -491,6 +513,9 @@ class _GapSurface:
         row_terms = 2.0 * self.coef * (smoothed - sigmoid(mus))
         return (row_terms[:, None, :] @ self.directions)[:, 0]
 
+    def identity_values(self, thetas: np.ndarray) -> np.ndarray:
+        return _softplus_gap(self._mus(thetas), self.t_offsets, self.h_weights, self.coef)
+
     def value_many(self, thetas: np.ndarray) -> np.ndarray:
         mus = self._mus(thetas)
         if not np.all(np.abs(mus) <= GAP_PAIR_LIMIT):
@@ -498,16 +523,13 @@ class _GapSurface:
         rows, pair_count = mus.shape[1], self.pair_weights.size
         # x[j, i * 24 + k] = 2 cosh(mu[j, i]), repeated over the pairs of row i
         x = np.repeat(2.0 * np.cosh(mus), pair_count, axis=1)
-        out = []
-        for block in np.array_split(x, max(1, math.ceil(len(x) / GAP_PROBE_BLOCK))):
-            pairs, scratch = np.empty((2, *block.shape))
-            per_probe = pairs.reshape(-1, 1, rows, pair_count)
-            values = np.zeros(len(block))
-            for weight, y in zip(self.s_weights, self.y):
-                _paired_sigma_prime(block, y, pairs, scratch)
-                values += weight * ((per_probe @ self.pair_weights) @ self.row_weight)[:, 0]
-            out.append(values)
-        return np.concatenate(out)
+        pairs, scratch = np.empty((2, *x.shape))
+        per_probe = pairs.reshape(-1, 1, rows, pair_count)
+        values = np.zeros(len(x))
+        for weight, y in zip(self.s_weights, self.y):
+            _paired_sigma_prime(x, y, pairs, scratch)
+            values += weight * ((per_probe @ self.pair_weights) @ self.row_weight)[:, 0]
+        return values
 
 
 def laplacian_gap_functional(
@@ -524,11 +546,11 @@ def laplacian_gap_functional(
     (standard normal) law, so the functional has mean zero over z.  The
     heat-semigroup identity with f = softplus (softplus'' = sigma') turns
     each row's time integral into 2 (E[softplus(mu + sqrt(t lambda) Z)] -
-    softplus(mu)), one HERMITE_NODES Gauss-Hermite mean; softplus(mu) is
-    subtracted node by node, so a row with lambda = 0 adds exactly 0.
-    Against an adaptive-quadrature oracle, with mu in [-3, 3], the rule
-    errs by at most 2e-11 for sqrt(t lambda) up to 3, 9e-10 at 3.6 and
-    2e-4 at 10; the `gap_centering` check in the `g` suite reaches about 3.1.
+    softplus(mu)), one HERMITE_NODES Gauss-Hermite mean, in `_softplus_gap`,
+    which also ranks the `expsup` scan.  Against an adaptive-quadrature
+    oracle, with mu in [-3, 3], the rule errs by at most 2e-11 for
+    sqrt(t lambda) up to 3, 9e-10 at 3.6 and 2e-4 at 10; the
+    `gap_centering` check in the `g` suite reaches about 3.1.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
@@ -540,10 +562,9 @@ def laplacian_gap_functional(
         raise ValueError("dimension mismatch between z, theta, and the covariance")
 
     coef, directions, lambda_sq = _gap_rows(z, make_rng(seed).standard_normal((ref_samples, cov.p)), cov)
-    mu = directions @ theta
     z_nodes, z_weights = gauss_hermite(HERMITE_NODES)
-    increments = softplus(mu[:, None] + np.sqrt(t * lambda_sq)[:, None] * z_nodes) - softplus(mu)[:, None]
-    return float(2.0 * coef @ (increments @ z_weights))
+    offsets = np.sqrt(t * lambda_sq)[:, None] * z_nodes
+    return float(_softplus_gap((directions @ theta)[None], offsets, z_weights, coef)[0])
 
 
 EXPSUP_PROBES = 48
@@ -553,19 +574,24 @@ EXPSUP_POLISH_TOP = 3
 
 
 def _expsup_replicate(z_rows, ref_rows, probes, t, radius, cov) -> float:
-    """The best gap value one replicate finds: a scan of ``probes``, then
-    projected ascent from the best EXPSUP_POLISH_TOP of them.  The paths
-    climb together, one block gradient per step; each path is the one it
-    would be alone."""
+    """The best gap value one replicate finds.
+
+    The scan ranks ``probes`` by their identity values, and projected ascent
+    climbs from the top EXPSUP_POLISH_TOP of them.  The paths climb
+    together, one block gradient per step; each path is the one it would
+    be alone.  The pair rule then scores the top-ranked probe and the ends
+    of the paths, and the best of these four values is returned: a value of
+    the gap at a point of the ball, so a lower bound of its sup.  At radius
+    0 the origin is the one probe, and it is scored alone.
+    """
     surface = _GapSurface(z_rows, ref_rows, t, cov)
-    values = surface.value_many(probes)
-    best = float(np.max(values))
-    if radius > 0:
-        polished = probes[np.argsort(values)[-EXPSUP_POLISH_TOP:]]
-        for k in range(1, EXPSUP_ASCENT_ITERS + 1):
-            polished = project_to_ball(polished + (0.1 / math.sqrt(k)) * surface.gradient(polished), radius)
-        best = max(best, float(np.max(surface.value_many(polished))))
-    return best
+    if radius == 0:
+        return float(surface.value_many(probes)[0])
+    ranked = probes[np.argsort(surface.identity_values(probes))]
+    polished = ranked[-EXPSUP_POLISH_TOP:]
+    for k in range(1, EXPSUP_ASCENT_ITERS + 1):
+        polished = project_to_ball(polished + (0.1 / math.sqrt(k)) * surface.gradient(polished), radius)
+    return float(np.max(surface.value_many(np.vstack([ranked[-1:], polished]))))
 
 
 def expsup_gap_check(
@@ -579,11 +605,13 @@ def expsup_gap_check(
     """Estimate E_Z[sup over the ball of the Laplacian gap] and test it
     against the bound 2R sqrt(tr(Sigma)/n) (plus 3 standard errors).
 
-    Each replicate draws a fresh latent sample and reference pool, scans
-    random probes of the ball, and polishes the best probes by projected
-    ascent; the replicate maxima are averaged.  The search only ever
-    underestimates the sup, which is the safe direction for checking an
-    upper bound.  All draws come first, from one stream in replicate order;
+    Each replicate draws a fresh latent sample and reference pool, ranks
+    random probes of the ball by the exact heat-semigroup values, and
+    polishes the top probes by projected ascent; the pair rule scores the
+    top-ranked probe and the polished points, and the replicate maxima are
+    averaged.  The search only ever underestimates the sup, which is the
+    safe direction for checking an upper bound.  All draws come first, from
+    one stream in replicate order;
     the replicates then run on as many threads as the process has CPUs
     (`datagen.map_replicates`), so the report is the same for any count.
     """

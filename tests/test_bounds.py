@@ -119,6 +119,14 @@ class TestBoundExtended:
         assert bound_extended(prm).total == pytest.approx(bound_classical(prm).total, rel=1e-14)
         assert bound_extended(prm).confidence == pytest.approx(1.0 - 3 * 0.3)
 
+    def test_delta_above_one_third_raises(self):
+        # the coverage 1 - 3 delta would be negative
+        with pytest.raises(ValueError, match="1/3"):
+            bound_extended(params(delta=0.34))
+
+    def test_delta_one_third_has_zero_confidence(self):
+        assert bound_extended(params(delta=1.0 / 3.0)).confidence == 0.0
+
     def test_log_n_increment_algebra(self):
         # term2^2 * n picks up exactly 16 R^2 ||S||^2 a^2 K^4 log(1/delta) when n -> e*n
         prm1 = params(n=1000, R=1.3, delta=0.1, trace_sigma=12.0, norm_sigma=1.0, K=1.7)

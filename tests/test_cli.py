@@ -210,6 +210,33 @@ class TestBoundsCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "1/6" in err
 
+    def test_each_bound_above_its_delta_limit_reads_n_a(self, capsys):
+        assert main(["bounds", "--n", "100", "--delta", "0.5", "--trace", "1", "--norm", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "theorem    n/a (delta > 1/6)"
+        assert lines[1].startswith("classical  total=0.235482  confidence=0.5 ")
+        assert lines[2] == "extended   n/a (delta > 1/3)"
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "n=10:1000:3"]])
+    def test_extended_alone_with_large_delta_exits_2(self, capsys, sweep):
+        assert main(["bounds", "--n", "100", "--delta", "0.5", "--trace", "1", "--norm", "1",
+                     "--bound", "extended", *sweep]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "1/3" in err
+
+    def test_extended_beside_the_others_in_a_sweep_reads_nan(self, capsys):
+        assert main(["bounds", "--n", "100", "--delta", "0.5", "--trace", "1", "--norm", "1",
+                     "--sweep", "n=10:1000:3"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header[-1] == "extended_total"
+        assert [row[-1] for row in rows] == ["nan"] * 3
+        assert all(float(row[header.index("classical_total")]) > 0 for row in rows)
+
+    def test_extended_at_delta_one_third_has_zero_confidence(self, capsys):
+        assert main(["bounds", "--n", "100", "--delta", repr(1 / 3), "--trace", "1", "--norm", "1",
+                     "--bound", "extended"]) == 0
+        assert "confidence=0 " in capsys.readouterr().out
+
     def test_missing_parameters_exit_2(self):
         assert main(["bounds", "--n", "50"]) == 2
 

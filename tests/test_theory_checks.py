@@ -14,12 +14,16 @@ from scipy.special import eval_hermitenorm
 
 from ulln import Dataset, make_covariance, theory_checks
 from ulln.bounds import BoundParams
-from ulln.datagen import CovarianceSpec, make_rng
+from ulln.datagen import CovarianceSpec, make_rng, map_replicates
 from ulln.model import per_example_loss, sigmoid, sigmoid_derivative
 from ulln.quadrature import gauss_hermite, legendre_panels
 from ulln.solver import project_to_ball
 from ulln.theory_checks import (
     CATALOG,
+    EXPSUP_ASCENT_ITERS,
+    EXPSUP_POLISH_TOP,
+    EXPSUP_PROBES,
+    EXPSUP_REF_SAMPLES,
     GAP_HERMITE_NODES,
     GAP_PAIR_LIMIT,
     GAP_PROBE_BLOCK,
@@ -38,9 +42,11 @@ from ulln.theory_checks import (
     laplacian_gap_functional,
     run_suite,
     smoothing_identity_residual,
+    _expsup_replicate,
     _gap_rows,
     _GapSurface,
     _paired_sigma_prime,
+    _softplus_gap,
 )
 
 
@@ -474,6 +480,36 @@ class TestGapSurface:
             assert np.array_equal(gradient, surface.gradient(theta[None])[0])
             assert np.max(np.abs(gradient - _oracle_gradient(*args, theta))) <= 1e-10
 
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n,m,t", [(1, 1, 0.7), (7, 3, 0.3), (50, 160, 1.0)])
+    def test_identity_values_match_the_quadrature_oracle(self, n, m, p, t):
+        surface, args, rng = _gap_case(n, m, p, t)
+        _, _, lambda_sq = _gap_rows(*args[:2], args[3])
+        assert math.sqrt(t * lambda_sq.max()) <= 3.6  # where 128 Hermite nodes hold 1e-11
+        thetas = np.stack([np.zeros(p), project_to_ball(rng.standard_normal(p), 1.0), rng.standard_normal(p)])
+        for theta, value in zip(thetas, surface.identity_values(thetas)):
+            assert abs(value - _oracle_functional(*args, theta)) <= 1e-11
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("count", [1, GAP_PROBE_BLOCK - 1, GAP_PROBE_BLOCK, GAP_PROBE_BLOCK + 1, 49])
+    def test_identity_values_are_independent_across_blocks(self, count, p):
+        surface, _, rng = _gap_case(50, 160, p, 0.7)
+        thetas = rng.standard_normal((count, p))
+        alone = [surface.identity_values(theta[None])[0] for theta in thetas]
+        assert np.array_equal(surface.identity_values(thetas), alone)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_functional_is_the_shared_kernel_on_one_probe(self, p):
+        rng = make_rng(30 + p)
+        cov, z, theta = make_covariance("reciprocal", p), rng.standard_normal((9, p)), rng.standard_normal(p)
+        value = laplacian_gap_functional(z, theta, 0.6, cov, ref_samples=40, seed=5)
+        ref_rows = make_rng(5).standard_normal((40, p))  # the functional's own reference draw at seed 5
+        coef, directions, lambda_sq = _gap_rows(z, ref_rows, cov)
+        z_nodes, z_weights = gauss_hermite(HERMITE_NODES)
+        offsets = np.sqrt(0.6 * lambda_sq)[:, None] * z_nodes
+        assert value == _softplus_gap((directions @ theta)[None], offsets, z_weights, coef)[0]
+        assert value == _GapSurface(z, ref_rows, 0.6, cov).identity_values(theta[None])[0]
+
     def test_returned_arrays_survive_later_calls(self):
         surface, _, rng = _gap_case(19, 20, 3, 0.7)
         gradient = surface.gradient(rng.standard_normal((3, 3)))
@@ -491,6 +527,39 @@ def test_sigmoid_derivative_is_the_one_exp_form_bitwise(t):
     a = np.exp(-np.abs(t))
     assert sigmoid_derivative(t).tobytes() == (a / (1.0 + a) ** 2).tobytes()
     assert sigmoid_derivative(float(t[0])) == float(a[0] / (1.0 + a[0]) ** 2)
+
+
+def _exhaustive_replicate(z_rows, ref_rows, probes, t, radius, cov):
+    """The expsup replicate with the pair rule on every probe: the best
+    probe, or the best point of the paths polished from its top
+    EXPSUP_POLISH_TOP probes."""
+    surface = _GapSurface(z_rows, ref_rows, t, cov)
+    values = surface.value_many(probes)
+    best = float(np.max(values))
+    if radius > 0:
+        polished = probes[np.argsort(values)[-EXPSUP_POLISH_TOP:]]
+        for k in range(1, EXPSUP_ASCENT_ITERS + 1):
+            polished = project_to_ball(polished + (0.1 / math.sqrt(k)) * surface.gradient(polished), radius)
+        best = max(best, float(np.max(surface.value_many(polished))))
+    return best
+
+
+def _expsup_case(seed):
+    """One expsup replicate's inputs, its probes laid out as the check lays
+    them out; every seventh seed has radius 0, and the kind alternates."""
+    rng = make_rng(seed)
+    p, n, t = int(rng.integers(1, 6)), int(rng.integers(1, 81)), float(rng.uniform(0.3, 1.0))
+    radius = 0.0 if seed % 7 == 0 else float(rng.uniform(0.3, 2.0))
+    z_rows, ref_rows = rng.standard_normal((n, p)), rng.standard_normal((EXPSUP_REF_SAMPLES, p))
+    probes = [np.zeros(p)]
+    if radius > 0:
+        g = rng.standard_normal((EXPSUP_PROBES, p))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        half = EXPSUP_PROBES // 2
+        radii = radius * np.concatenate([np.ones(half), rng.random(EXPSUP_PROBES - half) ** (1.0 / p)])
+        probes.extend(g * radii[:, None])
+    cov = make_covariance(("identity", "reciprocal")[seed % 2], p)
+    return z_rows, ref_rows, np.asarray(probes), t, radius, cov
 
 
 class TestExpSup:
@@ -512,6 +581,17 @@ class TestExpSup:
         # the 8x12 Legendre by 48 Hermite value at the points the identity gradient climbs to,
         # pinned bit for bit
         assert small.lhs == 0.006460227303397296
+
+    def test_replicate_matches_the_exhaustive_scan(self):
+        # ranking the scan by the identity values picks the polish starts and the best probe that
+        # the pair rule on every probe picks, so each replicate is the same to the bit
+        seeds = range(42)
+        cases = [_expsup_case(seed) for seed in seeds]
+        assert {case[-1].p for case in cases} == {1, 2, 3, 4, 5}
+        assert {case[-2] == 0 for case in cases} == {True, False}
+        got = map_replicates(lambda case: _expsup_replicate(*case), cases)
+        want = map_replicates(lambda case: _exhaustive_replicate(*case), cases)
+        assert got == want, [seed for seed, a, b in zip(seeds, got, want) if a != b]
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ module up in sys.modules; every one must be there.  The correctness gate
 compares each call's output with its checked-in reference: here `verify
 all` meets the identity_checks reference, and three reference inputs run
 through `cli.main` meet the deviation_coverage and table_study ones, so a
-change that would fail a gate fails here first."""
+change that would fail a gate fails here first.  One guard keeps the
+identity_checks workload's `expsup` scan off the slow pair rule."""
 import ast
 import csv
 import io
@@ -16,11 +17,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ulln
-from ulln import cli
-from ulln.theory_checks import run_suite
+from ulln import cli, make_covariance
+from ulln.datagen import make_rng
+from ulln.solver import project_to_ball
+from ulln.theory_checks import EXPSUP_POLISH_TOP, EXPSUP_PROBES, _expsup_replicate, _GapSurface, run_suite
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -80,6 +84,24 @@ def test_traced_g_suite_runs_on_its_thread_pool():
     assert summary["passed"] and summary["spans"] > 0
     assert summary["backwards"] == 0
     assert summary["rebuilt"] == 0
+
+
+def test_expsup_replicate_scores_only_the_polish_by_the_pair_rule(monkeypatch):
+    # the scan is ranked by the identity values; the pair rule sees the top-ranked probe and the polished paths
+    seen = []
+    value_many = _GapSurface.value_many
+
+    def spy(surface, thetas):
+        seen.append(len(thetas))
+        return value_many(surface, thetas)
+
+    monkeypatch.setattr(_GapSurface, "value_many", spy)
+    rng = make_rng(4)
+    probes = np.vstack([np.zeros(3), project_to_ball(rng.standard_normal((EXPSUP_PROBES, 3)), 1.0)])
+    sup = _expsup_replicate(rng.standard_normal((50, 3)), rng.standard_normal((160, 3)), probes, 1.0, 1.0,
+                            make_covariance("reciprocal", 3))
+    assert np.isfinite(sup)
+    assert 0 < sum(seen) <= 1 + EXPSUP_POLISH_TOP
 
 
 RUN = SPANS.with_name("run.py")
