@@ -3,7 +3,10 @@
 The sup is estimated from below by multistart projected ascent on both
 signed gaps +/-(R_n - Rhat), where Rhat is the frozen `population_surface`;
 for p <= 2 an exhaustive grid oracle on its quadrature rule is available
-for cross-checks.
+for cross-checks.  Both estimators evaluate the gap as one weighted
+`LogisticSurface` over the data and population rows stacked, so each
+value and gradient takes the surface's split weighted form: one softplus
+tail and one sigmoid pass over the scores, the rest matrix products.
 No exactness is claimed for p > 2 — a lower bound is what is needed to
 sanity-check the upper bounds.
 

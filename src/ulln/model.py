@@ -1,17 +1,25 @@
 """Logistic risk: per-example loss, empirical risk, gradient, Laplacian,
-and `LogisticSurface`, the one weighted loss-and-gradient kernel behind
-the empirical risk, the solver's objective, the population risk and the
+and `LogisticSurface`, the one loss-and-gradient surface behind the
+empirical risk, the solver's objective, the population risk and the
 deviation gap.  The module imports no other ulln module.
 
-All score evaluations go through the softplus form
+Every loss goes through the softplus form
 
     loss(y, s) = y*softplus(-s) + (1-y)*softplus(s),
     softplus(s) = max(s, 0) + log1p(exp(-|s|)),
 
 which is exact and overflow-free for any finite score (the naive
 -y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).  The two
-softplus terms share the tail log1p(exp(-|s|)) bit for bit, so the loss
-kernel computes it once per score: one exp and one log1p per element.
+softplus terms share the tail log1p(exp(-|s|)) bit for bit, so
+`_loss_into` computes it once per score: one exp and one log1p per
+element.  It serves `per_example_loss` and the unweighted surface (the
+empirical risk and the solver's objective).  A weighted surface (the
+population rule and the gap) sums the same loss in the split form
+
+    loss(y, s) = |s|/2 + log1p(exp(-|s|)) + (1/2 - y) s,
+
+whose |s| and s terms are products with weights fixed when the surface
+is built, so only the tail is an elementwise pass per score.
 
 The logistic link sigma(t) = 1/(1+exp(-t)) is one in-place kernel,
 `_sigmoid_into`, shared by `sigmoid`, the surface gradients and the gap
@@ -150,17 +158,31 @@ class LogisticSurface:
     and `std_error` take either shape and return a leading axis of m.
     They share a workspace of four score-shaped arrays (scores, losses, the
     softplus tail and the residual), allocated again only when the score
-    shape changes.  `scores` returns the workspace's array, which the next
-    `scores` call overwrites; what the others return is fresh.  A surface
-    must not be evaluated from two threads at once; give each thread its own.
+    shape changes.  The unweighted surface takes its value and standard
+    error from the mean of `_loss_into`'s losses, which uses the losses,
+    tail and residual arrays, and its gradient from the residual
+    sigma(s) - t.  A weighted surface takes its value from the split form
+    of the module docstring, |s| @ w/2 + tail @ w + s @ (w/2 - w t), in the
+    tail array alone, and its gradient from sigma(s) @ (w x) - (w t) @ x in
+    the residual array; w/2, w/2 - w t, w x and (w t) @ x are built once.
+    `scores` returns the workspace's array, which the next `scores` call
+    overwrites; what the others return is fresh.  A surface must not be
+    evaluated from two threads at once; give each thread its own.
     """
 
     def __init__(self, x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
         self.x = np.asarray(x, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        self._one_minus_targets = 1.0 - self.targets
         self._work = None
+        if self.weights is None:
+            self._one_minus_targets = 1.0 - self.targets
+        else:
+            weighted_targets = self.weights * self.targets
+            self._half_weights = self.weights / 2.0
+            self._linear_weights = self._half_weights - weighted_targets
+            self._weighted_x = self.weights[:, None] * self.x
+            self._target_grad = weighted_targets @ self.x
 
     def _workspace(self, shape: tuple) -> tuple:
         if self._work is None or self._work[0].shape != shape:
@@ -176,17 +198,25 @@ class LogisticSurface:
     def value(self, scores: np.ndarray):
         """F at the given scores."""
         _, losses, tail, residual = self._workspace(scores.shape)
-        _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
-        return np.mean(losses, axis=-1) if self.weights is None else losses @ self.weights
+        if self.weights is None:
+            _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
+            return np.mean(losses, axis=-1)
+        np.abs(scores, out=tail)
+        value = tail @ self._half_weights
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        value += tail @ self.weights
+        value += scores @ self._linear_weights
+        return value
 
     def grad(self, scores: np.ndarray) -> np.ndarray:
         """grad F = sum_i w_i (sigma(s_i) - t_i) x_i at the given scores."""
         residual = _sigmoid_into(scores, self._workspace(scores.shape)[3])
-        residual -= self.targets
         if self.weights is None:
+            residual -= self.targets
             return residual @ self.x / self.x.shape[0]
-        residual *= self.weights
-        return residual @ self.x
+        return residual @ self._weighted_x - self._target_grad
 
     def std_error(self, scores: np.ndarray):
         """Standard error of F as a sample mean: 0 for explicit weights (an exact rule), inf for one row."""

@@ -422,11 +422,24 @@ def _softplus_gap(mus: np.ndarray, offsets: np.ndarray, weights: np.ndarray, coe
     softplus(mu) is subtracted node by node, so a row with lambda = 0 adds
     exactly 0.  The probes go in equal blocks of at most GAP_PROBE_BLOCK,
     and each probe is contracted on its own, so its value is the same to
-    the bit alone and in any block.
+    the bit alone and in any block.  A block and its softplus tail are
+    written in place into two buffers, by `softplus`'s operations in its
+    order.
     """
+    blocks = np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK)))
+    buffer = np.empty((len(blocks[0]),) + offsets.shape)  # array_split puts the largest block first
+    tail_buffer = np.empty_like(buffer)
     values = []
-    for block in np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK))):
-        increments = softplus(block[:, :, None] + offsets) - softplus(block)[:, :, None]
+    for block in blocks:
+        increments, tail = buffer[: len(block)], tail_buffer[: len(block)]
+        np.add(block[:, :, None], offsets, out=increments)
+        np.abs(increments, out=tail)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(increments, 0.0, out=increments)
+        increments += tail
+        increments -= softplus(block)[:, :, None]
         values.append(((increments @ weights)[:, None, :] @ (2.0 * coef))[:, 0])
     return np.concatenate(values)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import ulln.deviation
 from ulln import GenerativeConfig, generate_dataset, make_covariance
 from ulln.datagen import derive_seed, sample_theta_star
 from ulln.deviation import sup_deviation_grid, sup_deviation_search
+from ulln.model import LogisticSurface, per_example_loss, sigmoid
 
 
 def make_instance(p, n, seed, cov_kind="identity", beta=2.0):
@@ -12,6 +14,41 @@ def make_instance(p, n, seed, cov_kind="identity", beta=2.0):
     gen = GenerativeConfig(p=p, n=n, cov=cov, beta=beta, theta_star=theta_star, seed=derive_seed(seed, 1))
     data, _ = generate_dataset(gen)
     return data, gen
+
+
+class LossSumSurface(LogisticSurface):
+    """A weighted surface evaluated loss by loss, as weights @ per_example_loss,
+    with the gradient weights @ ((sigma(s) - t) x): the oracle of the split form."""
+
+    def value(self, scores):
+        if self.weights is None:
+            return super().value(scores)
+        return per_example_loss(self.targets, scores) @ self.weights
+
+    def grad(self, scores):
+        if self.weights is None:
+            return super().grad(scores)
+        return (self.weights * (sigmoid(scores) - self.targets)) @ self.x
+
+
+class TestSplitForm:
+    """The deviation estimators on the split weighted form agree with the loss-by-loss sum."""
+
+    @pytest.mark.parametrize("rep", range(6))
+    def test_search_matches_the_loss_sum(self, rep, monkeypatch):
+        # the criterion-5 shape: p = 5, n = 500, reciprocal spectrum, beta = 1e3, 6 starts, budget 4000
+        data, gen = make_instance(5, 500, 700 + rep, cov_kind="reciprocal", beta=1e3)
+        split = sup_deviation_search(data, gen, 1.0, starts=6, budget=4000, seed=rep)
+        monkeypatch.setattr(ulln.deviation, "LogisticSurface", LossSumSurface)
+        loss_sum = sup_deviation_search(data, gen, 1.0, starts=6, budget=4000, seed=rep)
+        assert abs(split.sup_value - loss_sum.sup_value) < 1e-12
+
+    def test_grid_matches_the_loss_sum(self, monkeypatch):
+        data, gen = make_instance(1, 40, 31, cov_kind="reciprocal", beta=3.0)
+        split = sup_deviation_grid(data, gen, 1.5, 2000)
+        monkeypatch.setattr(ulln.deviation, "LogisticSurface", LossSumSurface)
+        loss_sum = sup_deviation_grid(data, gen, 1.5, 2000)
+        assert abs(split.sup_value - loss_sum.sup_value) < 1e-12
 
 
 class TestSearch:

@@ -380,6 +380,40 @@ class TestLogisticSurface:
         for before, after in zip(kept[1:], (value, grad)):
             assert before.tobytes() == after.tobytes()
 
+    @staticmethod
+    def thetas_up_to(x, thetas, max_scores):
+        """Scale each parameter so that its largest |score| on x is the given value."""
+        thetas = np.atleast_2d(thetas)
+        scale = np.asarray(max_scores, dtype=float) / np.abs(thetas @ x.T).max(axis=-1)
+        return thetas * scale[:, None]
+
+    def test_weighted_surface_matches_the_loss_sum(self):
+        # soft targets and signed weights; the split form must equal weights @ per_example_loss
+        rng = np.random.default_rng(15)
+        rows, p = 40, 4
+        x, targets, weights = rng.standard_normal((rows, p)), rng.random(rows), rng.uniform(-1.0, 1.0, rows) / rows
+        surface = LogisticSurface(x, targets, weights)
+        single = self.thetas_up_to(x, rng.standard_normal(p), 40.0)[0]
+        block = self.thetas_up_to(x, rng.standard_normal((9, p)), np.linspace(0.5, 40.0, 9))
+        for thetas in (single, block):
+            scores = thetas @ x.T
+            value, grad = self.evaluate(surface, thetas)
+            np.testing.assert_allclose(value, per_example_loss(targets, scores) @ weights, rtol=1e-12, atol=1e-13)
+            residual = weights * (sigmoid(scores) - targets)
+            np.testing.assert_allclose(grad, residual @ x, rtol=1e-12, atol=1e-13)
+
+    def test_unweighted_surface_is_the_mean_loss_bitwise(self):
+        # the solver's iteration counts hang on the last ulp of this branch
+        rng = np.random.default_rng(16)
+        data = random_dataset(rng, 60, 5)
+        surface = LogisticSurface(data.inputs, data.labels)
+        for thetas in (rng.standard_normal(5) * 3.0, rng.standard_normal((7, 5)) * 3.0):
+            scores = surface.scores(thetas).copy()
+            value, grad = surface.value(scores), surface.grad(scores)
+            expected_value = np.mean(per_example_loss(data.labels, scores), axis=-1)
+            assert np.asarray(value).tobytes() == np.asarray(expected_value).tobytes()
+            assert grad.tobytes() == ((sigmoid(scores) - data.labels) @ data.inputs / data.n).tobytes()
+
     def test_extreme_scores_stay_finite(self):
         surface = LogisticSurface(np.array([[1.0], [-1.0]]), np.array([1.0, 0.3]), np.array([0.5, -0.5]))
         value, grad = self.evaluate(surface, np.array([[1e300], [-1e300]]))
