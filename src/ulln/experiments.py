@@ -212,33 +212,28 @@ TABLE2_ROWS = (
 )
 
 
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_table1(path, study_rec: StudyResult, study_id: StudyResult) -> None:
     """Prediction table CSV: columns (metric, sigma_rec, identity)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "sigma_rec", "identity"])
-        for name, field_name in TABLE1_ROWS:
-            writer.writerow([name, _fmt(study_rec.mean(field_name)), _fmt(study_id.mean(field_name))])
+    _write_csv(path, [["metric", "sigma_rec", "identity"]] + [
+        [name, _fmt(study_rec.mean(field_name)), _fmt(study_id.mean(field_name))]
+        for name, field_name in TABLE1_ROWS])
 
 
 def write_table2(path, study_rec: StudyResult, study_id: StudyResult) -> None:
     """Sign-recovery table CSV: columns (metric, definition, sigma_rec, identity)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "definition", "sigma_rec", "identity"])
-        for name, definition, field_name in TABLE2_ROWS:
-            writer.writerow([name, definition, _fmt(study_rec.mean(field_name)), _fmt(study_id.mean(field_name))])
+    _write_csv(path, [["metric", "definition", "sigma_rec", "identity"]] + [
+        [name, definition, _fmt(study_rec.mean(field_name)), _fmt(study_id.mean(field_name))]
+        for name, definition, field_name in TABLE2_ROWS])
 
 
 def write_replications(path, studies: dict[str, StudyResult]) -> None:
     """Per-replicate CSV with one row per (covariance, replicate)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["covariance", "replicate", *METRIC_FIELDS, "on_boundary", "converged"])
-        for cov_name, study in studies.items():
-            for i, rep in enumerate(study.replications):
-                writer.writerow(
-                    [cov_name, i]
-                    + [_fmt(getattr(rep, name)) for name in METRIC_FIELDS]
-                    + [int(rep.on_boundary), int(rep.converged)]
-                )
+    _write_csv(path, [["covariance", "replicate", *METRIC_FIELDS, "on_boundary", "converged"]] + [
+        [cov_name, i, *(_fmt(getattr(rep, name)) for name in METRIC_FIELDS),
+         int(rep.on_boundary), int(rep.converged)]
+        for cov_name, study in studies.items() for i, rep in enumerate(study.replications)])

@@ -9,23 +9,27 @@ Every loss goes through the softplus form
     softplus(s) = max(s, 0) + log1p(exp(-|s|)),
 
 which is exact and overflow-free for any finite score (the naive
--y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).  The two
-softplus terms share the tail log1p(exp(-|s|)) bit for bit, so
-`_loss_into` computes it once per score: one exp and one log1p per
-element.  It serves `per_example_loss` and the unweighted surface (the
-empirical risk and the solver's objective).  A weighted surface (the
-population rule and the gap) sums the same loss in the split form
+-y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).  The loss
+and the link go through two in-place kernels:
 
-    loss(y, s) = |s|/2 + log1p(exp(-|s|)) + (1/2 - y) s,
+* `_softplus_into` writes softplus(s); its helper `_tail_from_abs` turns
+  |s| into the tail log1p(exp(-|s|)), the package's one log1p.  It
+  serves `softplus`, the heat-semigroup gap of `theory_checks` and
+  `_loss_into`, whose two softplus terms share the tail bit for bit;
+  `_loss_into` serves `per_example_loss` and the unweighted surface (the
+  empirical risk and the solver's objective).  A weighted surface (the
+  population rule and the gap) sums the same loss in the split form
 
-whose |s| and s terms are products with weights fixed when the surface
-is built, so only the tail is an elementwise pass per score.
+      loss(y, s) = |s|/2 + log1p(exp(-|s|)) + (1/2 - y) s,
 
-The logistic link sigma(t) = 1/(1+exp(-t)) is one in-place kernel,
-`_sigmoid_into`, shared by `sigmoid`, the surface gradients and the gap
-surface of `theory_checks`.  It is exactly 0 far in the left tail, where
-exp(-t) overflows to inf, and exactly 1 far in the right tail, with no
-floating-point warning on either.
+  whose |s| and s terms are products with weights fixed when the
+  surface is built.  It holds |s| for its product already, so it calls
+  `_tail_from_abs` alone.
+* `_sigmoid_into` writes the logistic link sigma(t) = 1/(1+exp(-t)) for
+  `sigmoid`, the gradients of both surface branches and the gap surface
+  of `theory_checks`.  It is exactly 0 far in the left tail, where
+  exp(-t) overflows to inf, and exactly 1 far in the right tail, with no
+  floating-point warning on either.
 """
 from __future__ import annotations
 
@@ -66,32 +70,45 @@ def sigmoid_derivative(t):
     return float(out) if out.ndim == 0 else out
 
 
+def _tail_from_abs(tail):
+    """Turn `tail`, holding |s|, into the softplus tail log1p(exp(-|s|)) in place."""
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    return tail
+
+
+def _softplus_into(s, out, tail):
+    """Write softplus(s) = max(s, 0) + log1p(exp(-|s|)) into `out`, leaving
+    the tail log1p(exp(-|s|)) in `tail`; `out` may be `s` itself."""
+    _tail_from_abs(np.abs(s, out=tail))
+    np.maximum(s, 0.0, out=out)
+    out += tail
+    return out
+
+
 def softplus(s):
     """log(1+exp(s)) computed as max(s,0) + log1p(exp(-|s|))."""
     s = np.asarray(s, dtype=float)
-    out = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+    out = _softplus_into(s, np.empty_like(s), np.empty_like(s))
     return float(out) if out.ndim == 0 else out
 
 
 def _loss_into(y, one_minus_y, s, out, tail, tmp):
-    """Write y*(max(-s,0) + tail) + (1-y)*(max(s,0) + tail) into `out`.
+    """Write y*softplus(-s) + (1-y)*softplus(s) into `out`.
 
-    `tail` = log1p(exp(-|s|)) is the term softplus(-s) and softplus(s)
-    share; `tail` and `tmp` are scratch of `out`'s shape and `s` is only
+    softplus(-s) is max(-s, 0) plus the tail log1p(exp(-|s|)) that
+    `_softplus_into` leaves in `tail` while it writes softplus(s) into
+    `tmp`; `tail` and `tmp` are scratch of `out`'s shape and `s` is only
     read.  Each step is the operation of the two-softplus formula, so the
     result is bitwise the same.
     """
-    np.abs(s, out=tail)
-    np.negative(tail, out=tail)
-    np.exp(tail, out=tail)
-    np.log1p(tail, out=tail)
+    _softplus_into(s, tmp, tail)
+    tmp *= one_minus_y
     np.negative(s, out=out)
     np.maximum(out, 0.0, out=out)
     out += tail
     out *= y
-    np.maximum(s, 0.0, out=tmp)
-    tmp += tail
-    tmp *= one_minus_y
     out += tmp
     return out
 
@@ -203,10 +220,7 @@ class LogisticSurface:
             return np.mean(losses, axis=-1)
         np.abs(scores, out=tail)
         value = tail @ self._half_weights
-        np.negative(tail, out=tail)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        value += tail @ self.weights
+        value += _tail_from_abs(tail) @ self.weights
         value += scores @ self._linear_weights
         return value
 

@@ -52,6 +52,7 @@ from .datagen import CovarianceSpec, make_covariance, make_rng, map_replicates
 from .model import (
     Dataset,
     _sigmoid_into,
+    _softplus_into,
     per_example_loss,
     sigmoid,
     sigmoid_derivative,
@@ -422,9 +423,8 @@ def _softplus_gap(mus: np.ndarray, offsets: np.ndarray, weights: np.ndarray, coe
     softplus(mu) is subtracted node by node, so a row with lambda = 0 adds
     exactly 0.  The probes go in equal blocks of at most GAP_PROBE_BLOCK,
     and each probe is contracted on its own, so its value is the same to
-    the bit alone and in any block.  A block and its softplus tail are
-    written in place into two buffers, by `softplus`'s operations in its
-    order.
+    the bit alone and in any block.  `_softplus_into` writes a block in
+    place, with its tail in a second buffer.
     """
     blocks = np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK)))
     buffer = np.empty((len(blocks[0]),) + offsets.shape)  # array_split puts the largest block first
@@ -433,12 +433,7 @@ def _softplus_gap(mus: np.ndarray, offsets: np.ndarray, weights: np.ndarray, coe
     for block in blocks:
         increments, tail = buffer[: len(block)], tail_buffer[: len(block)]
         np.add(block[:, :, None], offsets, out=increments)
-        np.abs(increments, out=tail)
-        np.negative(tail, out=tail)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        np.maximum(increments, 0.0, out=increments)
-        increments += tail
+        _softplus_into(increments, increments, tail)
         increments -= softplus(block)[:, :, None]
         values.append(((increments @ weights)[:, None, :] @ (2.0 * coef))[:, 0])
     return np.concatenate(values)
@@ -474,16 +469,12 @@ class _GapSurface:
         sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
     a sum and quotient of positive terms with no exp per node.  The form
     overflows once |mu| or |c| passes about 354, so a surface or probe with
-    either above GAP_PAIR_LIMIT raises ValueError.
-
-    Y is stored once per surface as `y`, one flat row per time node:
-    y[s, i * 24 + k] = 2 cosh(sqrt(s lambda_i) z_k).  `value_many` repeats X
-    over the 24 pairs of each row into a (probes, rows x 24) array, so each
-    time node's row of `y` broadcasts along the outer axis and every
-    elementwise pass runs one inner loop over all rows x 24 pairs.  The
-    pairs are then contracted with the pair weights and the rows with
-    `row_weight` probe by probe, and accumulated over the time nodes.  The
-    `expsup` replicate calls it on four probes.
+    either above GAP_PAIR_LIMIT raises ValueError.  Y is stored once per
+    surface as `y[s, i, k] = 2 cosh(sqrt(s lambda_i) z_k)`; at each time
+    node the probes' X (probes, rows, 1) broadcasts against it, the pairs
+    are contracted with the pair weights and the rows with `row_weight`
+    probe by probe, and the values accumulate over the time nodes.  The
+    `expsup` replicate calls it on at most four probes.
 
     `identity_values` gives the same gap by the heat-semigroup identity with
     f = softplus, through `_softplus_gap`, the kernel of
@@ -510,8 +501,7 @@ class _GapSurface:
         c = np.sqrt(s_nodes[:, None] * lambda_sq[None, :])[:, :, None] * z_nodes[half:]
         if not np.all(c <= GAP_PAIR_LIMIT):
             raise ValueError(f"gap surface: sqrt(t lambda) z exceeds {GAP_PAIR_LIMIT:g}")
-        # y[s, i * 24 + k] = 2 cosh(c[s, i, k]): one flat row per time node
-        self.y = 2.0 * np.cosh(c).reshape(s_nodes.size, -1)
+        self.y = 2.0 * np.cosh(c)
         h_nodes, self.h_weights = gauss_hermite(HERMITE_NODES)
         self.t_offsets = np.sqrt(t * lambda_sq)[:, None] * h_nodes
 
@@ -533,15 +523,12 @@ class _GapSurface:
         mus = self._mus(thetas)
         if not np.all(np.abs(mus) <= GAP_PAIR_LIMIT):
             raise ValueError(f"gap surface: |<Lambda^1/2 z, theta>| exceeds {GAP_PAIR_LIMIT:g}")
-        rows, pair_count = mus.shape[1], self.pair_weights.size
-        # x[j, i * 24 + k] = 2 cosh(mu[j, i]), repeated over the pairs of row i
-        x = np.repeat(2.0 * np.cosh(mus), pair_count, axis=1)
-        pairs, scratch = np.empty((2, *x.shape))
-        per_probe = pairs.reshape(-1, 1, rows, pair_count)
-        values = np.zeros(len(x))
+        x = 2.0 * np.cosh(mus)[:, :, None]
+        pairs, scratch = np.empty((2, len(mus)) + self.y.shape[1:])
+        values = np.zeros(len(mus))
         for weight, y in zip(self.s_weights, self.y):
             _paired_sigma_prime(x, y, pairs, scratch)
-            values += weight * ((per_probe @ self.pair_weights) @ self.row_weight)[:, 0]
+            values += weight * ((pairs[:, None] @ self.pair_weights) @ self.row_weight)[:, 0]
         return values
 
 
@@ -698,6 +685,7 @@ def gap_centering_check(
 # ---------------------------------------------------------------------------
 # suites
 
+# "all" first, then the suites in the order "all" runs them
 SUITE_NAMES = ("all", "hermite", "smoothing", "ito", "moments", "g")
 
 
@@ -780,22 +768,15 @@ def _g_suite() -> list[CheckReport]:
 
 
 def run_suite(name: str) -> list[CheckReport]:
-    """Run one named check suite (or all of them) and return the reports."""
-    suites = {
-        "hermite": _hermite_suite,
-        "smoothing": _smoothing_suite,
-        "ito": _ito_suite,
-        "moments": _moments_suite,
-        "g": _g_suite,
-    }
-    if name == "all":
-        reports = []
-        for key in ("hermite", "smoothing", "ito", "moments", "g"):
-            reports.extend(suites[key]())
-        return reports
-    if name not in suites:
+    """Run one named check suite (or all of them, in SUITE_NAMES order) and
+    return the reports.  Each `_{name}_suite` is looked up on the module at
+    call time, so a wrapper set on the module attribute sees the call."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite: {name!r}")
-    return suites[name]()
+    reports = []
+    for key in SUITE_NAMES[1:] if name == "all" else (name,):
+        reports.extend(globals()[f"_{key}_suite"]())
+    return reports
 
 
 def format_report(report: CheckReport) -> str:

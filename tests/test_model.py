@@ -23,7 +23,7 @@ from ulln import (
     softplus,
 )
 from ulln.datagen import make_rng
-from ulln.model import _sigmoid_into
+from ulln.model import _sigmoid_into, _softplus_into
 from ulln.quadrature import gauss_hermite_tensor
 
 LOG2 = math.log(2.0)
@@ -448,6 +448,26 @@ def test_softplus_extremes():
     assert softplus(0.0) == pytest.approx(LOG2, abs=1e-16)
     assert softplus(800.0) == 800.0
     assert softplus(-800.0) == 0.0
+
+
+def _softplus_inputs():
+    # scaled normals plus the signed zeros, infinities and largest magnitudes
+    edges = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308]
+    return np.concatenate([10.0 * make_rng(17).standard_normal(200), edges])
+
+
+def test_softplus_is_the_two_term_formula_bitwise():
+    # every softplus of the package is this formula to the bit; np.logaddexp(0, s) rounds some of these scores
+    # differently, so a kernel built on it fails here
+    s = _softplus_inputs()
+    assert softplus(s).tobytes() == (np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))).tobytes()
+
+
+def test_softplus_into_may_overwrite_its_input():
+    s = _softplus_inputs()
+    out = s.copy()
+    assert _softplus_into(out, out, np.empty_like(s)) is out
+    assert out.tobytes() == softplus(s).tobytes()
 
 
 def test_model_imports_no_ulln_module():

@@ -15,7 +15,7 @@ from scipy.special import eval_hermitenorm
 from ulln import Dataset, make_covariance, theory_checks
 from ulln.bounds import BoundParams
 from ulln.datagen import CovarianceSpec, make_rng, map_replicates
-from ulln.model import per_example_loss, sigmoid, sigmoid_derivative
+from ulln.model import per_example_loss, sigmoid, sigmoid_derivative, softplus
 from ulln.quadrature import gauss_hermite, legendre_panels
 from ulln.solver import project_to_ball
 from ulln.theory_checks import (
@@ -509,6 +509,16 @@ class TestGapSurface:
         offsets = np.sqrt(0.6 * lambda_sq)[:, None] * z_nodes
         assert value == _softplus_gap((directions @ theta)[None], offsets, z_weights, coef)[0]
         assert value == _GapSurface(z, ref_rows, 0.6, cov).identity_values(theta[None])[0]
+
+    def test_kernel_is_the_per_probe_softplus_gap_bitwise(self):
+        # 11 probes go as blocks of 6 and 5; each probe's value is the softplus formula contracted on its own
+        surface, _, rng = _gap_case(50, 160, 3, 0.7)
+        mus = surface._mus(rng.standard_normal((11, 3)))
+        coef2 = 2.0 * surface.coef
+        want = [((softplus(mu[:, None] + surface.t_offsets) - softplus(mu)[:, None]) @ surface.h_weights) @ coef2
+                for mu in mus]
+        got = _softplus_gap(mus, surface.t_offsets, surface.h_weights, surface.coef)
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_returned_arrays_survive_later_calls(self):
         surface, _, rng = _gap_case(19, 20, 3, 0.7)

@@ -69,6 +69,7 @@ finally:
     tracer.restore()
 caches = [fn.cache_info() for fn in vars(quadrature).values() if hasattr(fn, "cache_info")]
 print(json.dumps({"passed": all(r.passed for r in reports), "spans": len(tracer.spans),
+                  "suite_spans": sum(1 for span in tracer.spans if span[0] == "theory_checks._g_suite"),
                   "backwards": sum(1 for span in tracer.spans if span[4] < span[3]),
                   "rebuilt": sum(info.misses - info.currsize for info in caches)}))
 """
@@ -82,6 +83,7 @@ def test_traced_g_suite_runs_on_its_thread_pool():
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout)
     assert summary["passed"] and summary["spans"] > 0
+    assert summary["suite_spans"] == 1  # run_suite reaches the suite through its wrapped module attribute
     assert summary["backwards"] == 0
     assert summary["rebuilt"] == 0
 
