@@ -10,11 +10,11 @@ takes either a config or plain flags, not both.  Exit codes: 0 success,
 config that asks for more memory than there is), 3 IO error.  Commands
 raise, and `main` alone prints the `error:` line and picks the code;
 an IO error names the action that failed (`cannot write CSV: ...`).
-Only `experiment` takes `--threads`: above 1, each replicate draws its
-test set on a helper thread while the calling thread draws its training
-set; `verify` and `deviation` run their replicates on a pool sized to
-the CPUs (`datagen.map_replicates`).  Inputs are drawn as X = Lambda^{1/2} Z
-with a diagonal covariance Lambda.
+Every command with replicates (`experiment`, `verify`, `deviation`) runs
+them on one pool, `datagen.map_replicates`: min(CPUs, replicates) worker
+threads, each with one BLAS thread while two or more run.  Only
+`experiment` takes `--threads`, which caps that pool.  Inputs are drawn
+as X = Lambda^{1/2} Z with a diagonal covariance Lambda.
 """
 from __future__ import annotations
 
@@ -415,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config", help="JSON config with command='experiment'")
     p_exp.add_argument("out_dir", help="directory for table1.csv/table2.csv/replications.csv")
     p_exp.add_argument("--threads", type=_positive_int, default=None,
-                       help="above 1, draw each replicate's test set on a helper thread "
-                            "(default: the CPUs this process may use)")
+                       help="the most replicates run at once, each on one BLAS thread when two or "
+                            "more do (default and limit: the CPUs this process may use)")
     p_exp.add_argument("--verbose", action="store_true")
     p_exp.set_defaults(func=cmd_experiment)
 

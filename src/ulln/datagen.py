@@ -11,11 +11,20 @@ three streams: theta* (drawn when a `GenerativeConfig` is built), Z and
 the label uniforms.
 
 A stream key leaves the covariance out on purpose: one draw of Z and
-the label uniforms (`draw_latent`) serves every spectrum, which pairs
-the reciprocal and identity columns of the study tables.
+the label uniforms (`draw_latent`, or `draw_latent_chunks` a block of rows
+at a time) serves every spectrum, which pairs the reciprocal and
+identity columns of the study tables.
+
+`map_replicates` is the one thread policy of every subcommand: the
+replicates run on a pool of min(CPUs, replicates, threads) workers, and
+while a pool of two or more runs, numpy's bundled OpenBLAS runs one
+thread, so the workers do not share the cores with BLAS threads.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -43,9 +52,49 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)))
 
 
-def map_replicates(fn, *columns) -> list:
-    """``fn`` over the zipped ``columns`` on a pool of min(CPUs, replicates)
-    threads, with the results in replicate order.
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, which hands back the library
+    numpy already loaded, or None where it or its thread control is absent."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        if not name.startswith("libscipy_openblas64_"):
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one OpenBLAS thread, restoring the old count after;
+    without the bundled OpenBLAS, run it unchanged."""
+    lib = _openblas()
+    old = lib.scipy_openblas_get_num_threads64_() if lib is not None else 1
+    if old == 1:
+        yield
+        return
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def map_replicates(fn, *columns, threads: int | None = None) -> list:
+    """``fn`` over the zipped ``columns`` on a pool of min(CPUs, replicates,
+    ``threads``) threads, with the results in replicate order.
+
+    A pool of one is the calling thread, and starts no thread.  While a
+    pool of two or more runs, BLAS runs one thread (`_one_blas_thread`),
+    so the workers do not contend with BLAS threads for the cores.  Calls
+    that overlap from unrelated threads may restore each other's count.
 
     The contract: ``fn`` depends only on its arguments, and any state the
     threads share (a config, say) is read-only.  Then each result is the
@@ -53,7 +102,10 @@ def map_replicates(fn, *columns) -> list:
     them the same bit for bit.
     """
     count = len(columns[0])
-    with ThreadPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), count)) as pool:
+    workers = min(len(os.sched_getaffinity(0)), count, count if threads is None else threads)
+    if workers < 2:
+        return list(map(fn, *columns))
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *columns))
 
 
@@ -155,6 +207,17 @@ def draw_latent(seed: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic rows Z (n x p) and label uniforms U (n,) of a stream key."""
     _, z_stream, u_stream = _streams(seed)
     return z_stream.standard_normal((n, p)), u_stream.random(n)
+
+
+def draw_latent_chunks(seed: int, n: int, p: int, rows: int):
+    """`draw_latent`'s Z and U in consecutive blocks of at most ``rows`` rows,
+    which concatenate to it bit for bit.  U (n floats) is drawn whole first,
+    so an n too large for memory fails before any block is drawn."""
+    _, z_stream, u_stream = _streams(seed)
+    u = u_stream.random(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield z_stream.standard_normal((stop - start, p)), u[start:stop]
 
 
 def label_rows(x: np.ndarray, u: np.ndarray, theta_star: np.ndarray, beta: float) -> Dataset:

@@ -1,28 +1,28 @@
 """Replicated prediction / sign-recovery studies for the constrained
 logistic minimizer under anisotropic Gaussian designs.
 
-`run_replication` draws theta_star, a training set and a test set once,
-from streams hashed out of (base_seed, index), and serves every kind in
+`run_replication` draws theta_star, a training set and a test set from
+streams hashed out of (base_seed, index), and serves every kind in
 COV_KINDS: it fits the ball-constrained minimizer on the identity design,
 scales Z in place by the square root of the reciprocal spectrum and fits
-again, recording prediction precision plus head/weighted sign recovery
-of each fit.  Sharing the draw pairs the two columns of each table.
-`run_studies` runs the replicates one after another on the calling
-thread, and the fit keeps every BLAS thread; only the two data draws of
-a replicate may overlap, on one helper thread.  Every set has its own
+again, then scores both fits on the test set, drawn in blocks of rows.
+It records prediction precision and head/weighted sign recovery; sharing
+the draw pairs the two columns of each table.  `run_studies` runs the
+replicates on `datagen.map_replicates`, the pool of `verify` and
+`deviation`, with one BLAS thread per worker.  Every set has its own
 stream, so the results are the same for any thread count.
 """
 from __future__ import annotations
 
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datagen import derive_seed, draw_latent, label_rows, make_covariance, sample_theta_star
+from .datagen import (derive_seed, draw_latent, draw_latent_chunks, label_rows, make_covariance, map_replicates,
+                      sample_theta_star)
 from .model import Dataset
 from .solver import FitResult, SolverOptions, fit_constrained
 
@@ -30,6 +30,9 @@ COV_KINDS = ("reciprocal", "identity")
 
 # stream tags for the per-replicate hashes
 _THETA_TAG, _TRAIN_TAG, _TEST_TAG = 0, 1, 2
+
+# test rows drawn and scored at a time; a multiple of 8 keeps each block's matvecs bitwise the whole set's
+_TEST_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,8 @@ class ReplicationResult:
     converged: bool
 
 
-METRIC_FIELDS = (
-    "train_precision",
-    "test_precision",
-    "abs_diff",
-    "sign_recovery_10",
-    "sign_recovery_100",
-    "sign_recovery_500",
-    "sign_recovery_all",
-    "sign_recovery_weighted",
-)
+# the float fields, in order
+METRIC_FIELDS = tuple(f.name for f in fields(ReplicationResult) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -91,13 +86,14 @@ class StudyResult:
         return {name: self.mean(name) for name in METRIC_FIELDS}
 
 
+def _hits(theta_hat: np.ndarray, data: Dataset) -> int:
+    """Rows whose label matches 1(<X_i, theta_hat> >= 0)."""
+    return int(np.count_nonzero((data.inputs @ theta_hat >= 0.0) == data.labels))
+
+
 def prediction_precision(theta_hat: np.ndarray, data: Dataset) -> float:
     """Fraction of rows whose label matches 1(<X_i, theta_hat> >= 0)."""
-    theta_hat = np.asarray(theta_hat, dtype=float).reshape(-1)
-    if theta_hat.shape[0] != data.p:
-        raise ValueError("theta_hat dimension does not match data")
-    predicted = (data.inputs @ theta_hat >= 0.0).astype(np.int64)
-    return float(np.mean(predicted == data.labels))
+    return _hits(np.asarray(theta_hat, dtype=float).reshape(-1), data) / data.n
 
 
 def sign_recovery(theta_hat, theta_star, head="all", weights=None) -> float:
@@ -131,23 +127,13 @@ def sign_recovery(theta_hat, theta_star, head="all", weights=None) -> float:
     return float(np.mean(hits[:k]))
 
 
-def _fit_and_score(cfg: StudyConfig, train: Dataset, test: Dataset, theta_star, eigenvalues) -> ReplicationResult:
-    fit: FitResult = fit_constrained(train, cfg.R, cfg.solver_opts)
+def _result(cfg, fit: FitResult, train_precision, test_precision, theta_star, eigenvalues) -> ReplicationResult:
     theta_hat = fit.theta_hat
-
-    train_precision = prediction_precision(theta_hat, train)
-    test_precision = prediction_precision(theta_hat, test)
-
-    def head_recovery(k: int) -> float:
-        return sign_recovery(theta_hat, theta_star, head=min(k, cfg.p))
-
     return ReplicationResult(
         train_precision=train_precision,
         test_precision=test_precision,
         abs_diff=abs(train_precision - test_precision),
-        sign_recovery_10=head_recovery(10),
-        sign_recovery_100=head_recovery(100),
-        sign_recovery_500=head_recovery(500),
+        **{f"sign_recovery_{k}": sign_recovery(theta_hat, theta_star, head=min(k, cfg.p)) for k in (10, 100, 500)},
         sign_recovery_all=sign_recovery(theta_hat, theta_star, head="all"),
         sign_recovery_weighted=sign_recovery(theta_hat, theta_star, weights=eigenvalues),
         on_boundary=fit.on_boundary,
@@ -155,41 +141,53 @@ def _fit_and_score(cfg: StudyConfig, train: Dataset, test: Dataset, theta_star, 
     )
 
 
-def run_replication(cfg: StudyConfig, index: int, helper: ThreadPoolExecutor | None = None) -> dict[str, ReplicationResult]:
-    """Replicate ``index`` of every kind in COV_KINDS from one draw, freed on
-    return; deterministic given (cfg.base_seed, index).  A ``helper``
-    executor draws the test set while this thread draws the training set;
-    Philox releases the GIL, so the draws overlap."""
+def _kinds(z: np.ndarray, u: np.ndarray, theta_star: np.ndarray, beta: float, root: np.ndarray):
+    """The identity kind's rows, labelled on ``z`` as drawn (its scale is exactly 1); then, once the
+    caller is done with them, the reciprocal kind's, on ``z`` scaled in place by ``root``."""
+    yield "identity", label_rows(z, u, theta_star, beta)
+    z *= root
+    yield "reciprocal", label_rows(z, u, theta_star, beta)
+
+
+def run_replication(cfg: StudyConfig, index: int) -> dict[str, ReplicationResult]:
+    """Replicate ``index`` of every kind in COV_KINDS from one draw, given (cfg.base_seed, index).
+    Both kinds are fitted and scored on the training set, which is freed before
+    the test set is drawn and scored by both fits, _TEST_BLOCK_ROWS rows at a time."""
     theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, index, _THETA_TAG))
     train_seed, test_seed = (derive_seed(cfg.base_seed, index, tag) for tag in (_TRAIN_TAG, _TEST_TAG))
-    test_draw = helper.submit(draw_latent, test_seed, cfg.n_test, cfg.p) if helper else None
-    train_draw = draw_latent(train_seed, cfg.n, cfg.p)
-    draws = train_draw, (test_draw.result() if test_draw else draw_latent(test_seed, cfg.n_test, cfg.p))
+    eigenvalues = {kind: make_covariance(kind, cfg.p).eigenvalues for kind in COV_KINDS}
+    root = np.sqrt(eigenvalues["reciprocal"])
 
-    results = {}
-    # the identity kind, whose scale is exactly 1, reads Z as drawn; then Z
-    # is scaled in place for the reciprocal kind
-    for kind in ("identity", "reciprocal"):
-        eigenvalues = make_covariance(kind, cfg.p).eigenvalues
-        if kind == "reciprocal":
-            for z, _ in draws:
-                z *= np.sqrt(eigenvalues)
-        train, test = (label_rows(z, u, theta_star, cfg.beta) for z, u in draws)
-        results[kind] = _fit_and_score(cfg, train, test, theta_star, eigenvalues)
-    return results
+    fits, train_precision = {}, {}
+    for kind, train in _kinds(*draw_latent(train_seed, cfg.n, cfg.p), theta_star, cfg.beta, root):
+        fits[kind] = fit_constrained(train, cfg.R, cfg.solver_opts)
+        train_precision[kind] = _hits(fits[kind].theta_hat, train) / cfg.n
+    del train  # the n x p training rows go before the test rows come
+
+    test_hits = dict.fromkeys(fits, 0)
+    for z, u in draw_latent_chunks(test_seed, cfg.n_test, cfg.p, _TEST_BLOCK_ROWS):
+        for kind, block in _kinds(z, u, theta_star, cfg.beta, root):
+            test_hits[kind] += _hits(fits[kind].theta_hat, block)
+    return {kind: _result(cfg, fits[kind], train_precision[kind], test_hits[kind] / cfg.n_test, theta_star,
+                          eigenvalues[kind]) for kind in fits}
 
 
 def run_studies(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> dict[str, StudyResult]:
-    """One study per kind, in COV_KINDS order, from one `run_replication`
-    call per index.  The call goes through the module attribute, so a
-    wrapper set there sees every replicate.  ``threads`` > 1 draws each
-    test set on one helper thread; the results are the same for any count."""
-    rows = []
-    with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as helper:
-        for i in range(cfg.replications):
-            rows.append(run_replication(cfg, i, helper))
-            if progress:
-                print(f"replicate {i + 1}/{cfg.replications} done", file=sys.stderr, flush=True)
+    """One study per kind, in COV_KINDS order, from one `run_replication` call per index on
+    `map_replicates`' pool of at most ``threads`` workers.  The call goes through the module
+    attribute, so a wrapper set there sees every replicate.  A progress line counts the
+    replicates finished so far; the results are the same for any thread count."""
+    lock, finished = threading.Lock(), []
+
+    def replicate(index: int) -> dict[str, ReplicationResult]:
+        row = run_replication(cfg, index)
+        if progress:
+            with lock:
+                finished.append(index)
+                print(f"replicate {len(finished)}/{cfg.replications} done", file=sys.stderr, flush=True)
+        return row
+
+    rows = map_replicates(replicate, range(cfg.replications), threads=threads)
     return {kind: StudyResult(cfg, [row[kind] for row in rows]) for kind in COV_KINDS}
 
 

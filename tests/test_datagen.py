@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 import time
 
@@ -17,7 +18,8 @@ from ulln import (
     write_dataset,
 )
 from ulln.bounds import effective_rank
-from ulln.datagen import UNIFORM_SPHERE, map_replicates
+from ulln import datagen
+from ulln.datagen import UNIFORM_SPHERE, draw_latent, draw_latent_chunks, map_replicates
 
 
 class TestMakeCovariance:
@@ -206,3 +208,47 @@ def test_replicate_map_keeps_the_replicate_order():
     delays = [0.2, 0.0, 0.0, 0.0]
     got = map_replicates(lambda i, delay: time.sleep(delay) or float(i), range(4), delays)
     assert got == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_latent_chunks_concatenate_to_the_whole_draw():
+    z, u = draw_latent(11, 150, 7)
+    blocks = list(draw_latent_chunks(11, 150, 7, 64))
+    assert [len(bu) for _, bu in blocks] == [64, 64, 22]
+    assert np.concatenate([bz for bz, _ in blocks]).tobytes() == z.tobytes()
+    assert np.concatenate([bu for _, bu in blocks]).tobytes() == u.tobytes()
+
+
+@pytest.mark.skipif(datagen._openblas() is None, reason="numpy's bundled OpenBLAS thread control is absent")
+class TestBlasThreads:
+    @pytest.fixture
+    def blas(self):
+        # two BLAS threads going in, whatever the environment set; the old count comes back after
+        lib = datagen._openblas()
+        old = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        yield lib.scipy_openblas_get_num_threads64_
+        lib.scipy_openblas_set_num_threads64_(old)
+
+    @pytest.fixture
+    def two_cpus(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a pool of two workers needs two CPUs")
+
+    def test_a_pool_runs_one_blas_thread_and_restores_the_count(self, blas, two_cpus):
+        assert map_replicates(lambda i: blas(), range(2)) == [1, 1]
+        assert blas() == 2
+
+    def test_the_count_is_restored_when_a_replicate_raises(self, blas, two_cpus):
+        def fail(i):
+            raise RuntimeError(f"replicate {i}")
+
+        with pytest.raises(RuntimeError):
+            map_replicates(fail, range(2))
+        assert blas() == 2
+
+    def test_one_worker_keeps_the_count(self, blas):
+        assert map_replicates(lambda i: blas(), range(2), threads=1) == [2, 2]
+
+    def test_without_the_library_the_pool_runs_unchanged(self, blas, two_cpus, monkeypatch):
+        monkeypatch.setattr(datagen, "_openblas", lambda: None)
+        assert map_replicates(lambda i: (i, blas()), range(3)) == [(0, 2), (1, 2), (2, 2)]

@@ -1,8 +1,11 @@
 import csv
 import io
+import json
 import math
 import multiprocessing
+import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from ulln import (
     run_studies,
     sign_recovery,
 )
-from ulln import experiments
+from ulln import cli, datagen, experiments
 from ulln.datagen import derive_seed, sample_theta_star
 from ulln.experiments import (
     COV_KINDS,
@@ -125,8 +128,36 @@ class TestReplication:
 
 class TestStudy:
     def test_thread_count_does_not_change_results(self):
-        cfg = small_config(replications=6)
-        assert run_studies(cfg, threads=1) == run_studies(cfg, threads=2)
+        # test sets of 1 and 7 rows, and 100 rows, which end in a part block
+        for n_test, replications in ((30, 6), (1, 3), (7, 3), (100, 3), (30, 1)):
+            cfg = small_config(n_test=n_test, replications=replications)
+            serial = run_studies(cfg, threads=1)
+            for threads in (2, 3):
+                assert run_studies(cfg, threads=threads) == serial, (n_test, replications, threads)
+
+    def test_pool_never_outgrows_the_cpus(self, tmp_path, monkeypatch):
+        # the pool is only sized here: its stand-in runs the replicates on the calling thread
+        sizes = []
+
+        class SizedPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(datagen, "ThreadPoolExecutor", SizedPool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "experiment", "p": 20, "n": 10, "n_test": 10, "replications": 3}))
+        assert cli.main(["experiment", str(cfg), str(tmp_path / "out"), "--threads", "1000000"]) == 0
+        workers = min(len(os.sched_getaffinity(0)), 3)
+        assert sizes == ([workers] if workers > 1 else [])
 
     def test_study_starts_no_child_process(self, monkeypatch):
         # progress lines are printed while the study runs, so each write sees its live children
@@ -142,6 +173,16 @@ class TestStudy:
         assert sys.stderr.getvalue().count("done") == 2
         assert children == []
 
+    def test_progress_counts_the_replicates_a_pool_finishes(self, capsys):
+        # the count and its line are one step, even with the interpreter switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_studies(small_config(replications=8), threads=2, progress=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert capsys.readouterr().err.splitlines() == [f"replicate {k}/8 done" for k in range(1, 9)]
+
     def test_means_are_plain_averages(self):
         for study in run_studies(small_config(), threads=1).values():
             by_hand = np.mean([r.test_precision for r in study.replications])
@@ -152,13 +193,14 @@ class TestStudy:
         indices = []
         real_run_replication = experiments.run_replication
 
-        def spy(cfg, index, helper=None):
+        def spy(cfg, index):
             indices.append(index)
-            return real_run_replication(cfg, index, helper)
+            return real_run_replication(cfg, index)
 
         monkeypatch.setattr(experiments, "run_replication", spy)
-        run_studies(small_config(replications=3))
-        assert indices == [0, 1, 2]
+        run_studies(small_config(replications=3), threads=3)
+        # a pool finishes the replicates in any order
+        assert sorted(indices) == [0, 1, 2]
 
     def test_csv_layout(self, tmp_path):
         studies = run_studies(small_config(), threads=1)
@@ -206,29 +248,59 @@ class TestStudy:
 
 class TestJointStudies:
     def test_datasets_match_generate_dataset(self, monkeypatch):
-        cfg = small_config(replications=2, n_test=25)
+        # a test set of 150 rows comes in blocks of 64, 64 and 22
+        cfg = small_config(replications=2, n_test=150)
         seen = []
-        real_fit_and_score = experiments._fit_and_score
+        real_label_rows = experiments.label_rows
 
-        def spy(cfg, train, test, theta_star, eigenvalues):
+        def spy(x, u, theta_star, beta):
+            data = real_label_rows(x, u, theta_star, beta)
             # the driver scales Z in place after a kind is scored, so keep copies
-            seen.append([(d.inputs.copy(), d.labels.copy()) for d in (train, test)] + [theta_star.copy()])
-            return real_fit_and_score(cfg, train, test, theta_star, eigenvalues)
+            seen.append((theta_star.copy(), data.inputs.copy(), data.labels.copy()))
+            return data
 
-        monkeypatch.setattr(experiments, "_fit_and_score", spy)
-        run_studies(cfg)
-        # per replicate the identity kind is fitted first
-        assert len(seen) == 2 * cfg.replications
+        monkeypatch.setattr(experiments, "label_rows", spy)
+        run_studies(cfg, threads=2)
+        assert len(seen) == 2 * cfg.replications * (1 + 3)
         for i in range(cfg.replications):
             theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, i, 0))
-            for kind, (train, test, theta) in zip(("identity", "reciprocal"), seen[2 * i:2 * i + 2]):
-                assert np.array_equal(theta, theta_star)
-                for (inputs, labels), n, tag in ((train, cfg.n, 1), (test, cfg.n_test, 2)):
+            # a replicate's calls run on one thread: the training set of each kind, the
+            # identity kind first, then each test block of the identity and reciprocal kinds
+            mine = [(inputs, labels) for theta, inputs, labels in seen if np.array_equal(theta, theta_star)]
+            assert len(mine) == 2 * (1 + 3)
+            for k, kind in enumerate(("identity", "reciprocal")):
+                blocks = mine[2 + k::2]
+                assert [len(labels) for _, labels in blocks] == [64, 64, 22]
+                test = tuple(np.concatenate(parts) for parts in zip(*blocks))
+                for (inputs, labels), n, tag in ((mine[k], cfg.n, 1), (test, cfg.n_test, 2)):
                     gen = GenerativeConfig(p=cfg.p, n=n, cov=make_covariance(kind, cfg.p), beta=cfg.beta,
                                            theta_star=theta_star, seed=derive_seed(cfg.base_seed, i, tag))
                     data, _ = generate_dataset(gen)
                     assert inputs.tobytes() == data.inputs.tobytes()
                     assert np.array_equal(labels, data.labels)
+
+    def test_identity_training_precision_reads_z_as_drawn(self):
+        # both kinds share one Z, scaled in place for the reciprocal kind only after the
+        # identity kind is fitted and scored on it
+        cfg = small_config(replications=1)
+        theta_star = sample_theta_star(cfg.p, derive_seed(cfg.base_seed, 0, 0))
+        for kind, result in run_replication(cfg, 0).items():
+            gen = GenerativeConfig(p=cfg.p, n=cfg.n, cov=make_covariance(kind, cfg.p), beta=cfg.beta,
+                                   theta_star=theta_star, seed=derive_seed(cfg.base_seed, 0, 1))
+            train, _ = generate_dataset(gen)
+            fit = experiments.fit_constrained(train, cfg.R, cfg.solver_opts)
+            assert result.train_precision == prediction_precision(fit.theta_hat, train), kind
+
+    def test_replicate_streams_its_test_set(self):
+        # a whole test set would be 2000 x 2000 float64, 32 MB; the blocks are 1 MB each
+        cfg = StudyConfig(p=2000, n=20, n_test=2000, replications=1, base_seed=3)
+        tracemalloc.start()
+        try:
+            run_replication(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
     def test_progress_prints_one_line_per_replicate(self, capsys):
         run_studies(small_config(replications=2), progress=True)
@@ -284,25 +356,21 @@ def test_test_precision_matches_the_gaussian_pair_integral(monkeypatch):
     # an exact integral, so each kind's mean test precision must meet the mean of the
     # exact values within 3 binomial standard errors
     cfg = StudyConfig(replications=10, base_seed=20260808)
-    fits, scored = [], []
-    real_fit, real_fit_and_score = experiments.fit_constrained, experiments._fit_and_score
+    fits = []
+    real_fit = experiments.fit_constrained
 
     def fit_spy(*args, **kwargs):
         fit = real_fit(*args, **kwargs)
         fits.append(fit.theta_hat)
         return fit
 
-    def score_spy(cfg, train, test, theta_star, eigenvalues):
-        result = real_fit_and_score(cfg, train, test, theta_star, eigenvalues)
-        scored.append((fits[-1], theta_star, eigenvalues, result.test_precision))
-        return result
-
     monkeypatch.setattr(experiments, "fit_constrained", fit_spy)
-    monkeypatch.setattr(experiments, "_fit_and_score", score_spy)
-    run_studies(cfg)
-    # per replicate the identity kind is scored first
-    for kind, rows in (("identity", scored[0::2]), ("reciprocal", scored[1::2])):
-        exact = np.array([_expected_precision(th, ts, eig, cfg.beta) for th, ts, eig, _ in rows])
-        sample = np.array([precision for *_, precision in rows])
+    studies = run_studies(cfg, threads=1)
+    # serially, per replicate the identity kind is fitted first
+    for kind, theta_hats in (("identity", fits[0::2]), ("reciprocal", fits[1::2])):
+        eig = make_covariance(kind, cfg.p).eigenvalues
+        theta_stars = [sample_theta_star(cfg.p, derive_seed(cfg.base_seed, i, 0)) for i in range(cfg.replications)]
+        exact = np.array([_expected_precision(th, ts, eig, cfg.beta) for th, ts in zip(theta_hats, theta_stars)])
+        sample = np.array([r.test_precision for r in studies[kind].replications])
         stderr = math.sqrt(np.sum(exact * (1.0 - exact)) / cfg.n_test) / cfg.replications
         assert abs(sample.mean() - exact.mean()) <= 3.0 * stderr, (kind, sample.mean(), exact.mean(), stderr)
