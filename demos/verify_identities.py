@@ -2,20 +2,18 @@
 
 Each check compares an independently computed left and right side and
 reports the residual against a stated tolerance; Monte Carlo based
-checks use three standard errors.  `ulln verify all` runs the same
-suites from the command line.
+checks use three standard errors.  The last suite, 'g', checks the
+centered Laplacian gap and its expected-supremum bound.  `ulln verify all`
+runs the same suites from the command line.
 
 Run:  python demos/verify_identities.py
 """
-from ulln.theory_checks import format_report, run_suite
+from ulln.theory_checks import SUITE_NAMES, format_report, run_suite
 
-for suite in ("hermite", "smoothing", "ito", "moments"):
+for suite in SUITE_NAMES[1:]:
     reports = run_suite(suite)
     passed = sum(r.passed for r in reports)
     print(f"=== suite {suite!r}: {passed}/{len(reports)} passed ===")
     for report in reports:
         print(" ", format_report(report))
     print()
-
-print("the heavier 'g' suite (centered Laplacian gap + expected-sup bound)")
-print("runs in about 6 s on 2 cores:  ulln verify g")

@@ -25,6 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+# the largest delta the theorem and the extended bound admit; a Fraction prints
+# as "1/6" and compares with a float delta exactly
+THEOREM_DELTA_MAX, EXTENDED_DELTA_MAX = Fraction(1, 6), Fraction(1, 3)
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ def bound_theorem(params: BoundParams) -> BoundReport:
     bound and raise instead of being clamped, since clamping would
     silently misreport the coverage.
     """
-    if params.delta > 1.0 / 6.0:
-        raise ValueError("bound_theorem requires delta in (0, 1/6]")
+    if params.delta > THEOREM_DELTA_MAX:
+        raise ValueError(f"bound_theorem requires delta in (0, {THEOREM_DELTA_MAX}]")
     n, R, K = params.n, params.R, params.K
     L = params.log_inv_delta
     root_c_k = 1.0 + math.sqrt(3.0) * K
@@ -140,8 +145,8 @@ def bound_extended(params: BoundParams) -> BoundReport:
     pinned down numerically; results quoting this bound must report the
     ``a`` used.
     """
-    if params.delta > 1.0 / 3.0:
-        raise ValueError("bound_extended requires delta in (0, 1/3]")
+    if params.delta > EXTENDED_DELTA_MAX:
+        raise ValueError(f"bound_extended requires delta in (0, {EXTENDED_DELTA_MAX}]")
     n, R, K = params.n, params.R, params.K
     r = params.effective_rank
     L = params.log_inv_delta

@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from . import theory_checks
-from .bounds import BoundParams, BoundReport, bound_classical, bound_extended, bound_theorem
+from .bounds import (EXTENDED_DELTA_MAX, THEOREM_DELTA_MAX, BoundParams, BoundReport, bound_classical, bound_extended,
+                     bound_theorem)
 from .datagen import (
     GenerativeConfig,
     derive_seed,
@@ -190,17 +191,17 @@ _SWEEP_N_MAX = 10**18
 _SWEEP_STEPS_MAX = 10**6
 
 
-# each bound, the largest delta it admits, and that limit as the table names it
+# each bound and the largest delta it admits (BoundParams admits none above 1)
 _BOUNDS = {
-    "theorem": (bound_theorem, 1.0 / 6.0, "1/6"),
-    "classical": (bound_classical, 1.0, "1"),
-    "extended": (bound_extended, 1.0 / 3.0, "1/3"),
+    "theorem": (bound_theorem, THEOREM_DELTA_MAX),
+    "classical": (bound_classical, 1),
+    "extended": (bound_extended, EXTENDED_DELTA_MAX),
 }
 
 
 def _bound_rows(params: BoundParams, which: str) -> list[tuple[str, BoundReport | None]]:
     rows: list[tuple[str, BoundReport | None]] = []
-    for name, (bound, limit, _) in _BOUNDS.items():
+    for name, (bound, limit) in _BOUNDS.items():
         if which in ("all", name):
             # asked for alone, a bound raises for a delta above its limit; beside the others it reads n/a
             rows.append((name, None if which == "all" and params.delta > limit else bound(params)))
@@ -210,7 +211,7 @@ def _bound_rows(params: BoundParams, which: str) -> list[tuple[str, BoundReport 
 def _print_bounds_table(rows) -> None:
     for name, report in rows:
         if report is None:
-            print(f"{name:10s} n/a (delta > {_BOUNDS[name][2]})")
+            print(f"{name:10s} n/a (delta > {_BOUNDS[name][1]})")
             continue
         terms = "  ".join(f"{k}={v:.6g}" for k, v in report.terms.items())
         print(f"{name:10s} total={report.total:.6g}  confidence={report.confidence:.6g}  [{terms}]")

@@ -204,15 +204,18 @@ class GenerativeConfig:
 
 
 def draw_latent(seed: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic rows Z (n x p) and label uniforms U (n,) of a stream key."""
-    _, z_stream, u_stream = _streams(seed)
-    return z_stream.standard_normal((n, p)), u_stream.random(n)
+    """Isotropic rows Z (n x p) and label uniforms U (n,) of a stream key, n >= 1:
+    the one block of `draw_latent_chunks`."""
+    (block,) = draw_latent_chunks(seed, n, p, n)
+    return block
 
 
 def draw_latent_chunks(seed: int, n: int, p: int, rows: int):
-    """`draw_latent`'s Z and U in consecutive blocks of at most ``rows`` rows,
-    which concatenate to it bit for bit.  U (n floats) is drawn whole first,
-    so an n too large for memory fails before any block is drawn."""
+    """The isotropic rows Z and label uniforms U of a stream key in
+    consecutive blocks of at most ``rows`` rows.  Z and U come from separate
+    streams, so the blocks concatenate to the whole draw bit for bit for any
+    ``rows``.  U (n floats) is drawn whole first, so an n too large for
+    memory fails before any block is drawn."""
     _, z_stream, u_stream = _streams(seed)
     u = u_stream.random(n)
     for start in range(0, n, rows):

@@ -17,19 +17,14 @@ Checks covered:
 * the absolute third-Hermite moment E|z^3 - 3z|, integrated piecewise
   across its kinks at 0 and +/-sqrt(3);
 * the centered, time-integrated Laplacian gap functional and the
-  expected-supremum bound 2R sqrt(tr(Sigma)/n) it satisfies.  The
-  functional, the gradient of the gap surface and the ranking of the
-  `expsup` scan drop the time integral by the heat-semigroup identity
+  expected-supremum bound 2R sqrt(tr(Sigma)/n) it satisfies, both on one
+  gap surface (`_GapSurface`).  The functional, the gradient and the
+  ranking of the `expsup` scan drop the time integral by the heat-semigroup
+  identity
       lambda int_0^t E[f''(mu + sqrt(s lambda) Z)] ds
-          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu)),
-  the functional and the ranking through one softplus kernel.  The four
-  values an `expsup` replicate reports (its top-ranked probe and its three
-  polished paths) keep the time integral on a fixed Legendre by Hermite
-  rule and sum its symmetric Hermite nodes in pairs,
-      sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
-      X = 2 cosh(mu), Y = 2 cosh(c),
-  which is finite for |mu| and |c| up to GAP_PAIR_LIMIT (350); a surface,
-  or a point the pair rule scores, beyond that raises ValueError.
+          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu));
+  the four values an `expsup` replicate reports keep the time integral and
+  sum the symmetric Hermite nodes in pairs by a closed form (the pair rule).
 
 Every integral is a fixed rule from `quadrature`, and every Monte Carlo
 assertion uses a 3-standard-error tolerance and a stream seeded from the
@@ -103,6 +98,11 @@ class CheckReport:
 def _equality_report(name: str, lhs: float, rhs: float, tolerance: float) -> CheckReport:
     residual = abs(lhs - rhs)
     return CheckReport(name, float(lhs), float(rhs), float(residual), float(tolerance), residual <= tolerance)
+
+
+def _mean_and_stderr(values) -> tuple[float, float]:
+    """The mean of Monte Carlo replicates and its standard error."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
 def _hinge_report(name: str, lhs: float, rhs: float, residual: float) -> CheckReport:
@@ -267,8 +267,7 @@ def ito_expansion_residual(
         rng = make_rng(_seed_from_name(f"ito:{payload}") if seed is None else seed)
         draws = theta[None, :] + math.sqrt(t) * rng.standard_normal((mc_samples, p))
         values = f_of(draws)
-        lhs = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / math.sqrt(mc_samples))
+        lhs, stderr = _mean_and_stderr(values)
         tolerance = max(1e-6, 3.0 * stderr)
         suffix = ":mc"
     else:
@@ -341,13 +340,10 @@ def envelope_moment_check(
     norms = np.linalg.norm(cov.transform(draws), axis=1)
 
     eta_sq = (72.0 / math.e) * (LOG2 + c * norms) ** 2
-    mean_eta = float(np.mean(eta_sq))
-    se_eta = float(np.std(eta_sq, ddof=1) / math.sqrt(mc_samples))
+    mean_eta, se_eta = _mean_and_stderr(eta_sq)
     bound = (144.0 / math.e) * (1.0 + c**2 * (t * cov.trace + cov.spectral_norm * params.R**2))
 
-    second = norms**2
-    mean_second = float(np.mean(second))
-    se_second = float(np.std(second, ddof=1) / math.sqrt(mc_samples))
+    mean_second, se_second = _mean_and_stderr(norms**2)
     expected_second = t * cov.trace + float(cov.transform(theta) @ cov.transform(theta))
 
     violation = max(
@@ -398,45 +394,10 @@ GAP_HERMITE_NODES = 48
 # the paired closed form keeps X = 2 cosh(mu), Y = 2 cosh(c) and (X + Y)^2 finite for |mu| and |c| up to this;
 # (X + Y)^2 overflows at about 354
 GAP_PAIR_LIMIT = 350.0
-# the largest probe block of `_softplus_gap`; the probes are split into equal blocks (49 go as 7 of 7).
+# the largest probe block of `_GapSurface.identity_values`; the probes are split into equal blocks (49 go as 7 of 7).
 # At the g suite's 210 rows a block's (8, rows, 128) softplus tensor takes 1.7 MB and stays in L2; of 4, 8
 # and 12, 8 gave the fastest `verify all` on 2 cores, and one unblocked pass over 49 probes doubled its peak RSS
 GAP_PROBE_BLOCK = 8
-
-
-def _gap_rows(z_rows: np.ndarray, ref_rows: np.ndarray, cov: CovarianceSpec):
-    """The gap's rows z_i: coefficients (+1/(2n) on the data rows, -1/(2m)
-    on the reference rows), directions Lambda^{1/2} z_i and lambda_i =
-    <Lambda z_i, z_i>."""
-    n, m = z_rows.shape[0], ref_rows.shape[0]
-    rows = np.vstack([z_rows, ref_rows])
-    coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
-    return coef, cov.transform(rows), (rows**2) @ cov.eigenvalues
-
-
-def _softplus_gap(mus: np.ndarray, offsets: np.ndarray, weights: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The gap at each row mu of `mus` (probes x rows) by the heat-semigroup
-    identity with f = softplus: 2 coef @ (E[softplus(mu + sqrt(t lambda) Z)]
-    - softplus(mu)), the mean on the Hermite rule whose scaled nodes
-    `offsets` (rows x nodes) and weights are given.
-
-    softplus(mu) is subtracted node by node, so a row with lambda = 0 adds
-    exactly 0.  The probes go in equal blocks of at most GAP_PROBE_BLOCK,
-    and each probe is contracted on its own, so its value is the same to
-    the bit alone and in any block.  `_softplus_into` writes a block in
-    place, with its tail in a second buffer.
-    """
-    blocks = np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK)))
-    buffer = np.empty((len(blocks[0]),) + offsets.shape)  # array_split puts the largest block first
-    tail_buffer = np.empty_like(buffer)
-    values = []
-    for block in blocks:
-        increments, tail = buffer[: len(block)], tail_buffer[: len(block)]
-        np.add(block[:, :, None], offsets, out=increments)
-        _softplus_into(increments, increments, tail)
-        increments -= softplus(block)[:, :, None]
-        values.append(((increments @ weights)[:, None, :] @ (2.0 * coef))[:, 0])
-    return np.concatenate(values)
 
 
 def _paired_sigma_prime(x, y, out, tmp):
@@ -457,32 +418,32 @@ def _paired_sigma_prime(x, y, out, tmp):
 
 
 class _GapSurface:
-    """Values and gradient of the centered time-integrated Laplacian gap
-    sum_i coef_i lambda_i int_0^t E[sigma'(mu_i + sqrt(s lambda_i) Z)] ds,
-    mu_i = <Lambda^{1/2} z_i, theta>, over the rows of `_gap_rows` for
-    fixed data rows and a frozen reference sample.
+    """The centered time-integrated Laplacian gap
+        sum_i coef_i lambda_i int_0^t E[sigma'(mu_i + sqrt(s lambda_i) Z)] ds,
+    mu_i = <Lambda^{1/2} z_i, theta>, over the data rows z_i (coef_i =
+    +1/(2n)) and a frozen reference sample (coef_i = -1/(2m)), with
+    lambda_i = <Lambda z_i, z_i>.
 
-    `value_many` uses the fixed TIME_PANELS x TIME_PANEL_NODES
-    Gauss-Legendre by GAP_HERMITE_NODES Gauss-Hermite rule.  The Hermite
-    rule is symmetric, so node +z_k is summed with -z_k: with
+    `identity_values` drops the time integral by the heat-semigroup identity
+    with f = softplus (softplus'' = sigma'): each row's integral is
+    2 (E[softplus(mu + sqrt(t lambda) Z)] - softplus(mu)), one
+    HERMITE_NODES Gauss-Hermite mean.  Against an adaptive-quadrature
+    oracle, with mu in [-3, 3], it errs by at most 2e-11 for sqrt(t lambda)
+    up to 3, 9e-10 at 3.6 and 2e-4 at 10.  `gradient` gives the (m, p)
+    block of gradients by the identity with f = sigma, accurate to about
+    1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the `g`
+    suite.  Neither needs a guard.
+
+    `value_many` keeps the time integral, on the fixed TIME_PANELS x
+    TIME_PANEL_NODES Gauss-Legendre by GAP_HERMITE_NODES Gauss-Hermite
+    rule, and sums the symmetric Hermite nodes +z_k and -z_k in pairs: with
     c = sqrt(s lambda_i) z_k, X = 2 cosh(mu) and Y = 2 cosh(c),
         sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
     a sum and quotient of positive terms with no exp per node.  The form
-    overflows once |mu| or |c| passes about 354, so a surface or probe with
-    either above GAP_PAIR_LIMIT raises ValueError.  Y is stored once per
-    surface as `y[s, i, k] = 2 cosh(sqrt(s lambda_i) z_k)`; at each time
-    node the probes' X (probes, rows, 1) broadcasts against it, the pairs
-    are contracted with the pair weights and the rows with `row_weight`
-    probe by probe, and the values accumulate over the time nodes.  The
-    `expsup` replicate calls it on at most four probes.
-
-    `identity_values` gives the same gap by the heat-semigroup identity with
-    f = softplus, through `_softplus_gap`, the kernel of
-    `laplacian_gap_functional`, and is as accurate; `gradient` gives the
-    (m, p) block of gradients by the identity with f = sigma, accurate to
-    about 1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the
-    `g` suite.  Both use HERMITE_NODES Gauss-Hermite nodes and need no
-    guard.  The gradient is not the derivative of the pair-rule value.
+    overflows once |mu| or |c| passes about 354, so a call with either
+    above GAP_PAIR_LIMIT raises ValueError.  The Y table is built inside
+    the call, which an `expsup` replicate makes once, on at most four
+    probes.  The gradient is not the derivative of the pair-rule value.
 
     Every method forms each probe's products and contractions on its own,
     so a probe's value and gradient do not depend, to the bit, on the other
@@ -490,20 +451,14 @@ class _GapSurface:
     """
 
     def __init__(self, z_rows: np.ndarray, ref_rows: np.ndarray, t: float, cov: CovarianceSpec):
-        self.coef, self.directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
-        self.row_weight = self.coef * lambda_sq
-        s_nodes, self.s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
-        z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
-        # the nodes are sorted and symmetric: the upper half holds z_k > 0 and the weights of the pairs
-        half = GAP_HERMITE_NODES // 2
-        self.pair_weights = z_weights[half:]
-        # c[s, i, k] = sqrt(s * lambda_sq_i) * z_k
-        c = np.sqrt(s_nodes[:, None] * lambda_sq[None, :])[:, :, None] * z_nodes[half:]
-        if not np.all(c <= GAP_PAIR_LIMIT):
-            raise ValueError(f"gap surface: sqrt(t lambda) z exceeds {GAP_PAIR_LIMIT:g}")
-        self.y = 2.0 * np.cosh(c)
+        n, m = z_rows.shape[0], ref_rows.shape[0]
+        rows = np.vstack([z_rows, ref_rows])
+        self.t = t
+        self.coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
+        self.directions = cov.transform(rows)
+        self.lambda_sq = (rows**2) @ cov.eigenvalues
         h_nodes, self.h_weights = gauss_hermite(HERMITE_NODES)
-        self.t_offsets = np.sqrt(t * lambda_sq)[:, None] * h_nodes
+        self.t_offsets = np.sqrt(t * self.lambda_sq)[:, None] * h_nodes
 
     def _mus(self, thetas: np.ndarray) -> np.ndarray:
         """mu[j, i] = <Lambda^{1/2} z_i, theta_j>, one product per probe."""
@@ -517,18 +472,44 @@ class _GapSurface:
         return (row_terms[:, None, :] @ self.directions)[:, 0]
 
     def identity_values(self, thetas: np.ndarray) -> np.ndarray:
-        return _softplus_gap(self._mus(thetas), self.t_offsets, self.h_weights, self.coef)
+        """softplus(mu) is subtracted node by node, so a row with lambda = 0
+        adds exactly 0.  The probes go in equal blocks of at most
+        GAP_PROBE_BLOCK, and `_softplus_into` writes a block in place, with
+        its tail in a second buffer."""
+        mus = self._mus(thetas)
+        blocks = np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK)))
+        buffer = np.empty((len(blocks[0]),) + self.t_offsets.shape)  # array_split puts the largest block first
+        tail_buffer = np.empty_like(buffer)
+        values = []
+        for block in blocks:
+            increments, tail = buffer[: len(block)], tail_buffer[: len(block)]
+            np.add(block[:, :, None], self.t_offsets, out=increments)
+            _softplus_into(increments, increments, tail)
+            increments -= softplus(block)[:, :, None]
+            values.append(((increments @ self.h_weights)[:, None, :] @ (2.0 * self.coef))[:, 0])
+        return np.concatenate(values)
 
     def value_many(self, thetas: np.ndarray) -> np.ndarray:
+        s_nodes, s_weights = legendre_panels(0.0, self.t, TIME_PANELS, TIME_PANEL_NODES)
+        z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
+        # the nodes are sorted and symmetric: the upper half holds z_k > 0 and the weights of the pairs
+        half = GAP_HERMITE_NODES // 2
+        # c[s, i, k] = sqrt(s * lambda_sq_i) * z_k
+        c = np.sqrt(s_nodes[:, None] * self.lambda_sq[None, :])[:, :, None] * z_nodes[half:]
+        if not np.all(c <= GAP_PAIR_LIMIT):
+            raise ValueError(f"gap surface: sqrt(t lambda) z exceeds {GAP_PAIR_LIMIT:g}")
+        y = np.cosh(c, out=c)  # y[s, i, k] = 2 cosh(c[s, i, k]), written over c
+        y *= 2.0
         mus = self._mus(thetas)
         if not np.all(np.abs(mus) <= GAP_PAIR_LIMIT):
             raise ValueError(f"gap surface: |<Lambda^1/2 z, theta>| exceeds {GAP_PAIR_LIMIT:g}")
         x = 2.0 * np.cosh(mus)[:, :, None]
-        pairs, scratch = np.empty((2, len(mus)) + self.y.shape[1:])
+        row_weight = self.coef * self.lambda_sq
+        pairs, scratch = np.empty((2, len(mus)) + y.shape[1:])
         values = np.zeros(len(mus))
-        for weight, y in zip(self.s_weights, self.y):
-            _paired_sigma_prime(x, y, pairs, scratch)
-            values += weight * ((pairs[:, None] @ self.pair_weights) @ self.row_weight)[:, 0]
+        for weight, y_s in zip(s_weights, y):
+            _paired_sigma_prime(x, y_s, pairs, scratch)
+            values += weight * ((pairs[:, None] @ z_weights[half:]) @ row_weight)[:, 0]
         return values
 
 
@@ -540,31 +521,24 @@ def laplacian_gap_functional(
     ref_samples: int,
     seed: int,
 ) -> float:
-    """Evaluate the centered Laplacian gap of a fixed latent sample z.
-
-    The centering rows are ``ref_samples`` fresh draws from the reference
-    (standard normal) law, so the functional has mean zero over z.  The
-    heat-semigroup identity with f = softplus (softplus'' = sigma') turns
-    each row's time integral into 2 (E[softplus(mu + sqrt(t lambda) Z)] -
-    softplus(mu)), one HERMITE_NODES Gauss-Hermite mean, in `_softplus_gap`,
-    which also ranks the `expsup` scan.  Against an adaptive-quadrature
-    oracle, with mu in [-3, 3], the rule errs by at most 2e-11 for
-    sqrt(t lambda) up to 3, 9e-10 at 3.6 and 2e-4 at 10; the
-    `gap_centering` check in the `g` suite reaches about 3.1.
+    """The centered Laplacian gap of a fixed latent sample z at theta: the
+    `_GapSurface.identity_values` of z against ``ref_samples`` fresh
+    standard normal reference rows drawn from ``seed``, so the functional
+    has mean zero over z.  The `gap_centering` check in the `g` suite
+    reaches sqrt(t lambda) of about 3.1.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     if ref_samples < 1:
         raise ValueError("ref_samples must be a positive integer")
     z = np.atleast_2d(np.asarray(z, dtype=float))
+    if z.shape[0] < 1:
+        raise ValueError("n must be >= 1")
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if z.shape[1] != cov.p or theta.size != cov.p:
         raise ValueError("dimension mismatch between z, theta, and the covariance")
-
-    coef, directions, lambda_sq = _gap_rows(z, make_rng(seed).standard_normal((ref_samples, cov.p)), cov)
-    z_nodes, z_weights = gauss_hermite(HERMITE_NODES)
-    offsets = np.sqrt(t * lambda_sq)[:, None] * z_nodes
-    return float(_softplus_gap((directions @ theta)[None], offsets, z_weights, coef)[0])
+    ref_rows = make_rng(seed).standard_normal((ref_samples, cov.p))
+    return float(_GapSurface(z, ref_rows, t, cov).identity_values(theta[None])[0])
 
 
 EXPSUP_PROBES = 48
@@ -605,15 +579,13 @@ def expsup_gap_check(
     """Estimate E_Z[sup over the ball of the Laplacian gap] and test it
     against the bound 2R sqrt(tr(Sigma)/n) (plus 3 standard errors).
 
-    Each replicate draws a fresh latent sample and reference pool, ranks
-    random probes of the ball by the exact heat-semigroup values, and
-    polishes the top probes by projected ascent; the pair rule scores the
-    top-ranked probe and the polished points, and the replicate maxima are
-    averaged.  The search only ever underestimates the sup, which is the
+    Each replicate draws a fresh latent sample, reference pool and probes
+    of the ball, and `_expsup_replicate` searches them; the replicate maxima
+    are averaged.  The search only ever underestimates the sup, which is the
     safe direction for checking an upper bound.  All draws come first, from
-    one stream in replicate order;
-    the replicates then run on as many threads as the process has CPUs
-    (`datagen.map_replicates`), so the report is the same for any count.
+    one stream in replicate order; the replicates then run on as many
+    threads as the process has CPUs (`datagen.map_replicates`), so the
+    report is the same for any count.
     """
     p = cov.p
     if p > 5:
@@ -645,8 +617,7 @@ def expsup_gap_check(
     sups = map_replicates(
         lambda z, ref, pr: _expsup_replicate(z, ref, pr, t, radius, cov), z_rows, ref_rows, probes)
 
-    mean_sup = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / math.sqrt(replicates))
+    mean_sup, stderr = _mean_and_stderr(sups)
     bound = 2.0 * radius * math.sqrt(cov.trace / n)
     violation = mean_sup - bound - 3.0 * stderr
     return _hinge_report(f"expsup:p{p}:n{n}:R{radius:g}:t{t:g}", mean_sup, bound, violation)
@@ -677,8 +648,7 @@ def gap_centering_check(
     values = map_replicates(
         lambda z, ref_seed: laplacian_gap_functional(z, theta, t, cov, ref_samples=256, seed=ref_seed),
         zs, range(seed + 1, seed + 1 + 7 * draws, 7))
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(draws))
+    mean, stderr = _mean_and_stderr(values)
     return _hinge_report(f"gap_centering:p{p}:n{n}:t{t:g}", mean, 0.0, abs(mean) - 3.0 * stderr)
 
 

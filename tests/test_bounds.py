@@ -241,3 +241,11 @@ class TestValidation:
             for report in (bound_theorem(prm), bound_classical(prm), bound_extended(prm)):
                 assert all(v >= 0 for v in report.terms.values())
                 assert report.total == pytest.approx(sum(report.terms.values()), rel=1e-15)
+
+
+@pytest.mark.parametrize("bound,limit", [(bound_theorem, 1.0 / 6.0), (bound_extended, 1.0 / 3.0)])
+def test_delta_limit_admits_the_nearest_float_and_nothing_above(bound, limit):
+    # the float nearest 1/6 (1/3) lies below it, and the next float lies above it
+    bound(params(delta=limit))
+    with pytest.raises(ValueError, match="requires delta in"):
+        bound(params(delta=float(np.nextafter(limit, 1.0))))

@@ -43,10 +43,8 @@ from ulln.theory_checks import (
     run_suite,
     smoothing_identity_residual,
     _expsup_replicate,
-    _gap_rows,
     _GapSurface,
     _paired_sigma_prime,
-    _softplus_gap,
 )
 
 
@@ -326,7 +324,7 @@ class TestLaplacianGap:
         z = rng.standard_normal((8, p))
         theta = project_to_ball(rng.standard_normal(p), 1.0)
         ref_rows = make_rng(17).standard_normal((40, p))  # the functional's own reference draw at seed 17
-        _, _, lambda_sq = _gap_rows(z, ref_rows, cov)
+        lambda_sq = _GapSurface(z, ref_rows, t, cov).lambda_sq
         assert math.sqrt(t * lambda_sq.max()) <= 3.6  # where 128 Hermite nodes hold 1e-11
         value = laplacian_gap_functional(z, theta, t, cov, ref_samples=40, seed=17)
         assert abs(value - _oracle_functional(z, ref_rows, t, cov, theta)) <= 1e-11
@@ -374,10 +372,15 @@ class TestLaplacianGap:
         with pytest.raises(ValueError):
             laplacian_gap_functional(np.ones((2, 2)), np.zeros(2), 1.5, make_covariance("identity", 2), 10, 0)
 
+    def test_functional_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            laplacian_gap_functional(np.empty((0, 2)), np.zeros(2), 0.5, make_covariance("identity", 2), 10, 0)
+
 
 def _direct_value_many(z_rows, ref_rows, t, cov, thetas):
     """The gap surface's value rule, one (rows, m, nodes) tensor per s node."""
-    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
+    surface = _GapSurface(z_rows, ref_rows, t, cov)
+    coef, directions, lambda_sq = surface.coef, surface.directions, surface.lambda_sq
     s_nodes, s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
     z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
     mus = directions @ thetas.T
@@ -391,7 +394,8 @@ def _direct_value_many(z_rows, ref_rows, t, cov, thetas):
 def _oracle_functional(z_rows, ref_rows, t, cov, theta):
     """The gap functional with no identity: the s-integral of each row's
     E[sigma'(mu + sqrt(s lambda_sq) Z)] on 180 Gauss-Hermite nodes, by quad_vec."""
-    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
+    surface = _GapSurface(z_rows, ref_rows, t, cov)
+    coef, directions, lambda_sq = surface.coef, surface.directions, surface.lambda_sq
     mu = directions @ theta
     z, w = gauss_hermite(180)
 
@@ -405,7 +409,8 @@ def _oracle_functional(z_rows, ref_rows, t, cov, theta):
 def _oracle_gradient(z_rows, ref_rows, t, cov, theta):
     """The gap gradient with no identity: the s-integral of each row's
     E[sigma''(mu + sqrt(s lambda_sq) Z)] on 180 Gauss-Hermite nodes, by quad_vec."""
-    coef, directions, lambda_sq = _gap_rows(z_rows, ref_rows, cov)
+    surface = _GapSurface(z_rows, ref_rows, t, cov)
+    coef, directions, lambda_sq = surface.coef, surface.directions, surface.lambda_sq
     mu = directions @ theta
     z, w = gauss_hermite(180)
 
@@ -461,9 +466,13 @@ class TestGapSurface:
             surface.value_many(np.array([[theta]]))
 
     def test_row_outside_the_guard_raises(self):
-        # sqrt(t lambda) z_k reaches about 40 * 12 for the largest of the 48 nodes
+        # sqrt(t lambda) z_k reaches about 40 * 12 for the largest of the 48 nodes; only the pair rule has the guard
+        surface = _GapSurface(np.array([[40.0]]), np.array([[0.5]]), 1.0, make_covariance("identity", 1))
+        theta = np.array([[0.3]])
+        assert np.all(np.isfinite(surface.identity_values(theta)))
+        assert np.all(np.isfinite(surface.gradient(theta)))
         with pytest.raises(ValueError, match="exceeds"):
-            _GapSurface(np.array([[40.0]]), np.array([[0.5]]), 1.0, make_covariance("identity", 1))
+            surface.value_many(theta)
 
     def test_expsup_on_a_ball_outside_the_guard_raises(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -484,8 +493,7 @@ class TestGapSurface:
     @pytest.mark.parametrize("n,m,t", [(1, 1, 0.7), (7, 3, 0.3), (50, 160, 1.0)])
     def test_identity_values_match_the_quadrature_oracle(self, n, m, p, t):
         surface, args, rng = _gap_case(n, m, p, t)
-        _, _, lambda_sq = _gap_rows(*args[:2], args[3])
-        assert math.sqrt(t * lambda_sq.max()) <= 3.6  # where 128 Hermite nodes hold 1e-11
+        assert math.sqrt(t * surface.lambda_sq.max()) <= 3.6  # where 128 Hermite nodes hold 1e-11
         thetas = np.stack([np.zeros(p), project_to_ball(rng.standard_normal(p), 1.0), rng.standard_normal(p)])
         for theta, value in zip(thetas, surface.identity_values(thetas)):
             assert abs(value - _oracle_functional(*args, theta)) <= 1e-11
@@ -504,20 +512,21 @@ class TestGapSurface:
         cov, z, theta = make_covariance("reciprocal", p), rng.standard_normal((9, p)), rng.standard_normal(p)
         value = laplacian_gap_functional(z, theta, 0.6, cov, ref_samples=40, seed=5)
         ref_rows = make_rng(5).standard_normal((40, p))  # the functional's own reference draw at seed 5
-        coef, directions, lambda_sq = _gap_rows(z, ref_rows, cov)
-        z_nodes, z_weights = gauss_hermite(HERMITE_NODES)
-        offsets = np.sqrt(0.6 * lambda_sq)[:, None] * z_nodes
-        assert value == _softplus_gap((directions @ theta)[None], offsets, z_weights, coef)[0]
-        assert value == _GapSurface(z, ref_rows, 0.6, cov).identity_values(theta[None])[0]
+        surface = _GapSurface(z, ref_rows, 0.6, cov)
+        # the surface's layout: +1/(2n) on the data rows, -1/(2m) on the reference rows, offsets sqrt(t lambda) z_k
+        lambda_sq = (np.vstack([z, ref_rows]) ** 2) @ cov.eigenvalues
+        assert np.array_equal(surface.coef, np.concatenate([np.full(9, 0.5 / 9), np.full(40, -0.5 / 40)]))
+        assert np.array_equal(surface.t_offsets, np.sqrt(0.6 * lambda_sq)[:, None] * gauss_hermite(HERMITE_NODES)[0])
+        assert value == surface.identity_values(theta[None])[0]
 
     def test_kernel_is_the_per_probe_softplus_gap_bitwise(self):
         # 11 probes go as blocks of 6 and 5; each probe's value is the softplus formula contracted on its own
         surface, _, rng = _gap_case(50, 160, 3, 0.7)
-        mus = surface._mus(rng.standard_normal((11, 3)))
+        thetas = rng.standard_normal((11, 3))
         coef2 = 2.0 * surface.coef
         want = [((softplus(mu[:, None] + surface.t_offsets) - softplus(mu)[:, None]) @ surface.h_weights) @ coef2
-                for mu in mus]
-        got = _softplus_gap(mus, surface.t_offsets, surface.h_weights, surface.coef)
+                for mu in surface._mus(thetas)]
+        got = surface.identity_values(thetas)
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_returned_arrays_survive_later_calls(self):
