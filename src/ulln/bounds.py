@@ -30,6 +30,8 @@ from fractions import Fraction
 # the largest delta the theorem and the extended bound admit; a Fraction prints
 # as "1/6" and compares with a float delta exactly
 THEOREM_DELTA_MAX, EXTENDED_DELTA_MAX = Fraction(1, 6), Fraction(1, 3)
+# the concentration constant K of a standard Gaussian design
+GAUSSIAN_K = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class BoundParams:
     delta: float
     trace_sigma: float
     norm_sigma: float
-    K: float = math.sqrt(2.0)  # concentration constant of a standard Gaussian design
+    K: float = GAUSSIAN_K
     log_n_constant_a: float = 1.0  # absolute constant of the extended bound only
 
     def __post_init__(self):

@@ -30,8 +30,8 @@ import sys
 import numpy as np
 
 from . import theory_checks
-from .bounds import (EXTENDED_DELTA_MAX, THEOREM_DELTA_MAX, BoundParams, BoundReport, bound_classical, bound_extended,
-                     bound_theorem)
+from .bounds import (EXTENDED_DELTA_MAX, GAUSSIAN_K, THEOREM_DELTA_MAX, BoundParams, BoundReport, bound_classical,
+                     bound_extended, bound_theorem)
 from .datagen import (
     GenerativeConfig,
     derive_seed,
@@ -178,7 +178,7 @@ _SWEEP_SCHEMA = {
 _BOUNDS_SCHEMA = {
     "n": (int, REQUIRED),
     "R": (float, 0.0),
-    "K": (float, math.sqrt(2.0)),
+    "K": (float, GAUSSIAN_K),
     "delta": (float, REQUIRED),
     "trace": (float, REQUIRED),
     "norm": (float, REQUIRED),

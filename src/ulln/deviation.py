@@ -95,8 +95,8 @@ def sup_deviation_search(
     over every iterate visited is returned; it lower-bounds the true sup
     up to the Monte Carlo error of Rhat.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
     if starts < 1:
         raise ValueError("starts must be a positive integer")
     if gen.p != data.p:
@@ -136,8 +136,8 @@ def sup_deviation_grid(
     resolution: int,
 ) -> DeviationEstimate:
     """Exhaustive grid oracle over the bounding box of the ball (p <= 2 only)."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if gen.p != data.p:

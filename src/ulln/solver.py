@@ -59,8 +59,8 @@ def _ball_scale(v: np.ndarray, radius: float) -> np.ndarray:
 
 def project_to_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {theta : ||theta|| <= radius}, row-wise over the last axis."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and >= 0")
     v = np.asarray(v, dtype=float)
     return _ball_scale(v, radius)[..., None] * v
 

@@ -10,8 +10,10 @@ Checks covered:
       int_0^t s^{-1} E[f(sqrt(s) z)(z^2 - 1)] ds = 2(E[f(sqrt(t) z)] - f(0)),
   integrated after the substitution s = exp(-2r) that removes the 1/s
   singularity;
-* the second-order (Ito) expansion of the smoothed logistic loss, its
-  time integral on fixed Gauss-Legendre panels;
+* the second-order (Ito) expansion of the smoothed logistic loss at any
+  dimension: the loss reads w only through <x, w>, so both sides are
+  one-dimensional Gauss-Hermite means, the right side's time integral on
+  fixed Gauss-Legendre panels;
 * the Kullback-Leibler divergence of shifted isotropic Gaussians;
 * the moment bound for the subgaussian width envelope of the loss;
 * the absolute third-Hermite moment E|z^3 - 3z|, integrated piecewise
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
-from .bounds import BoundParams
+from .bounds import GAUSSIAN_K
 from .datagen import CovarianceSpec, make_covariance, make_rng, map_replicates
 from .model import (
     Dataset,
@@ -53,7 +55,7 @@ from .model import (
     sigmoid_derivative,
     softplus,
 )
-from .quadrature import gauss_hermite, gauss_hermite_tensor, legendre_panels
+from .quadrature import gauss_hermite, legendre_panels
 from .solver import project_to_ball
 
 HERMITE_NODES = 128
@@ -65,24 +67,6 @@ LOG2 = math.log(2.0)
 def _seed_from_name(name: str) -> int:
     digest = hashlib.blake2s(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-@dataclass(frozen=True)
-class GaussianSmoothing:
-    """Law N(center, time * I): a Brownian motion at `time` started at `center`."""
-
-    center: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(-1)
-        object.__setattr__(self, "center", center)
-        if self.time <= 0:
-            raise ValueError("time must be > 0")
-
-    @property
-    def p(self) -> int:
-        return self.center.size
 
 
 @dataclass(frozen=True)
@@ -209,74 +193,71 @@ def smoothing_identity_residual(name, t: float) -> CheckReport:
     return _equality_report(f"smoothing:{name}:t{t:g}", lhs, rhs, 1e-8)
 
 
-_ITO_AXIS_NODES = {1: 160, 2: 80, 3: 44}
-
-
 def ito_expansion_residual(
-    data: Dataset,
-    smoothing: GaussianSmoothing,
+    theta: np.ndarray,
+    t: float,
+    row: Dataset | None = None,
     mc_samples: int = 0,
     seed: int | None = None,
-    payload: str = "logistic",
 ) -> CheckReport:
-    """Check E[f(W_t)] = f(theta) + (1/2) int_0^t E[Laplacian f(W_s)] ds.
+    """Check E[f(W_t)] = f(theta) + (1/2) int_0^t E[Laplacian f(W_s)] ds for
+    W_s ~ N(theta, s I), at any dimension p.
 
-    The left side integrates the payload against N(theta, t I) with a
-    tensorized Gauss-Hermite rule (p <= 3); the right side integrates the
-    pointwise Laplacian over s on TIME_PANELS x TIME_PANEL_NODES
+    A one-row ``row`` (x, y) selects the logistic payload f(w) =
+    loss(y, <x, w>); no row selects f(w) = ||w||^2, whose Laplacian is the
+    constant 2p.  The logistic loss reads w only through <x, w> ~ N(<x,
+    theta>, t ||x||^2), so its left side is one HERMITE_NODES Gauss-Hermite
+    mean; ||w||^2 is a sum over coordinates, so its left side is the sum of
+    one such mean per coordinate.  The right side integrates the Laplacian
+    ||x||^2 sigma'(<x, w>) over s on TIME_PANELS x TIME_PANEL_NODES
     Gauss-Legendre nodes, each a HERMITE_NODES Gauss-Hermite mean.  With
-    ``mc_samples >= 2`` the left side is estimated by Monte Carlo instead
-    and the tolerance widens to three standard errors; 0 selects the
-    quadrature, and any other count raises ValueError.
+    ``mc_samples >= 2`` the left side is estimated by Monte Carlo in
+    dimension p instead and the tolerance widens to three standard errors;
+    0 selects the quadrature, and any other count raises ValueError.
     """
-    theta, t = smoothing.center, smoothing.time
-    p = smoothing.p
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    p = theta.size
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
     if mc_samples != 0 and mc_samples < 2:
         raise ValueError("mc_samples must be 0 (quadrature) or >= 2")
-    if p > 3:
-        raise ValueError("quadrature check supports p <= 3 only")
-    if payload == "logistic":
-        if data.n != 1:
+    z, w = gauss_hermite(HERMITE_NODES)
+    if row is None:
+        payload = "quadratic"
+
+        def f_of(w_points):  # (m, p) -> (m,)
+            return np.einsum("ij,ij->i", w_points, w_points)
+
+        # row j holds coordinate j of theta + sqrt(t) z at every node
+        lhs_quadrature = float(np.sum(((theta[:, None] + math.sqrt(t) * z) ** 2) @ w))
+        rhs = float(theta @ theta) + p * t
+    else:
+        payload = "logistic"
+        if row.n != 1:
             raise ValueError("the logistic payload expects a single-row dataset")
-        if data.p != p:
-            raise ValueError("data dimension does not match the smoothing center")
-        x_row = data.inputs[0]
-        y = float(data.labels[0])
+        if row.p != p:
+            raise ValueError("row dimension does not match theta")
+        x_row = row.inputs[0]
+        y = float(row.labels[0])
         x_norm_sq = float(x_row @ x_row)
         x_norm = math.sqrt(x_norm_sq)
         mu = float(x_row @ theta)
 
-        def f_of(w_points):  # (m, p) -> (m,)
+        def f_of(w_points):
             return per_example_loss(y, w_points @ x_row)
 
-        f_at_theta = float(per_example_loss(y, mu))
-        z1, w1 = gauss_hermite(HERMITE_NODES)
+        lhs_quadrature = float(w @ per_example_loss(y, mu + math.sqrt(t) * x_norm * z))
         s_nodes, s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
-        laplacian_means = x_norm_sq * (sigmoid_derivative(mu + (np.sqrt(s_nodes) * x_norm)[:, None] * z1) @ w1)
-        rhs = f_at_theta + 0.5 * float(s_weights @ laplacian_means)
-    elif payload == "quadratic":
-        def f_of(w_points):
-            return np.einsum("ij,ij->i", w_points, w_points)
+        laplacian_means = x_norm_sq * (sigmoid_derivative(mu + (np.sqrt(s_nodes) * x_norm)[:, None] * z) @ w)
+        rhs = float(per_example_loss(y, mu)) + 0.5 * float(s_weights @ laplacian_means)
 
-        rhs = float(theta @ theta) + p * t  # Laplacian is the constant 2p
-    else:
-        raise ValueError("payload must be 'logistic' or 'quadratic'")
-
-    suffix = ""
     if mc_samples > 0:
         rng = make_rng(_seed_from_name(f"ito:{payload}") if seed is None else seed)
         draws = theta[None, :] + math.sqrt(t) * rng.standard_normal((mc_samples, p))
-        values = f_of(draws)
-        lhs, stderr = _mean_and_stderr(values)
-        tolerance = max(1e-6, 3.0 * stderr)
-        suffix = ":mc"
+        lhs, stderr = _mean_and_stderr(f_of(draws))
+        tolerance, suffix = max(1e-6, 3.0 * stderr), ":mc"
     else:
-        nodes, weights = gauss_hermite_tensor(_ITO_AXIS_NODES[p], p)
-        w_points = theta[None, :] + math.sqrt(t) * nodes
-        # fsum is correctly rounded, so unlike a BLAS dot it gives the same
-        # sum for every thread count
-        lhs = math.fsum(weights * f_of(w_points))
-        tolerance = 1e-6
+        lhs, tolerance, suffix = lhs_quadrature, 1e-6, ""
 
     return _equality_report(f"ito:{payload}:p{p}:t{t:g}{suffix}", lhs, rhs, tolerance)
 
@@ -295,10 +276,12 @@ def kl_gaussian_shift(theta: np.ndarray, t: float) -> CheckReport:
     theta/||theta|| matters, and a Gauss-Hermite rule along that
     direction integrates it exactly.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
     theta = np.asarray(theta, dtype=float).reshape(-1)
     p = theta.size
+    if p == 0:
+        raise ValueError("theta must have at least one coordinate")
     norm = float(np.linalg.norm(theta))
     direction = theta / norm if norm > 0 else np.eye(p)[0]
     z, w = gauss_hermite(HERMITE_NODES)
@@ -309,39 +292,46 @@ def kl_gaussian_shift(theta: np.ndarray, t: float) -> CheckReport:
 
 
 def envelope_moment_check(
-    params: BoundParams,
-    smoothing: GaussianSmoothing,
+    theta: np.ndarray,
+    t: float,
     cov: CovarianceSpec,
+    radius: float,
     mc_samples: int,
     seed: int | None = None,
     label: str = "",
 ) -> CheckReport:
-    """Monte Carlo check of the smoothed subgaussian-envelope moment bound.
+    """Monte Carlo check of the smoothed subgaussian-envelope moment bound
+    for W_t ~ N(theta, t I) and the Gaussian design of ``cov``, whose
+    concentration constant is K = GAUSSIAN_K.
 
     Estimates E[eta^2(W_t)] for
         eta^2(w) = (72/e) (log 2 + (1 + sqrt(3) K) ||Lambda^{1/2} w||)^2
     and asserts, with a 3-standard-error margin, that it stays below
         (144/e) (1 + (1 + sqrt(3) K)^2 (t tr(Sigma) + ||Sigma|| R^2))
-    for centers inside the radius-R ball.  The second moment of
-    ||Lambda^{1/2} W_t|| is verified against t tr(Sigma) + <Sigma
+    for a center theta inside the ball of radius R = ``radius``.  The second
+    moment of ||Lambda^{1/2} W_t|| is verified against t tr(Sigma) + <Sigma
     theta, theta> along the way; a violation of either part fails the check.
     """
     if mc_samples < 2:
         raise ValueError("mc_samples must be >= 2")
-    theta, t = smoothing.center, smoothing.time
-    if cov.p != smoothing.p:
-        raise ValueError("covariance dimension does not match the smoothing center")
-    if float(np.linalg.norm(theta)) > params.R + 1e-12:
-        raise ValueError("smoothing center must lie inside the radius-R ball")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError("radius must be finite and >= 0")
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if cov.p != theta.size:
+        raise ValueError("covariance dimension does not match theta")
+    if float(np.linalg.norm(theta)) > radius + 1e-12:
+        raise ValueError("theta must lie inside the ball of the given radius")
 
-    c = 1.0 + math.sqrt(3.0) * params.K
+    c = 1.0 + math.sqrt(3.0) * GAUSSIAN_K
     rng = make_rng(_seed_from_name("envelope") if seed is None else seed)
     draws = theta[None, :] + math.sqrt(t) * rng.standard_normal((mc_samples, cov.p))
     norms = np.linalg.norm(cov.transform(draws), axis=1)
 
     eta_sq = (72.0 / math.e) * (LOG2 + c * norms) ** 2
     mean_eta, se_eta = _mean_and_stderr(eta_sq)
-    bound = (144.0 / math.e) * (1.0 + c**2 * (t * cov.trace + cov.spectral_norm * params.R**2))
+    bound = (144.0 / math.e) * (1.0 + c**2 * (t * cov.trace + cov.spectral_norm * radius**2))
 
     mean_second, se_second = _mean_and_stderr(norms**2)
     expected_second = t * cov.trace + float(cov.transform(theta) @ cov.transform(theta))
@@ -669,63 +659,32 @@ def _smoothing_suite() -> list[CheckReport]:
 
 def _ito_suite() -> list[CheckReport]:
     row = Dataset(np.array([[1.5]]), np.array([1]))
-    reports = [
-        ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 1e-8)),
-        ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5)),
-        ito_expansion_residual(
-            row, GaussianSmoothing(np.array([0.2]), 0.5), mc_samples=200_000,
-            seed=_seed_from_name("ito:logistic:mc"),
-        ),
-        ito_expansion_residual(
-            Dataset(np.array([[0.8, -0.4]]), np.array([0])),
-            GaussianSmoothing(np.array([0.1, -0.3]), 0.8),
-            payload="quadratic",
-        ),
-        ito_expansion_residual(
-            Dataset(np.array([[0.9, -0.7, 0.4]]), np.array([1])),
-            GaussianSmoothing(np.array([0.3, 0.1, -0.2]), 0.3),
-        ),
+    return [
+        ito_expansion_residual(np.array([0.2]), 1e-8, row),
+        ito_expansion_residual(np.array([0.2]), 0.5, row),
+        ito_expansion_residual(np.array([0.2]), 0.5, row, mc_samples=200_000, seed=_seed_from_name("ito:logistic:mc")),
+        ito_expansion_residual(np.array([0.1, -0.3]), 0.8),
+        ito_expansion_residual(np.array([0.3, 0.1, -0.2]), 0.3, Dataset(np.array([[0.9, -0.7, 0.4]]), np.array([1]))),
     ]
-    return reports
 
 
 def _moments_suite() -> list[CheckReport]:
     rng = make_rng(_seed_from_name("moments:theta"))
     theta7 = rng.standard_normal(7)
-    params = BoundParams(n=100, R=1.0, delta=0.05, trace_sigma=1.0, norm_sigma=1.0)
     rec4 = make_covariance("reciprocal", 4)
     sphere_center = np.array([0.5, -0.5, 0.5, -0.5])  # on the unit sphere
-    reports = [
+    return [
         kl_gaussian_shift(np.zeros(3), 1.0),
         kl_gaussian_shift(np.array([0.6, -0.8]), 0.5),
         kl_gaussian_shift(theta7, 0.3),
         hermite3_abs_moment(),
-        envelope_moment_check(
-            params,
-            GaussianSmoothing(np.zeros(4), 0.5),
-            CovarianceSpec(np.zeros(4)),
-            mc_samples=10_000,
-            seed=_seed_from_name("envelope:flat"),
-            label="flat",
-        ),
-        envelope_moment_check(
-            params,
-            GaussianSmoothing(sphere_center, 0.25),
-            rec4,
-            mc_samples=200_000,
-            seed=_seed_from_name("envelope:sphere"),
-            label="sphere",
-        ),
-        envelope_moment_check(
-            params,
-            GaussianSmoothing(np.zeros(4), 0.25),
-            rec4,
-            mc_samples=300_000,
-            seed=_seed_from_name("envelope:origin"),
-            label="origin",
-        ),
+        envelope_moment_check(np.zeros(4), 0.5, CovarianceSpec(np.zeros(4)), 1.0, mc_samples=10_000,
+                              seed=_seed_from_name("envelope:flat"), label="flat"),
+        envelope_moment_check(sphere_center, 0.25, rec4, 1.0, mc_samples=200_000,
+                              seed=_seed_from_name("envelope:sphere"), label="sphere"),
+        envelope_moment_check(np.zeros(4), 0.25, rec4, 1.0, mc_samples=300_000,
+                              seed=_seed_from_name("envelope:origin"), label="origin"),
     ]
-    return reports
 
 
 def _g_suite() -> list[CheckReport]:

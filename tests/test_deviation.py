@@ -101,6 +101,12 @@ class TestSearch:
         with pytest.raises(ValueError):
             sup_deviation_search(data, gen_other, 1.0, starts=1, budget=100, seed=0)
 
+    @pytest.mark.parametrize("radius", [-0.1, np.nan, np.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        data, gen = make_instance(1, 30, 3)
+        with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+            sup_deviation_search(data, gen, radius, starts=1, budget=100, seed=0)
+
     def test_shrinks_with_sample_size(self):
         # deviation estimates fall as n grows at fixed dimension
         cov_kind = "reciprocal"
@@ -145,3 +151,9 @@ class TestGrid:
         data, gen = make_instance(3, 10, 24)
         with pytest.raises(ValueError):
             sup_deviation_grid(data, gen, 1.0, 10)
+
+    @pytest.mark.parametrize("radius", [-0.1, np.nan, np.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        data, gen = make_instance(1, 30, 3)
+        with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+            sup_deviation_grid(data, gen, radius, 50)

@@ -30,6 +30,11 @@ class TestProjectToBall:
         with pytest.raises(ValueError):
             project_to_ball(np.array([1.0]), -0.1)
 
+    @pytest.mark.parametrize("radius", [-0.1, np.nan, np.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+            project_to_ball(np.array([1.0, 2.0]), radius)
+
 
 def grid_min_risk(data, radius, resolution=20001):
     """1-D brute-force oracle: minimum empirical risk over the interval."""

@@ -13,10 +13,9 @@ from scipy import integrate
 from scipy.special import eval_hermitenorm
 
 from ulln import Dataset, make_covariance, theory_checks
-from ulln.bounds import BoundParams
 from ulln.datagen import CovarianceSpec, make_rng, map_replicates
 from ulln.model import per_example_loss, sigmoid, sigmoid_derivative, softplus
-from ulln.quadrature import gauss_hermite, legendre_panels
+from ulln.quadrature import gauss_hermite, gauss_hermite_tensor, legendre_panels
 from ulln.solver import project_to_ball
 from ulln.theory_checks import (
     CATALOG,
@@ -30,7 +29,6 @@ from ulln.theory_checks import (
     HERMITE_NODES,
     TIME_PANEL_NODES,
     TIME_PANELS,
-    GaussianSmoothing,
     CatalogFunction,
     envelope_moment_check,
     expsup_gap_check,
@@ -133,27 +131,36 @@ class TestSmoothingIdentity:
             smoothing_identity_residual("sigmoid", 1.5)
 
 
+# the tensor rule the left side used to take: nodes per axis at p = 1, 2 and 3
+TENSOR_AXIS_NODES = {1: 160, 2: 80, 3: 44}
+
+
+def tensor_ito_lhs(f_of, theta, t):
+    """E[f(W_t)] for W_t ~ N(theta, t I) on the tensorized Gauss-Hermite rule, summed by fsum."""
+    nodes, weights = gauss_hermite_tensor(TENSOR_AXIS_NODES[theta.size], theta.size)
+    return math.fsum(weights * f_of(theta + math.sqrt(t) * nodes))
+
+
 class TestItoExpansion:
     def test_short_time_limit(self):
         row = Dataset(np.array([[1.5]]), np.array([1]))
-        report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 1e-8))
+        report = ito_expansion_residual(np.array([0.2]), 1e-8, row)
         assert report.abs_residual <= 1e-6
 
     def test_quadratic_payload_exact(self):
-        data = Dataset(np.array([[0.8, -0.4]]), np.array([0]))
         theta = np.array([0.1, -0.3])
-        report = ito_expansion_residual(data, GaussianSmoothing(theta, 0.8), payload="quadratic")
+        report = ito_expansion_residual(theta, 0.8)
         assert report.rhs == pytest.approx(float(theta @ theta) + 2 * 0.8, rel=1e-14)
         assert report.abs_residual <= 1e-10
 
     def test_logistic_quadrature(self):
         row = Dataset(np.array([[1.5]]), np.array([1]))
-        report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5))
+        report = ito_expansion_residual(np.array([0.2]), 0.5, row)
         assert report.abs_residual <= 1e-6
 
     def test_logistic_monte_carlo_variant(self):
         row = Dataset(np.array([[1.5]]), np.array([1]))
-        report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5), mc_samples=100_000, seed=9)
+        report = ito_expansion_residual(np.array([0.2]), 0.5, row, mc_samples=100_000, seed=9)
         assert report.passed
         assert report.tolerance >= 1e-6
 
@@ -162,18 +169,51 @@ class TestItoExpansion:
         # one draw has no standard error; a negative count is no quadrature request
         row = Dataset(np.array([[1.5]]), np.array([1]))
         with pytest.raises(ValueError, match="mc_samples"):
-            ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5), mc_samples=mc_samples, seed=9)
+            ito_expansion_residual(np.array([0.2]), 0.5, row, mc_samples=mc_samples, seed=9)
 
     def test_zero_mc_samples_is_the_quadrature_check(self):
         row = Dataset(np.array([[1.5]]), np.array([1]))
-        report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5), mc_samples=0)
+        report = ito_expansion_residual(np.array([0.2]), 0.5, row, mc_samples=0)
         assert report.name == "ito:logistic:p1:t0.5" and report.tolerance == 1e-6
-        assert report == ito_expansion_residual(row, GaussianSmoothing(np.array([0.2]), 0.5))
+        assert report == ito_expansion_residual(np.array([0.2]), 0.5, row)
 
     def test_three_dimensional(self):
         row = Dataset(np.array([[0.9, -0.7, 0.4]]), np.array([1]))
-        report = ito_expansion_residual(row, GaussianSmoothing(np.array([0.3, 0.1, -0.2]), 0.3))
+        report = ito_expansion_residual(np.array([0.3, 0.1, -0.2]), 0.3, row)
         assert report.abs_residual <= 1e-6
+
+    # sqrt(t) ||x|| <= 2, the range where the 128-node rule is exact to rounding (at 3.2 it errs by about 1e-11)
+    @pytest.mark.parametrize("x_row, theta, t", [
+        ([1.5], [0.2], 0.5), ([3.5], [-12 / 7], 0.3), ([2.0, -1.5], [0.5, 0.5], 0.3),
+        ([0.9, -0.7, 0.4], [0.3, 0.1, -0.2], 0.3), ([2.0, 2.0, 1.5], [1.0, 1.0, 0.0], 0.3),
+    ])
+    @pytest.mark.parametrize("logistic", [True, False])
+    def test_one_dimensional_lhs_matches_the_tensor_rule(self, x_row, theta, t, logistic):
+        x_row, theta = np.array(x_row), np.array(theta)
+        if logistic:
+            report = ito_expansion_residual(theta, t, Dataset(x_row[None, :], np.array([1])))
+            oracle = tensor_ito_lhs(lambda w: per_example_loss(1.0, w @ x_row), theta, t)
+        else:
+            report = ito_expansion_residual(theta, t)
+            oracle = tensor_ito_lhs(lambda w: np.einsum("ij,ij->i", w, w), theta, t)
+        assert report.lhs == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mc_samples", [0, 100_000])
+    @pytest.mark.parametrize("logistic", [True, False])
+    def test_eight_dimensional(self, mc_samples, logistic):
+        rng = np.random.default_rng(8)
+        theta, x_row = 0.3 * rng.standard_normal(8), 0.4 * rng.standard_normal(8)
+        row = Dataset(x_row[None, :], np.array([0])) if logistic else None
+        report = ito_expansion_residual(theta, 0.7, row, mc_samples=mc_samples, seed=10)
+        assert report.name.endswith(f":p8:t0.7{':mc' if mc_samples else ''}")
+        assert report.passed
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("logistic", [True, False])
+    def test_time_must_be_finite_and_positive(self, t, logistic):
+        row = Dataset(np.array([[1.5]]), np.array([1])) if logistic else None
+        with pytest.raises(ValueError, match="t must be"):
+            ito_expansion_residual(np.array([0.2]), t, row)
 
     @pytest.mark.parametrize("x_row, theta", [
         ([0.0], [0.4]), ([1.5], [0.2]), ([3.5], [-12 / 7]), ([3.5], [12 / 7]),
@@ -184,7 +224,7 @@ class TestItoExpansion:
         # |mu| <= 6, ||x|| <= 3.5: the fixed Legendre s-rule against adaptive quad
         x_row, theta = np.array(x_row), np.array(theta)
         y = int(x_row.size % 2)
-        report = ito_expansion_residual(Dataset(x_row[None, :], np.array([y])), GaussianSmoothing(theta, t))
+        report = ito_expansion_residual(theta, t, Dataset(x_row[None, :], np.array([y])))
         mu, x_norm = float(x_row @ theta), float(np.linalg.norm(x_row))
         z, w = gauss_hermite(HERMITE_NODES)
         integral, _ = integrate.quad(
@@ -198,18 +238,13 @@ class TestItoExpansion:
         # a Laplacian 1% off moves only the time integral on the right side
         exact = theory_checks.sigmoid_derivative
         monkeypatch.setattr(theory_checks, "sigmoid_derivative", lambda u: 1.01 * exact(u))
-        report = ito_expansion_residual(Dataset(np.array([x_row]), np.array([1])), GaussianSmoothing(np.array(theta), t))
+        report = ito_expansion_residual(np.array(theta), t, Dataset(np.array([x_row]), np.array([1])))
         assert not report.passed
-
-    def test_dimension_cap(self):
-        row = Dataset(np.ones((1, 4)), np.array([1]))
-        with pytest.raises(ValueError):
-            ito_expansion_residual(row, GaussianSmoothing(np.zeros(4), 0.5))
 
     def test_requires_single_row(self):
         data = Dataset(np.ones((2, 1)), np.array([1, 0]))
         with pytest.raises(ValueError):
-            ito_expansion_residual(data, GaussianSmoothing(np.zeros(1), 0.5))
+            ito_expansion_residual(np.zeros(1), 0.5, data)
 
 
 class TestKlShift:
@@ -233,6 +268,15 @@ class TestKlShift:
         with pytest.raises(ValueError):
             kl_gaussian_shift(np.ones(2), 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_time_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="t must be"):
+            kl_gaussian_shift(np.ones(2), t)
+
+    def test_empty_theta_is_rejected(self):
+        with pytest.raises(ValueError, match="theta"):
+            kl_gaussian_shift(np.zeros(0), 1.0)
+
     def test_wrong_log_density_fails(self, monkeypatch):
         # a density whose variance is 1% off changes the log-ratio, not the closed form
         from ulln import theory_checks
@@ -245,38 +289,41 @@ class TestKlShift:
 
 
 class TestEnvelopeMoment:
-    def params(self):
-        return BoundParams(n=50, R=1.0, delta=0.05, trace_sigma=1.0, norm_sigma=1.0)
-
     def test_degenerate_spectrum_has_twofold_slack(self):
-        report = envelope_moment_check(
-            self.params(), GaussianSmoothing(np.zeros(3), 0.5), CovarianceSpec(np.zeros(3)),
-            mc_samples=5000, seed=1,
-        )
+        report = envelope_moment_check(np.zeros(3), 0.5, CovarianceSpec(np.zeros(3)), 1.0, mc_samples=5000, seed=1)
         assert report.passed
         assert report.rhs >= 2 * report.lhs  # bound is at least twice the constant envelope
 
     def test_reciprocal_on_sphere(self):
         center = np.array([0.5, -0.5, 0.5, -0.5])
-        report = envelope_moment_check(
-            self.params(), GaussianSmoothing(center, 0.25), make_covariance("reciprocal", 4),
-            mc_samples=120_000, seed=2,
-        )
+        report = envelope_moment_check(center, 0.25, make_covariance("reciprocal", 4), 1.0, mc_samples=120_000, seed=2)
         assert report.passed
 
     def test_center_outside_ball_rejected(self):
         with pytest.raises(ValueError):
-            envelope_moment_check(
-                self.params(), GaussianSmoothing(2.0 * np.ones(4) / 2.0, 0.25),
-                make_covariance("reciprocal", 4), mc_samples=100, seed=3,
-            )
+            envelope_moment_check(2.0 * np.ones(4) / 2.0, 0.25, make_covariance("reciprocal", 4), 1.0,
+                                  mc_samples=100, seed=3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            envelope_moment_check(
-                self.params(), GaussianSmoothing(np.zeros(3), 0.25),
-                make_covariance("reciprocal", 4), mc_samples=100, seed=4,
-            )
+            envelope_moment_check(np.zeros(3), 0.25, make_covariance("reciprocal", 4), 1.0, mc_samples=100, seed=4)
+
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_time_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="t must be"):
+            envelope_moment_check(np.zeros(4), t, make_covariance("reciprocal", 4), 1.0, mc_samples=100, seed=5)
+
+    @pytest.mark.parametrize("radius", [-0.1, math.nan, math.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            envelope_moment_check(np.zeros(4), 0.25, make_covariance("reciprocal", 4), radius, mc_samples=100, seed=6)
+
+    def test_bound_reads_the_gaussian_design_constant(self):
+        cov = make_covariance("reciprocal", 4)
+        report = envelope_moment_check(np.zeros(4), 0.25, cov, 1.0, mc_samples=100, seed=7)
+        c = 1.0 + math.sqrt(3.0) * math.sqrt(2.0)
+        assert report.rhs == pytest.approx((144 / math.e) * (1 + c**2 * (0.25 * cov.trace + cov.spectral_norm)),
+                                           rel=1e-15)
 
 
 class TestHermite3AbsMoment:
