@@ -56,10 +56,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # the default of a schema entry that must be given
 REQUIRED = object()
 
@@ -78,13 +74,13 @@ def _load_config(path: str, command: str, schema: dict) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     if raw.get("command") != command:
-        raise ConfigError(f"config command is {raw.get('command')!r}, expected {command!r}")
+        raise ValueError(f"config command is {raw.get('command')!r}, expected {command!r}")
     return _typed({k: v for k, v in raw.items() if k != "command"}, schema, "config")
 
 
@@ -96,17 +92,17 @@ def _typed(raw: dict, schema: dict, what: str) -> dict:
     REQUIRED for a key that must be given.  A key without a default stays
     absent when ``raw`` omits it.  Ints widen to float where float is
     expected; a bool is never accepted.  Unknown keys, missing required
-    keys and wrong types raise ConfigError.
+    keys and wrong types raise ValueError.
     """
     unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     out = {}
     for key, entry in schema.items():
         kind, default = entry if isinstance(entry, tuple) else (entry, None)
         if key not in raw:
             if default is REQUIRED:
-                raise ConfigError(f"{what} requires {key!r}")
+                raise ValueError(f"{what} requires {key!r}")
             if default is not None:
                 out[key] = default
             continue
@@ -115,7 +111,7 @@ def _typed(raw: dict, schema: dict, what: str) -> dict:
         if expected is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(f"{what} key {key!r} must be {expected.__name__}")
+            raise ValueError(f"{what} key {key!r} must be {expected.__name__}")
         out[key] = _typed(value, kind, key) if isinstance(kind, dict) else value
     return out
 
@@ -221,28 +217,33 @@ def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | Non
     n_start, n_stop, steps = sweep["n_start"], sweep["n_stop"], sweep["steps"]
     trace_rule, delta_rule = sweep["trace_rule"], sweep["delta_rule"]
     if trace_rule not in ("fixed", "n_over_log_n"):
-        raise ConfigError("trace_rule must be 'fixed' or 'n_over_log_n'")
+        raise ValueError("trace_rule must be 'fixed' or 'n_over_log_n'")
     if delta_rule not in ("fixed", "inverse_n_squared"):
-        raise ConfigError("delta_rule must be 'fixed' or 'inverse_n_squared'")
+        raise ValueError("delta_rule must be 'fixed' or 'inverse_n_squared'")
     if not 2 <= steps <= _SWEEP_STEPS_MAX or n_start < 2 or n_stop <= n_start or n_stop > _SWEEP_N_MAX:
-        raise ConfigError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} "
+        raise ValueError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} "
                           f"and 2 <= steps <= {_SWEEP_STEPS_MAX:.0e}")
 
-    grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
-    rows_out = []
-    for n in grid:
-        n = int(n)
-        trace = params.trace_sigma if trace_rule == "fixed" else params.norm_sigma * n / math.log(n)
-        delta = params.delta if delta_rule == "fixed" else min(1.0, 1.0 / n**2)
-        reports = _bound_rows(dataclasses.replace(params, n=n, trace_sigma=trace, delta=delta), which)
-        rows_out.append([n, f"{trace:.6g}", f"{delta:.6g}"]
-                        + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
-    rows_out.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
-    if out_path:
-        with _io_action("write sweep CSV"), open(out_path, "w", newline="", encoding="utf-8") as fh:
+    # the CSV is opened before any bound is evaluated, so that a bad path fails at once
+    with _io_action("write sweep CSV"):
+        fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else None
+    with fh or contextlib.nullcontext():
+        grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
+        rows_out = []
+        for n in grid:
+            n = int(n)
+            trace = params.trace_sigma if trace_rule == "fixed" else params.norm_sigma * n / math.log(n)
+            delta = params.delta if delta_rule == "fixed" else min(1.0, 1.0 / n**2)
+            reports = _bound_rows(dataclasses.replace(params, n=n, trace_sigma=trace, delta=delta), which)
+            rows_out.append([n, f"{trace:.6g}", f"{delta:.6g}"]
+                            + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
+        rows_out.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
+        if fh is None:
+            csv.writer(sys.stdout).writerows(rows_out)
+            return
+        # closed here, so that a failed flush is named too
+        with _io_action("write sweep CSV"), fh:
             csv.writer(fh).writerows(rows_out)
-    else:
-        csv.writer(sys.stdout).writerows(rows_out)
 
 
 def _integral(text: str) -> int | float | str:
@@ -261,7 +262,7 @@ def _sweep_flag(args) -> dict:
     spec, _, grid = args.sweep.partition("=")
     bounds = grid.split(":")
     if spec != "n" or len(bounds) != 3:
-        raise ConfigError("--sweep must look like n=start:stop:steps")
+        raise ValueError("--sweep must look like n=start:stop:steps")
     sweep = dict(zip(("n_start", "n_stop", "steps"), map(_integral, bounds)))
     rules = {"trace_rule": args.trace_rule, "delta_rule": args.delta_rule}
     return sweep | {key: rule for key, rule in rules.items() if rule is not None}
@@ -273,7 +274,7 @@ def cmd_bounds(args) -> int:
     if args.config:
         if flags:
             names = ", ".join("--" + key.replace("_", "-") for key in flags)
-            raise ConfigError(f"parameter flags cannot be combined with a config: {names}")
+            raise ValueError(f"parameter flags cannot be combined with a config: {names}")
         cfg = _load_config(args.config, "bounds", _BOUNDS_SCHEMA)
     else:
         raw = {key: getattr(args, key) for key in flags if key in _BOUNDS_SCHEMA}
@@ -287,7 +288,7 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
     unused = [flag for flag in ("--trace-rule", "--delta-rule", "--out") if getattr(args, flag[2:].replace("-", "_"))]
     if unused:
-        raise ConfigError(f"{', '.join(unused)}: only used with a sweep")
+        raise ValueError(f"{', '.join(unused)}: only used with a sweep")
     _print_bounds_table(_bound_rows(params, args.bound))
     return EXIT_OK
 
@@ -343,11 +344,11 @@ def cmd_deviation(args) -> int:
     # and bound_theorem rejects a delta above 1/6
     for key in ("replicates", "starts", "budget"):
         if cfg[key] < 1:
-            raise ConfigError(f"config key {key!r} must be >= 1")
+            raise ValueError(f"config key {key!r} must be >= 1")
     if cfg["grid_resolution"] < 2:
-        raise ConfigError("config key 'grid_resolution' must be >= 2")
+        raise ValueError("config key 'grid_resolution' must be >= 2")
     if not (math.isfinite(cfg["beta"]) and cfg["beta"] >= 0):
-        raise ConfigError("config key 'beta' must be finite and >= 0")
+        raise ValueError("config key 'beta' must be finite and >= 0")
     cov = make_covariance(cfg["cov_kind"], p)
     params = BoundParams(n=n, R=radius, delta=delta, trace_sigma=cov.trace, norm_sigma=cov.spectral_norm)
     theorem_total = bound_theorem(params).total

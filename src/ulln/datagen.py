@@ -200,6 +200,8 @@ class GenerativeConfig:
             ts = np.asarray(self.theta_star, dtype=float).reshape(-1)
             if ts.size != self.p:
                 raise ValueError("theta_star dimension does not match p")
+            if not np.all(np.isfinite(ts)):
+                raise ValueError("theta_star must be finite")
         object.__setattr__(self, "theta_star", ts)
 
 

@@ -99,6 +99,8 @@ def sup_deviation_search(
         raise ValueError("radius must be finite and >= 0")
     if starts < 1:
         raise ValueError("starts must be a positive integer")
+    if ascent_iters < 0:
+        raise ValueError("ascent_iters must be >= 0")
     if gen.p != data.p:
         raise ValueError("generative config dimension does not match data")
 

@@ -69,6 +69,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def legendre_panels(a: float, b: float, panels: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule: `panels` equal subintervals of [a, b],
     each panel's nodes in order; one panel maps the rule onto [a, b] itself."""
+    if panels < 1:
+        raise ValueError("panel count must be >= 1")
     x, w = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])

@@ -372,6 +372,19 @@ class TestBoundsCommand:
         assert out == "" and err.startswith("error:") and "--out" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_unwritable_sweep_out_exits_3_before_any_bound(self, tmp_path, capsys, monkeypatch):
+        import ulln.cli
+
+        calls = []
+        real = ulln.cli._bound_rows
+        monkeypatch.setattr(ulln.cli, "_bound_rows", lambda *args: calls.append(args) or real(*args))
+        assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
+                     "--sweep", "n=10:1000:3", "--out", str(tmp_path / "missing" / "s.csv")]) == 3
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot write sweep CSV" in err
+
     def test_config_file_variant(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {
             "command": "bounds", "n": 100, "R": 0.0, "K": 1.4142135623730951,

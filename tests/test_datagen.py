@@ -201,6 +201,9 @@ def test_config_validation():
         GenerativeConfig(p=3, n=5, cov=cov, beta=1.0, theta_star="banana")
     with pytest.raises(ValueError):
         GenerativeConfig(p=3, n=5, cov=cov, beta=1.0, theta_star=np.ones(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="theta_star must be finite"):
+            GenerativeConfig(p=3, n=5, cov=cov, beta=1.0, theta_star=[bad, 0.0, 0.0])
 
 
 def test_replicate_map_keeps_the_replicate_order():

@@ -107,6 +107,14 @@ class TestSearch:
         with pytest.raises(ValueError, match="radius must be finite and >= 0"):
             sup_deviation_search(data, gen, radius, starts=1, budget=100, seed=0)
 
+    def test_ascent_iters_must_be_nonnegative(self):
+        data, gen = make_instance(1, 30, 3)
+        with pytest.raises(ValueError, match="ascent_iters must be >= 0"):
+            sup_deviation_search(data, gen, 1.0, starts=1, budget=100, seed=0, ascent_iters=-1)
+        # 0 only scores the starts
+        est = sup_deviation_search(data, gen, 1.0, starts=1, budget=100, seed=0, ascent_iters=0)
+        assert 0 <= est.sup_value < np.inf
+
     def test_shrinks_with_sample_size(self):
         # deviation estimates fall as n grows at fixed dimension
         cov_kind = "reciprocal"

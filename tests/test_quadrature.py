@@ -52,3 +52,9 @@ def test_legendre_panels_is_the_per_panel_map_bit_for_bit(a, b, panels, n):
     assert got_x.tobytes() == want_x.tobytes()
     assert got_w.tobytes() == want_w.tobytes()
 
+
+
+@pytest.mark.parametrize("panels", [0, -2])
+def test_legendre_panels_needs_a_panel(panels):
+    with pytest.raises(ValueError, match="panel count must be >= 1"):
+        legendre_panels(0.0, 1.0, panels, 5)

@@ -48,51 +48,40 @@ from ulln.theory_checks import (
 
 class TestHermiteIdentities:
     def test_poly2_first_order_is_odd_moment(self):
-        report = hermite_identity_residual("poly2", 0, "first")
+        report = hermite_identity_residual("poly2", 0)
         assert abs(report.lhs) < 1e-12 and abs(report.rhs) < 1e-12
         assert report.passed
 
     def test_sigmoid_first_order(self):
-        report = hermite_identity_residual("sigmoid", 0, "first")
+        report = hermite_identity_residual("sigmoid", 0)
         assert report.abs_residual <= 1e-10
         assert report.passed
-
-    def test_sigmoid_bump_second_order(self):
-        report = hermite_identity_residual("sigmoid_bump", 1, "second")
-        assert report.abs_residual <= 1e-10
 
     def test_every_valid_combination(self):
         for name in CATALOG:
             for d in (0, 1, 2):
-                assert hermite_identity_residual(name, d, "first").abs_residual <= 1e-10
-            for d in (0, 1):
-                assert hermite_identity_residual(name, d, "second").abs_residual <= 1e-10
+                assert hermite_identity_residual(name, d).abs_residual <= 1e-10
 
     def test_node_doubling_self_consistency(self):
         # recompute the sigmoid identity with doubled nodes; both sides move < 1e-10
         z, w = gauss_hermite(256)
         lhs = float(w @ (sigmoid_derivative(z) * 1.0))
         rhs = float(w @ (np.asarray(1 / (1 + np.exp(-np.clip(z, -700, 700)))) * z))
-        report = hermite_identity_residual("sigmoid", 0, "first")
+        report = hermite_identity_residual("sigmoid", 0)
         assert abs(report.lhs - lhs) <= 1e-10
         assert abs(report.rhs - rhs) <= 1e-10
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            hermite_identity_residual("nope", 0, "first")
+            hermite_identity_residual("nope", 0)
         with pytest.raises(ValueError):
-            hermite_identity_residual("sigmoid", 2, "second")
-        with pytest.raises(ValueError):
-            hermite_identity_residual("sigmoid", 3, "first")
-        with pytest.raises(ValueError):
-            hermite_identity_residual("sigmoid", 0, "third")
+            hermite_identity_residual("sigmoid", 3)
 
 
 class TestSmoothingIdentity:
     def test_constant_function_vanishes(self):
         const = CatalogFunction(
             lambda x: 3.0 * np.ones_like(np.asarray(x, dtype=float)),
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
         report = smoothing_identity_residual(const, 0.5)
@@ -114,7 +103,6 @@ class TestSmoothingIdentity:
         shifted = CatalogFunction(
             lambda x: 1.0 / (1.0 + np.exp(-np.clip(0.3 + x, -700, 700))),
             lambda x: sigmoid_derivative(0.3 + x),
-            lambda x: sigmoid_derivative(0.3 + x) * (1 - 2 / (1 + np.exp(-np.clip(0.3 + x, -700, 700)))),
         )
         report = smoothing_identity_residual(shifted, 1.0)
         assert report.abs_residual <= 1e-8
