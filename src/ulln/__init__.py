@@ -41,6 +41,7 @@ from .experiments import (
     StudyConfig,
     StudyResult,
     prediction_precision,
+    run_coverage,
     run_replication,
     run_studies,
     sign_recovery,

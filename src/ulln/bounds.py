@@ -15,7 +15,9 @@ alone — none depends on the ambient dimension p:
                         delta <= 1/3.
 
 A delta above a bound's limit raises rather than report a negative
-coverage.
+coverage.  ``BOUNDS`` names each bound with its limit; ``evaluate``
+reports the ones asked for at one point, and ``sweep`` along a grid of
+sample sizes.
 
 The PAC-Bayes smoothing time inside the four-term bound is pinned at
 t = 1/(12 log(1/delta)) and never exposed.  Squares are products, which
@@ -24,14 +26,20 @@ give inf where a float ``**`` raises; a bound that is not finite raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+
+import numpy as np
 
 # the largest delta the theorem and the extended bound admit; a Fraction prints
 # as "1/6" and compares with a float delta exactly
 THEOREM_DELTA_MAX, EXTENDED_DELTA_MAX = Fraction(1, 6), Fraction(1, 3)
 # the concentration constant K of a standard Gaussian design
 GAUSSIAN_K = math.sqrt(2.0)
+# the sweep's n grid is cast to int64, which holds up to about 9.2e18
+_SWEEP_N_MAX = 10**18
+# the whole grid is held in memory: 10**6 steps is about 8 MB
+_SWEEP_STEPS_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,53 @@ def bound_extended(params: BoundParams) -> BoundReport:
     return _report(
         "extended_classical", {"rademacher": term1, "subgaussian_envelope": term2}, 1.0 - 3.0 * params.delta
     )
+
+
+# each bound and the largest delta it admits (BoundParams admits none above 1)
+BOUNDS = {
+    "theorem": (bound_theorem, THEOREM_DELTA_MAX),
+    "classical": (bound_classical, 1),
+    "extended": (bound_extended, EXTENDED_DELTA_MAX),
+}
+
+
+def evaluate(params: BoundParams, which: str) -> list[tuple[str, BoundReport | None]]:
+    """``(name, report)`` for the bound ``which`` names, or for every bound in BOUNDS order.
+
+    Asked for alone, a bound raises for a delta above its limit; beside the
+    others its report is None.
+    """
+    return [(name, None if which == "all" and params.delta > limit else bound(params))
+            for name, (bound, limit) in BOUNDS.items() if which in ("all", name)]
+
+
+def sweep(params: BoundParams, which: str, n_start: int, n_stop: int, steps: int,
+          trace_rule: str = "fixed", delta_rule: str = "fixed"):
+    """``(n, trace, delta, evaluate(...))`` at each n of a log-spaced grid, as a lazy iterator.
+
+    The grid holds ``steps`` points from ``n_start`` to ``n_stop``, rounded
+    down to integers and deduplicated.  At each n the trace of Sigma is
+    ``params.trace_sigma`` ("fixed") or ``||Sigma|| n / log n``
+    ("n_over_log_n"), and delta is ``params.delta`` ("fixed") or
+    ``min(1, 1/n^2)`` ("inverse_n_squared").  The arguments are checked and
+    the grid built when called; each point's bounds when it is reached.
+    """
+    if trace_rule not in ("fixed", "n_over_log_n"):
+        raise ValueError("trace_rule must be 'fixed' or 'n_over_log_n'")
+    if delta_rule not in ("fixed", "inverse_n_squared"):
+        raise ValueError("delta_rule must be 'fixed' or 'inverse_n_squared'")
+    if not 2 <= steps <= _SWEEP_STEPS_MAX or n_start < 2 or n_stop <= n_start or n_stop > _SWEEP_N_MAX:
+        raise ValueError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} "
+                         f"and 2 <= steps <= {_SWEEP_STEPS_MAX:.0e}")
+    grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
+
+    def points():
+        for n in map(int, grid):
+            trace = params.trace_sigma if trace_rule == "fixed" else params.norm_sigma * n / math.log(n)
+            delta = params.delta if delta_rule == "fixed" else min(1.0, 1.0 / n**2)
+            yield n, trace, delta, evaluate(replace(params, n=n, trace_sigma=trace, delta=delta), which)
+
+    return points()
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,13 @@
 Subcommands: experiment | bounds | verify | deviation | generate.
 Study-style runs take a JSON config with a top-level "command"
 discriminator.  Every config value, and every `bounds` flag, is checked
-once against its subcommand's schema (`_typed`), which also holds the
-defaults and the required keys; unknown keys are rejected.  `bounds`
-takes either a config or plain flags, not both.  Exit codes: 0 success,
+once against its subcommand's schema (`_typed`) for its type, and for
+being given where the schema requires it; unknown keys are rejected.
+Each command then makes one call: `run_studies`, `bounds.evaluate` or
+`bounds.sweep`, `run_suite`, `run_coverage` or `generate_dataset`.  That
+call holds the defaults the schema leaves out and checks the values;
+the command prints or writes what it returns.  `bounds` takes either a
+config or plain flags, not both.  Exit codes: 0 success,
 1 check failure, 2 usage/config error (also a bound that overflows, or a
 config that asks for more memory than there is), 3 IO error.  Commands
 raise, and `main` alone prints the `error:` line and picks the code;
@@ -27,28 +31,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import theory_checks
-from .bounds import (EXTENDED_DELTA_MAX, GAUSSIAN_K, THEOREM_DELTA_MAX, BoundParams, BoundReport, bound_classical,
-                     bound_extended, bound_theorem)
-from .datagen import (
-    GenerativeConfig,
-    derive_seed,
-    generate_dataset,
-    make_covariance,
-    map_replicates,
-    sample_theta_star,
-    write_dataset,
-)
-from .deviation import sup_deviation_grid, sup_deviation_search
-from .experiments import (
-    StudyConfig,
-    run_studies,
-    write_replications,
-    write_table1,
-    write_table2,
-)
+from .bounds import BOUNDS, GAUSSIAN_K, BoundParams, evaluate, sweep
+from .datagen import GenerativeConfig, generate_dataset, make_covariance, write_dataset
+from .experiments import StudyConfig, run_coverage, run_studies, write_replications, write_table1, write_table2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -164,12 +150,13 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# rules left out keep the bounds.sweep defaults
 _SWEEP_SCHEMA = {
     "n_start": (int, REQUIRED),
     "n_stop": (int, REQUIRED),
     "steps": (int, REQUIRED),
-    "trace_rule": (str, "fixed"),
-    "delta_rule": (str, "fixed"),
+    "trace_rule": str,
+    "delta_rule": str,
 }
 _BOUNDS_SCHEMA = {
     "n": (int, REQUIRED),
@@ -181,69 +168,33 @@ _BOUNDS_SCHEMA = {
     "a": (float, 1.0),
     "sweep": _SWEEP_SCHEMA,
 }
-# the sweep's n grid is cast to int64, which holds up to about 9.2e18
-_SWEEP_N_MAX = 10**18
-# the whole grid is held in memory: 10**6 steps is about 8 MB
-_SWEEP_STEPS_MAX = 10**6
-
-
-# each bound and the largest delta it admits (BoundParams admits none above 1)
-_BOUNDS = {
-    "theorem": (bound_theorem, THEOREM_DELTA_MAX),
-    "classical": (bound_classical, 1),
-    "extended": (bound_extended, EXTENDED_DELTA_MAX),
-}
-
-
-def _bound_rows(params: BoundParams, which: str) -> list[tuple[str, BoundReport | None]]:
-    rows: list[tuple[str, BoundReport | None]] = []
-    for name, (bound, limit) in _BOUNDS.items():
-        if which in ("all", name):
-            # asked for alone, a bound raises for a delta above its limit; beside the others it reads n/a
-            rows.append((name, None if which == "all" and params.delta > limit else bound(params)))
-    return rows
 
 
 def _print_bounds_table(rows) -> None:
     for name, report in rows:
         if report is None:
-            print(f"{name:10s} n/a (delta > {_BOUNDS[name][1]})")
+            print(f"{name:10s} n/a (delta > {BOUNDS[name][1]})")
             continue
         terms = "  ".join(f"{k}={v:.6g}" for k, v in report.terms.items())
         print(f"{name:10s} total={report.total:.6g}  confidence={report.confidence:.6g}  [{terms}]")
 
 
-def _run_sweep(params: BoundParams, sweep: dict, which: str, out_path: str | None) -> None:
-    n_start, n_stop, steps = sweep["n_start"], sweep["n_stop"], sweep["steps"]
-    trace_rule, delta_rule = sweep["trace_rule"], sweep["delta_rule"]
-    if trace_rule not in ("fixed", "n_over_log_n"):
-        raise ValueError("trace_rule must be 'fixed' or 'n_over_log_n'")
-    if delta_rule not in ("fixed", "inverse_n_squared"):
-        raise ValueError("delta_rule must be 'fixed' or 'inverse_n_squared'")
-    if not 2 <= steps <= _SWEEP_STEPS_MAX or n_start < 2 or n_stop <= n_start or n_stop > _SWEEP_N_MAX:
-        raise ValueError(f"sweep needs 2 <= n_start < n_stop <= {_SWEEP_N_MAX:.0e} "
-                          f"and 2 <= steps <= {_SWEEP_STEPS_MAX:.0e}")
-
+def _write_sweep(points, out_path: str | None) -> None:
     # the CSV is opened before any bound is evaluated, so that a bad path fails at once
     with _io_action("write sweep CSV"):
         fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else None
     with fh or contextlib.nullcontext():
-        grid = np.unique(np.logspace(math.log10(n_start), math.log10(n_stop), steps).astype(np.int64))
-        rows_out = []
-        for n in grid:
-            n = int(n)
-            trace = params.trace_sigma if trace_rule == "fixed" else params.norm_sigma * n / math.log(n)
-            delta = params.delta if delta_rule == "fixed" else min(1.0, 1.0 / n**2)
-            reports = _bound_rows(dataclasses.replace(params, n=n, trace_sigma=trace, delta=delta), which)
-            rows_out.append([n, f"{trace:.6g}", f"{delta:.6g}"]
-                            + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
-        rows_out.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
+        rows = []
+        for n, trace, delta, reports in points:
+            rows.append([n, f"{trace:.6g}", f"{delta:.6g}"]
+                        + [f"{report.total if report else math.nan:.6g}" for _, report in reports])
+        rows.insert(0, ["n", "trace", "delta"] + [f"{name}_total" for name, _ in reports])
         if fh is None:
-            csv.writer(sys.stdout).writerows(rows_out)
+            csv.writer(sys.stdout).writerows(rows)
             return
         # closed here, so that a failed flush is named too
         with _io_action("write sweep CSV"), fh:
-            csv.writer(fh).writerows(rows_out)
+            csv.writer(fh).writerows(rows)
 
 
 def _integral(text: str) -> int | float | str:
@@ -263,9 +214,9 @@ def _sweep_flag(args) -> dict:
     bounds = grid.split(":")
     if spec != "n" or len(bounds) != 3:
         raise ValueError("--sweep must look like n=start:stop:steps")
-    sweep = dict(zip(("n_start", "n_stop", "steps"), map(_integral, bounds)))
+    grid_keys = dict(zip(("n_start", "n_stop", "steps"), map(_integral, bounds)))
     rules = {"trace_rule": args.trace_rule, "delta_rule": args.delta_rule}
-    return sweep | {key: rule for key, rule in rules.items() if rule is not None}
+    return grid_keys | {key: rule for key, rule in rules.items() if rule is not None}
 
 
 def cmd_bounds(args) -> int:
@@ -284,12 +235,12 @@ def cmd_bounds(args) -> int:
     params = BoundParams(n=cfg["n"], R=cfg["R"], delta=cfg["delta"], trace_sigma=cfg["trace"],
                          norm_sigma=cfg["norm"], K=cfg["K"], log_n_constant_a=cfg["a"])
     if "sweep" in cfg:
-        _run_sweep(params, cfg["sweep"], args.bound, args.out)
+        _write_sweep(sweep(params, args.bound, **cfg["sweep"]), args.out)
         return EXIT_OK
     unused = [flag for flag in ("--trace-rule", "--delta-rule", "--out") if getattr(args, flag[2:].replace("-", "_"))]
     if unused:
         raise ValueError(f"{', '.join(unused)}: only used with a sweep")
-    _print_bounds_table(_bound_rows(params, args.bound))
+    _print_bounds_table(evaluate(params, args.bound))
     return EXIT_OK
 
 
@@ -314,60 +265,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILURE
 
 
+# keys left out keep the run_coverage defaults
 _DEVIATION_SCHEMA = {
-    "p": (int, 5),
-    "n": (int, 500),
-    "cov_kind": (str, "reciprocal"),
-    "beta": (float, 1e3),
-    "R": (float, 1.0),
-    "delta": (float, 0.05),
-    "replicates": (int, 20),
-    "starts": (int, 6),
-    "budget": (int, 4000),
-    "base_seed": (int, 0),
-    "grid_resolution": (int, 20000),
+    "p": int,
+    "n": int,
+    "cov_kind": str,
+    "beta": float,
+    "R": float,
+    "delta": float,
+    "replicates": int,
+    "starts": int,
+    "budget": int,
+    "base_seed": int,
+    "grid_resolution": int,
 }
 
 
 def cmd_deviation(args) -> int:
     """Estimate sup |R_n - R| in each replicate and compare it with the bounds.
 
-    The replicates run on as many threads as the process has CPUs
-    (`map_replicates`).  Each draws its data, population surface and
-    search starts from streams derived from (base_seed, replicate), so
+    `run_coverage` runs the replicates on as many threads as the process
+    has CPUs, each from streams derived from (base_seed, replicate), so
     the output is identical for any CPU or BLAS thread count.
     """
     cfg = _load_config(args.config, "deviation", _DEVIATION_SCHEMA)
-    p, n, radius, delta, base_seed = cfg["p"], cfg["n"], cfg["R"], cfg["delta"], cfg["base_seed"]
-    # checked before any replicate runs, so a bad config fails at once;
-    # make_covariance checks p and cov_kind, BoundParams checks n, R and delta,
-    # and bound_theorem rejects a delta above 1/6
-    for key in ("replicates", "starts", "budget"):
-        if cfg[key] < 1:
-            raise ValueError(f"config key {key!r} must be >= 1")
-    if cfg["grid_resolution"] < 2:
-        raise ValueError("config key 'grid_resolution' must be >= 2")
-    if not (math.isfinite(cfg["beta"]) and cfg["beta"] >= 0):
-        raise ValueError("config key 'beta' must be finite and >= 0")
-    cov = make_covariance(cfg["cov_kind"], p)
-    params = BoundParams(n=n, R=radius, delta=delta, trace_sigma=cov.trace, norm_sigma=cov.spectral_norm)
-    theorem_total = bound_theorem(params).total
-    classical_total = bound_classical(params).total
-
-    def replicate(rep: int) -> tuple[float, float | None]:
-        theta_star = sample_theta_star(p, derive_seed(base_seed, rep, 0))
-        gen = GenerativeConfig(p=p, n=n, cov=cov, beta=cfg["beta"], theta_star=theta_star,
-                               seed=derive_seed(base_seed, rep, 1))
-        data, _ = generate_dataset(gen)
-        est = sup_deviation_search(data, gen, radius, starts=cfg["starts"], budget=cfg["budget"],
-                                   seed=derive_seed(base_seed, rep, 2))
-        grid = sup_deviation_grid(data, gen, radius, cfg["grid_resolution"]).sup_value if p == 1 else None
-        return est.sup_value, grid
-
-    results = map_replicates(replicate, range(cfg["replicates"]))
-
+    theorem_total, classical_total, results = run_coverage(**cfg)
     header = ["replicate", "sup_estimate", "theorem_bound", "classical_bound", "holds_theorem"]
-    if p == 1:
+    if results[0][1] is not None:
         header.append("grid_estimate")
     # the rows are written once every replicate has run, so a run that fails part way leaves stdout empty
     rows = [header]
@@ -380,7 +304,7 @@ def cmd_deviation(args) -> int:
             row.append(f"{grid:.5f}")
         rows.append(row)
     csv.writer(sys.stdout).writerows(rows)
-    print(f"holding_frequency={held / cfg['replicates']:.5f}")
+    print(f"holding_frequency={held / len(results):.5f}")
     return EXIT_OK
 
 
@@ -431,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--trace", type=float)
     p_bounds.add_argument("--norm", type=float)
     p_bounds.add_argument("--a", type=float, help="absolute constant of the extended bound")
-    p_bounds.add_argument("--bound", choices=("all", *_BOUNDS), default="all")
+    p_bounds.add_argument("--bound", choices=("all", *BOUNDS), default="all")
     p_bounds.add_argument("--sweep", help="n=start:stop:steps sweep of totals vs n (CSV)")
     p_bounds.add_argument("--trace-rule", choices=("fixed", "n_over_log_n"), help="default: fixed")
     p_bounds.add_argument("--delta-rule", choices=("fixed", "inverse_n_squared"), help="default: fixed")

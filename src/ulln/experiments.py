@@ -1,5 +1,6 @@
-"""Replicated prediction / sign-recovery studies for the constrained
-logistic minimizer under anisotropic Gaussian designs.
+"""The two replicated studies: the prediction / sign-recovery study of
+the constrained logistic minimizer under anisotropic Gaussian designs,
+and the coverage study of the theorem bound against sup |R_n - R|.
 
 `run_replication` draws theta_star, a training set and a test set from
 streams hashed out of (base_seed, index), and serves every kind in
@@ -7,22 +8,27 @@ COV_KINDS: it fits the ball-constrained minimizer on the identity design,
 scales Z in place by the square root of the reciprocal spectrum and fits
 again, then scores both fits on the test set, drawn in blocks of rows.
 It records prediction precision and head/weighted sign recovery; sharing
-the draw pairs the two columns of each table.  `run_studies` runs the
-replicates on `datagen.map_replicates`, the pool of `verify` and
-`deviation`, with one BLAS thread per worker.  Every set has its own
-stream, so the results are the same for any thread count.
+the draw pairs the two columns of each table.  `run_coverage` draws each
+replicate's data and search starts the same way and estimates its sup
+deviation with `deviation.sup_deviation_search`.  Both run their
+replicates on `datagen.map_replicates`, the pool of `verify` too, with
+one BLAS thread per worker.  Every set has its own stream, so the
+results are the same for any thread count.
 """
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datagen import (derive_seed, draw_latent, draw_latent_chunks, label_rows, make_covariance, map_replicates,
-                      sample_theta_star)
+from .bounds import BoundParams, bound_classical, bound_theorem
+from .datagen import (GenerativeConfig, derive_seed, draw_latent, draw_latent_chunks, generate_dataset, label_rows,
+                      make_covariance, map_replicates, sample_theta_star)
+from .deviation import sup_deviation_grid, sup_deviation_search
 from .model import Dataset
 from .solver import FitResult, SolverOptions, fit_constrained
 
@@ -189,6 +195,42 @@ def run_studies(cfg: StudyConfig, threads: int = 1, progress: bool = False) -> d
 
     rows = map_replicates(replicate, range(cfg.replications), threads=threads)
     return {kind: StudyResult(cfg, [row[kind] for row in rows]) for kind in COV_KINDS}
+
+
+def run_coverage(*, p: int = 5, n: int = 500, cov_kind: str = "reciprocal", beta: float = 1e3, R: float = 1.0,
+                 delta: float = 0.05, replicates: int = 20, starts: int = 6, budget: int = 4000, base_seed: int = 0,
+                 grid_resolution: int = 20000) -> tuple[float, float, list[tuple[float, float | None]]]:
+    """The theorem and classical totals, and each replicate's ``(sup, grid)`` in replicate order.
+
+    Replicate ``rep`` draws theta_star, the data and the search starts from
+    streams derived from (base_seed, rep), and estimates sup |R_n - R|
+    over the ball of radius R with `sup_deviation_search`; for p = 1,
+    ``grid`` is the exhaustive grid estimate, else None.  Every value is
+    checked, and both totals computed, before any replicate runs: the
+    keys checked here, p and cov_kind by `make_covariance`, n, R and delta
+    by `BoundParams`, and a delta above 1/6 by `bound_theorem`.
+    """
+    for key, value in (("replicates", replicates), ("starts", starts), ("budget", budget)):
+        if value < 1:
+            raise ValueError(f"config key {key!r} must be >= 1")
+    if grid_resolution < 2:
+        raise ValueError("config key 'grid_resolution' must be >= 2")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError("config key 'beta' must be finite and >= 0")
+    cov = make_covariance(cov_kind, p)
+    params = BoundParams(n=n, R=R, delta=delta, trace_sigma=cov.trace, norm_sigma=cov.spectral_norm)
+    theorem_total, classical_total = bound_theorem(params).total, bound_classical(params).total
+
+    def replicate(rep: int) -> tuple[float, float | None]:
+        theta_star = sample_theta_star(p, derive_seed(base_seed, rep, 0))
+        gen = GenerativeConfig(p=p, n=n, cov=cov, beta=beta, theta_star=theta_star,
+                               seed=derive_seed(base_seed, rep, 1))
+        data, _ = generate_dataset(gen)
+        est = sup_deviation_search(data, gen, R, starts=starts, budget=budget, seed=derive_seed(base_seed, rep, 2))
+        grid = sup_deviation_grid(data, gen, R, grid_resolution).sup_value if p == 1 else None
+        return est.sup_value, grid
+
+    return theorem_total, classical_total, map_replicates(replicate, range(replicates))
 
 
 def _fmt(x: float) -> str:

@@ -24,9 +24,9 @@ from ulln import (
     risk_gradient,
     risk_laplacian,
 )
-from ulln.datagen import derive_seed, map_replicates, sample_theta_star
+from ulln.datagen import derive_seed, sample_theta_star
 from ulln.deviation import sup_deviation_grid, sup_deviation_search
-from ulln.experiments import StudyConfig, run_studies
+from ulln.experiments import StudyConfig, run_coverage, run_studies
 from ulln.theory_checks import format_report, run_suite
 
 BASE_SEED = 20260808
@@ -167,25 +167,12 @@ class TestCriterion5Coverage:
     def test_deviation_estimates_within_theorem_bound(self):
         ok = True
         try:
-            p, n, radius, delta = 5, 500, 1.0, 0.05
             replicates = 200
-            cov = make_covariance("reciprocal", p)
-            total = bound_theorem(
-                BoundParams(n=n, R=radius, delta=delta, trace_sigma=cov.trace,
-                            norm_sigma=cov.spectral_norm, K=SQRT2)
-            ).total
-
-            # each replicate derives its own streams, so the pool returns the serial loop's sups
-            def replicate(rep):
-                theta_star = sample_theta_star(p, derive_seed(BASE_SEED, rep, 0))
-                gen = GenerativeConfig(p=p, n=n, cov=cov, beta=1e3, theta_star=theta_star,
-                                       seed=derive_seed(BASE_SEED, rep, 1))
-                data, _ = generate_dataset(gen)
-                return sup_deviation_search(data, gen, radius, starts=6, budget=4000,
-                                            seed=derive_seed(BASE_SEED, rep, 2)).sup_value
-
-            sups = map_replicates(replicate, range(replicates))
-            frequency = sum(sup <= total for sup in sups) / replicates
+            # the replicate of `ulln deviation`: each derives its own streams, so the pool returns
+            # the serial loop's sups
+            total, _, rows = run_coverage(p=5, n=500, cov_kind="reciprocal", beta=1e3, R=1.0, delta=0.05,
+                                          replicates=replicates, starts=6, budget=4000, base_seed=BASE_SEED)
+            frequency = sum(sup <= total for sup, _ in rows) / replicates
             print(f"\ncoverage: {frequency:.3f} (bound total {total:.3f})")
             assert frequency >= 0.95
         except AssertionError:

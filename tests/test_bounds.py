@@ -8,9 +8,11 @@ from ulln import (
     bound_classical,
     bound_extended,
     bound_theorem,
+    bounds,
     effective_rank,
     ulln_ratio_table,
 )
+from ulln.bounds import sweep
 
 SQRT2 = math.sqrt(2.0)
 
@@ -249,3 +251,18 @@ def test_delta_limit_admits_the_nearest_float_and_nothing_above(bound, limit):
     bound(params(delta=limit))
     with pytest.raises(ValueError, match="requires delta in"):
         bound(params(delta=float(np.nextafter(limit, 1.0))))
+
+
+class TestSweep:
+    def test_checks_when_called_and_evaluates_as_read(self, monkeypatch):
+        with pytest.raises(ValueError, match="trace_rule"):
+            sweep(params(), "all", 10, 1000, 3, trace_rule="linear")
+        with pytest.raises(ValueError, match="steps <= 1e"):
+            sweep(params(), "all", 10, 1000, 10**6 + 1)
+        calls = []
+        real = bounds.evaluate
+        monkeypatch.setattr(bounds, "evaluate", lambda *args: calls.append(args) or real(*args))
+        points = sweep(params(), "classical", 10, 1000, 3, delta_rule="inverse_n_squared")
+        assert calls == []
+        assert [(n, delta) for n, _, delta, _ in points] == [(10, 0.01), (100, 1e-4), (1000, 1e-6)]
+        assert len(calls) == 3

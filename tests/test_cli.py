@@ -305,12 +305,15 @@ class TestBoundsCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("path", ["s.csv", os.path.join("missing", "s.csv")])
     @pytest.mark.parametrize("sweep", ["n=10:1000:1000001", "n=10:1000:10000000"])
-    def test_sweep_steps_above_the_cap_exit_2(self, capsys, sweep):
+    def test_sweep_steps_above_the_cap_exit_2(self, tmp_path, capsys, sweep, path):
+        # the sweep is checked before --out is opened: no file is made, and a missing directory is not reached
         assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
-                     "--sweep", sweep]) == 2
+                     "--sweep", sweep, "--out", str(tmp_path / path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "steps <= 1e+06" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key,value", [("n_start", "10"), ("steps", 3.9)])
     def test_loose_sweep_value_in_config_exits_2(self, tmp_path, capsys, key, value):
@@ -373,11 +376,11 @@ class TestBoundsCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_sweep_out_exits_3_before_any_bound(self, tmp_path, capsys, monkeypatch):
-        import ulln.cli
+        import ulln.bounds
 
         calls = []
-        real = ulln.cli._bound_rows
-        monkeypatch.setattr(ulln.cli, "_bound_rows", lambda *args: calls.append(args) or real(*args))
+        real = ulln.bounds.evaluate
+        monkeypatch.setattr(ulln.bounds, "evaluate", lambda *args: calls.append(args) or real(*args))
         assert main(["bounds", "--n", "100", "--delta", "0.1", "--trace", "1", "--norm", "1",
                      "--sweep", "n=10:1000:3", "--out", str(tmp_path / "missing" / "s.csv")]) == 3
         assert calls == []
@@ -492,13 +495,19 @@ class TestDeviationCommand:
         ("R", -0.5), ("beta", -1.0), ("beta", float("inf")), ("delta", 0.0), ("delta", 1.5),
         ("delta", 0.2),  # every row is compared with the theorem bound, which needs delta <= 1/6
     ])
-    def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
+    def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch, key, value):
+        import ulln.experiments
+
+        # rows print only at the end, so an empty stdout alone would not show that no replicate ran
+        drawn, real = [], ulln.experiments.generate_dataset
+        monkeypatch.setattr(ulln.experiments, "generate_dataset", lambda *args: drawn.append(args) or real(*args))
         payload = {"command": "deviation", "p": 1, "n": 10, "replicates": 1, "starts": 1, "budget": 50}
         cfg = write_json(tmp_path / "bad.json", dict(payload, **{key: value}))
         assert main(["deviation", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+        assert drawn == []
 
     def test_out_of_memory_request_exits_2_with_empty_stdout(self, tmp_path):
         # numpy refuses a 21.8 TiB Monte Carlo sample before touching any memory; with
@@ -520,7 +529,8 @@ class TestDeviationCommand:
         # as for `verify all`: one child runs on a single CPU from before numpy loads, so
         # its BLAS and the replicate pool both get one thread; the others may use every
         # CPU, with the inherited BLAS setting, one BLAS thread and two.  Every child holds
-        # replicate 0 back for a moment, so on two or more threads it finishes last
+        # replicate 0 back for a moment, so on two or more threads it finishes last; a child
+        # whose hold-back never ran exits 4, so a patch on a name nothing calls cannot pass
         configs = [
             {"command": "deviation", "p": 5, "n": 200, "replicates": 3, "starts": 2, "budget": 1000,
              "base_seed": 11},
@@ -532,10 +542,15 @@ class TestDeviationCommand:
                "if sys.argv[2] == 'one':\n"
                "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                "import time\n"
-               "from ulln import cli\n"
-               "seed = cli.derive_seed\n"
-               "cli.derive_seed = lambda *parts: (parts[1:] == (0, 0) and time.sleep(0.5)) or seed(*parts)\n"
-               "sys.exit(cli.main(['deviation', sys.argv[1]]))\n")
+               "from ulln import cli, experiments\n"
+               "seed, held = experiments.derive_seed, []\n"
+               "def derive_seed(*parts):\n"
+               "    if parts[1:] == (0, 0):\n"
+               "        held.append(time.sleep(0.5))\n"
+               "    return seed(*parts)\n"
+               "experiments.derive_seed = derive_seed\n"
+               "code = cli.main(['deviation', sys.argv[1]])\n"
+               "sys.exit(code or (0 if held else 4))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for k, payload in enumerate(configs):
             cfg = write_json(tmp_path / f"d{k}.json", payload)

@@ -88,6 +88,44 @@ def test_traced_g_suite_runs_on_its_thread_pool():
     assert summary["rebuilt"] == 0
 
 
+# a tiny `deviation` call traced the way bench/run.py traces one, on one CPU so that the replicates run
+# in turn: the search is a call across modules, so each replicate records one span of it
+TRACED_DEVIATION = """
+import importlib.util, json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import ulln.cli
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+try:
+    code = ulln.cli.main(["deviation", sys.argv[2]])
+finally:
+    tracer.restore()
+searches = [span for span in tracer.spans if span[0] == "deviation.sup_deviation_search"]
+metrics = spans.layer_metrics(tracer.spans, tracer.quadrature_cache_misses())
+print(json.dumps({"code": code, "searches": len(searches), "sites": sorted({span[1] for span in searches}),
+                  "p50": metrics["deviation.replicate_p50_s"],
+                  "model_calls": metrics["deviation.model_calls_per_replicate"]}))
+"""
+
+
+def test_traced_deviation_records_one_search_span_per_replicate(tmp_path):
+    src = os.path.dirname(os.path.dirname(ulln.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({"command": "deviation", "p": 5, "n": 100, "replicates": 3, "starts": 1,
+                               "budget": 400}))
+    result = subprocess.run([sys.executable, "-B", "-c", TRACED_DEVIATION, str(SPANS), str(cfg)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["code"] == 0
+    assert summary["searches"] == 3 and summary["sites"] == ["experiments"]
+    assert summary["p50"] > 0 and summary["model_calls"] > 0
+
+
 def test_expsup_replicate_scores_only_the_polish_by_the_pair_rule(monkeypatch):
     # the scan is ranked by the identity values; the pair rule sees the top-ranked probe and the polished paths
     seen = []
