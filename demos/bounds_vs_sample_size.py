@@ -10,24 +10,15 @@ Run:  python demos/bounds_vs_sample_size.py
 """
 import math
 
-from ulln import BoundParams, bound_classical, bound_extended, bound_theorem, ulln_ratio_table
+from ulln import BoundParams, bounds, ulln_ratio_table
 
+# n, the trace and delta given here are replaced at each point by the sweep's grid and rules
+params = BoundParams(n=10**3, R=1.0, delta=1e-6, trace_sigma=1.0, norm_sigma=1.0, K=math.sqrt(2.0))
 print(f"{'n':>12} {'r(n)':>12} {'r/n':>8} {'theorem':>9} {'classical':>10} {'extended':>9}")
-for exponent in range(3, 13):
-    n = 10**exponent
-    params = BoundParams(
-        n=n,
-        R=1.0,
-        delta=1.0 / n**2,
-        trace_sigma=n / math.log(n),
-        norm_sigma=1.0,
-        K=math.sqrt(2.0),
-    )
-    print(
-        f"{n:>12.0e} {params.trace_sigma:>12.4g} {params.trace_sigma / n:>8.4f} "
-        f"{bound_theorem(params).total:>9.4f} {bound_classical(params).total:>10.4f} "
-        f"{bound_extended(params).total:>9.4f}"
-    )
+for n, trace, _, reports in bounds.sweep(params, "all", 10**3, 10**12, 10,
+                                         trace_rule="n_over_log_n", delta_rule="inverse_n_squared"):
+    theorem, classical, extended = (report.total for _, report in reports)
+    print(f"{n:>12.0e} {trace:>12.4g} {trace / n:>8.4f} {theorem:>9.4f} {classical:>10.4f} {extended:>9.4f}")
 
 print()
 print("Sufficiency diagnostics for the uniform law (want columns to vanish):")

@@ -35,7 +35,7 @@ from .bounds import (
     effective_rank,
     ulln_ratio_table,
 )
-from .deviation import DeviationEstimate, population_surface, sup_deviation_grid, sup_deviation_search
+from .deviation import DeviationEstimate, population_rows, sup_deviation_grid, sup_deviation_search
 from .experiments import (
     ReplicationResult,
     StudyConfig,

@@ -83,17 +83,17 @@ class BoundParams:
 class BoundReport:
     """Named nonnegative terms, their sum, and the stated coverage probability."""
 
-    kind: str  # "theorem_main" | "classical" | "extended_classical"
     terms: dict[str, float] = field(default_factory=dict)
     total: float = 0.0
     confidence: float = 0.0
 
 
-def _report(kind: str, terms: dict[str, float], confidence: float) -> BoundReport:
+def _report(name: str, terms: dict[str, float], confidence: float) -> BoundReport:
+    """The report of the bound that BOUNDS names ``name``."""
     total = float(sum(terms.values()))
     if not math.isfinite(total):  # a term overflowed: an infinite bound says nothing
-        raise ValueError(f"the {kind} bound is not finite for these parameters")
-    return BoundReport(kind=kind, terms=terms, total=total, confidence=confidence)
+        raise ValueError(f"the {name} bound is not finite for these parameters")
+    return BoundReport(terms=terms, total=total, confidence=confidence)
 
 
 def effective_rank(trace_sigma: float, norm_sigma: float) -> float:
@@ -133,7 +133,7 @@ def bound_theorem(params: BoundParams) -> BoundReport:
         "laplacian_gap_fluctuation": term3,
         "bernstein_tail": term4,
     }
-    return _report("theorem_main", terms, 1.0 - 6.0 * params.delta)
+    return _report("theorem", terms, 1.0 - 6.0 * params.delta)
 
 
 def bound_classical(params: BoundParams) -> BoundReport:
@@ -170,7 +170,7 @@ def bound_extended(params: BoundParams) -> BoundReport:
         / n
     )
     return _report(
-        "extended_classical", {"rademacher": term1, "subgaussian_envelope": term2}, 1.0 - 3.0 * params.delta
+        "extended", {"rademacher": term1, "subgaussian_envelope": term2}, 1.0 - 3.0 * params.delta
     )
 
 

@@ -225,9 +225,17 @@ def draw_latent_chunks(seed: int, n: int, p: int, rows: int):
         yield z_stream.standard_normal((stop - start, p)), u[start:stop]
 
 
+def label_probabilities(x: np.ndarray, theta_star: np.ndarray, beta: float) -> np.ndarray:
+    """sigma(beta <x_i, theta*>) for each row.  At a large finite beta the
+    product may overflow to +/-inf, where sigma is exactly 1 or 0, so the
+    overflow raises no warning."""
+    with np.errstate(over="ignore"):
+        return sigmoid(beta * (x @ theta_star))
+
+
 def label_rows(x: np.ndarray, u: np.ndarray, theta_star: np.ndarray, beta: float) -> Dataset:
     """Rows ``x`` with labels Y_i = 1(U_i < sigma(beta <x_i, theta*>)); ``x`` is not copied."""
-    return Dataset(x, (u < sigmoid(beta * (x @ theta_star))).astype(np.int64))
+    return Dataset(x, (u < label_probabilities(x, theta_star, beta)).astype(np.int64))
 
 
 def generate_dataset(gen: GenerativeConfig) -> tuple[Dataset, np.ndarray]:

@@ -1,14 +1,16 @@
 """Lower-bound estimation of sup over the ball of |R_n(theta) - R(theta)|.
 
 The sup is estimated from below by multistart projected ascent on both
-signed gaps +/-(R_n - Rhat), where Rhat is the frozen `population_surface`;
-for p <= 2 an exhaustive grid oracle on its quadrature rule is available
-for cross-checks.  Both estimators evaluate the gap as one weighted
-`LogisticSurface` over the data and population rows stacked, so each
-value and gradient takes the surface's split weighted form: one softplus
-tail and one sigmoid pass over the scores, the rest matrix products.
-No exactness is claimed for p > 2 — a lower bound is what is needed to
-sanity-check the upper bounds.
+signed gaps +/-(R_n - Rhat), where Rhat sums the loss over the frozen
+`population_rows`; for p <= 2 an exhaustive grid oracle on their
+quadrature rule is available for cross-checks.  Both estimators build
+one surface, the gap: a weighted `LogisticSurface` over the data and
+population rows stacked, so each value and gradient takes the surface's
+split weighted form: one softplus tail and one sigmoid pass over the
+scores, the rest matrix products.  On a Monte Carlo sample the search
+reports the standard error of Rhat at its arg-sup.  No exactness is
+claimed for p > 2 — a lower bound is what is needed to sanity-check the
+upper bounds.
 
 Both estimators read only their arguments, and the search draws only
 from streams derived from its `seed`.  So `ulln deviation` runs its
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import GenerativeConfig, make_rng, derive_seed
-from .model import Dataset, LogisticSurface, sigmoid
+from .datagen import GenerativeConfig, derive_seed, label_probabilities, make_rng
+from .model import Dataset, LogisticSurface, per_example_loss
 from .quadrature import gauss_hermite_tensor
 from .solver import project_to_ball
 
@@ -40,16 +42,17 @@ class DeviationEstimate:
     pop_risk_stderr: float
 
 
-def population_surface(gen: GenerativeConfig, budget: int, seed: int) -> LogisticSurface:
-    """The population risk R(theta) = E[loss] under the generative config, as one frozen surface.
+def population_rows(gen: GenerativeConfig, budget: int, seed: int):
+    """The rows (x, targets, weights) of the population risk R(theta) = E[loss] under `gen`.
 
     The rows are x = Lambda^{1/2} z.  For p <= 2 the z are the nodes of a
     tensorized 128-node-per-axis Gauss-Hermite rule with its weights,
-    giving a deterministic surface.  Otherwise they are `budget` equally
-    weighted standard normal draws from the `make_rng(seed)` stream, drawn
-    once so that every evaluation sees the same sample.  The targets are
-    the exact label probabilities sigma(beta <x, theta*>), so the label
-    is integrated out as a Bernoulli mixture.
+    giving a deterministic risk.  Otherwise they are `budget` standard
+    normal draws from the `make_rng(seed)` stream with weights None, each
+    row weighing 1/budget, drawn once so that every evaluation sees the
+    same sample.  The targets are the exact label probabilities
+    sigma(beta <x, theta*>), so the label is integrated out as a
+    Bernoulli mixture.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -58,16 +61,15 @@ def population_surface(gen: GenerativeConfig, budget: int, seed: int) -> Logisti
     else:
         z, weights = make_rng(seed).standard_normal((budget, gen.p)), None
     x = gen.cov.transform(z)
-    return LogisticSurface(x, sigmoid(gen.beta * (x @ gen.theta_star)), weights)
+    return x, label_probabilities(x, gen.theta_star, gen.beta), weights
 
 
-def _gap_surface(data: Dataset, pop: LogisticSurface) -> LogisticSurface:
-    """R_n - Rhat as one surface: data rows weighted +1/n, population rows -w."""
-    rows = pop.x.shape[0]
-    pop_weights = np.full(rows, 1.0 / rows) if pop.weights is None else pop.weights
+def _gap_surface(data: Dataset, x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None) -> LogisticSurface:
+    """R_n - Rhat as one surface: data rows weighted +1/n, population rows -w (-1/rows when w is None)."""
+    pop_weights = np.full(x.shape[0], 1.0 / x.shape[0]) if weights is None else weights
     return LogisticSurface(
-        np.vstack([data.inputs, pop.x]),
-        np.concatenate([data.labels, pop.targets]),
+        np.vstack([data.inputs, x]),
+        np.concatenate([data.labels, targets]),
         np.concatenate([np.full(data.n, 1.0 / data.n), -pop_weights]),
     )
 
@@ -93,7 +95,9 @@ def sup_deviation_search(
     Start points are `starts` uniform draws from the ball plus the origin
     and +/-theta_star (projected to the ball).  The best absolute gap
     over every iterate visited is returned; it lower-bounds the true sup
-    up to the Monte Carlo error of Rhat.
+    up to the Monte Carlo error of Rhat, whose standard error at the
+    arg-sup is `pop_risk_stderr` (0 for the quadrature rule, inf for a
+    budget of 1).
     """
     if not 0 <= radius < np.inf:
         raise ValueError("radius must be finite and >= 0")
@@ -104,8 +108,8 @@ def sup_deviation_search(
     if gen.p != data.p:
         raise ValueError("generative config dimension does not match data")
 
-    pop = population_surface(gen, budget, derive_seed(seed, 0x9E3779B9))
-    gap = _gap_surface(data, pop)
+    x, targets, weights = population_rows(gen, budget, derive_seed(seed, 0x9E3779B9))
+    gap = _gap_surface(data, x, targets, weights)
 
     rng = make_rng(derive_seed(seed, 0x51ED270))
     anchor = project_to_ball(gen.theta_star, radius)
@@ -127,8 +131,11 @@ def sup_deviation_search(
             thetas = project_to_ball(thetas + (ASCENT_STEP / np.sqrt(k)) * (signs * grads), radius)
 
     best = int(np.argmax(best_values))
-    return DeviationEstimate(float(best_values[best]), best_thetas[best], "multistart_ascent", starts,
-                             pop.std_error(pop.scores(best_thetas[best])))
+    if weights is None and budget > 1:  # the Monte Carlo error of Rhat at the arg-sup
+        stderr = float(np.std(per_example_loss(targets, best_thetas[best] @ x.T), ddof=1) / np.sqrt(budget))
+    else:  # 0 for the exact rule; one draw gives no estimate
+        stderr = 0.0 if weights is not None else np.inf
+    return DeviationEstimate(float(best_values[best]), best_thetas[best], "multistart_ascent", starts, stderr)
 
 
 def sup_deviation_grid(
@@ -147,8 +154,8 @@ def sup_deviation_grid(
     if data.p > 2:
         raise ValueError("grid oracle supports p <= 2 only")
 
-    # p <= 2, so the population surface is the quadrature rule: budget and seed are unused
-    gap = _gap_surface(data, population_surface(gen, 1, 0))
+    # p <= 2, so the population rows are the quadrature rule: budget and seed are unused
+    gap = _gap_surface(data, *population_rows(gen, 1, 0))
     if radius == 0.0:
         theta0 = np.zeros(data.p)
         return DeviationEstimate(abs(float(gap.value(gap.scores(theta0)))), theta0, "grid", 1, 0.0)

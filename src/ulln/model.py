@@ -1,7 +1,7 @@
 """Logistic risk: per-example loss, empirical risk, gradient, Laplacian,
 and `LogisticSurface`, the one loss-and-gradient surface behind the
-empirical risk, the solver's objective, the population risk and the
-deviation gap.  The module imports no other ulln module.
+empirical risk, the solver's objective and the deviation gap.  The
+module imports no other ulln module.
 
 Every loss goes through the softplus form
 
@@ -18,7 +18,7 @@ and the link go through two in-place kernels:
   `_loss_into`, whose two softplus terms share the tail bit for bit;
   `_loss_into` serves `per_example_loss` and the unweighted surface (the
   empirical risk and the solver's objective).  A weighted surface (the
-  population rule and the gap) sums the same loss in the split form
+  deviation gap) sums the same loss in the split form
 
       loss(y, s) = |s|/2 + log1p(exp(-|s|)) + (1/2 - y) s,
 
@@ -166,22 +166,23 @@ class LogisticSurface:
     Rows x_i carry targets t_i in [0, 1] (hard labels or label
     probabilities) and signed weights w_i; `weights=None` weights every
     row by 1/rows, as for a sample mean.  Hard labels with equal weights
-    give the empirical risk, label probabilities the population risk
-    (equal weights on a Monte Carlo sample or Gauss-Hermite weights), and
-    both stacked with opposite signs the gap between them.
+    give the empirical risk, and stacked with label probabilities on the
+    population rows (equal weights on a Monte Carlo sample or Gauss-Hermite
+    weights), with opposite signs, the gap between the empirical and the
+    population risk.
 
     Every evaluation takes scores: `scores` maps one parameter vector (p,)
-    or a block (m, p) to scores (rows,) or (m, rows), and `value`, `grad`
-    and `std_error` take either shape and return a leading axis of m.
-    They share a workspace of four score-shaped arrays (scores, losses, the
-    softplus tail and the residual), allocated again only when the score
-    shape changes.  The unweighted surface takes its value and standard
-    error from the mean of `_loss_into`'s losses, which uses the losses,
-    tail and residual arrays, and its gradient from the residual
-    sigma(s) - t.  A weighted surface takes its value from the split form
-    of the module docstring, |s| @ w/2 + tail @ w + s @ (w/2 - w t), in the
-    tail array alone, and its gradient from sigma(s) @ (w x) - (w t) @ x in
-    the residual array; w/2, w/2 - w t, w x and (w t) @ x are built once.
+    or a block (m, p) to scores (rows,) or (m, rows), and `value` and
+    `grad` take either shape and return a leading axis of m.  They share a
+    workspace of four score-shaped arrays (scores, losses, the softplus
+    tail and the residual), allocated again only when the score shape
+    changes.  The unweighted surface takes its value from the mean of
+    `_loss_into`'s losses, which uses the losses, tail and residual
+    arrays, and its gradient from the residual sigma(s) - t.  A weighted
+    surface takes its value from the split form of the module docstring,
+    |s| @ w/2 + tail @ w + s @ (w/2 - w t), in the tail array alone, and
+    its gradient from sigma(s) @ (w x) - (w t) @ x in the residual array;
+    w/2, w/2 - w t, w x and (w t) @ x are built once.
     `scores` returns the workspace's array, which the next `scores` call
     overwrites; what the others return is fresh.  A surface must not be
     evaluated from two threads at once; give each thread its own.
@@ -231,17 +232,6 @@ class LogisticSurface:
             residual -= self.targets
             return residual @ self.x / self.x.shape[0]
         return residual @ self._weighted_x - self._target_grad
-
-    def std_error(self, scores: np.ndarray):
-        """Standard error of F as a sample mean: 0 for explicit weights (an exact rule), inf for one row."""
-        rows = self.x.shape[0]
-        if self.weights is not None or rows == 1:
-            se = np.full(scores.shape[:-1], 0.0 if self.weights is not None else np.inf)
-        else:
-            _, losses, tail, residual = self._workspace(scores.shape)
-            _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
-            se = np.std(losses, axis=-1, ddof=1) / np.sqrt(rows)
-        return float(se) if se.ndim == 0 else se
 
 
 def empirical_risk(data: Dataset, theta: np.ndarray) -> float:

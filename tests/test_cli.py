@@ -251,6 +251,8 @@ class TestBoundsCommand:
         assert main(["bounds", "--delta", "0.05", *flags.split()]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("error:") == 1 and "not finite" in err
+        # named as --bound names it; only the extended bound reads a
+        assert f"the {'extended' if '--a' in flags else 'theorem'} bound" in err
 
     def test_sweep_vanishing_vs_stagnant(self, capsys):
         assert main([
@@ -459,7 +461,7 @@ class TestDeviationCommand:
         cfg = write_json(tmp_path / "d.json", {"command": "deviation", "p": p, "R": radius})
         assert main(["deviation", cfg]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.count("error:") == 1 and "not finite" in err
+        assert out == "" and err.count("error:") == 1 and "not finite" in err and "the theorem bound" in err
 
     def test_p1_grid_column_agrees(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "d.json", {

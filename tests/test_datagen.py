@@ -2,6 +2,7 @@ import dataclasses
 import os
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestGenerateDataset:
             # binomial error plus within-bin curvature slack
             tol = 3 * np.sqrt(expected * (1 - expected) / count) + 0.25 * beta * (hi - lo)
             assert abs(rate - expected) < tol
+
+    def test_labels_at_the_largest_beta_follow_the_sign_without_a_warning(self):
+        # beta * score overflows to +/-inf, where sigma is exactly 1 or 0
+        gen = GenerativeConfig(p=3, n=400, cov=make_covariance("reciprocal", 3), beta=1e308, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, theta_star = generate_dataset(gen)
+        scores = data.inputs @ theta_star
+        nonzero = scores != 0
+        assert nonzero.sum() == 400
+        np.testing.assert_array_equal(data.labels[nonzero], scores[nonzero] > 0)
 
     def test_theta_star_resolved_once(self):
         gen = GenerativeConfig(p=6, n=10, cov=make_covariance("identity", 6), beta=1.0, seed=3)

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ulln.deviation
 from ulln import GenerativeConfig, generate_dataset, make_covariance
 from ulln.datagen import derive_seed, sample_theta_star
-from ulln.deviation import sup_deviation_grid, sup_deviation_search
+from ulln.deviation import population_rows, sup_deviation_grid, sup_deviation_search
 from ulln.model import LogisticSurface, per_example_loss, sigmoid
 
 
@@ -80,13 +82,36 @@ class TestSearch:
     def test_lower_bounded_by_origin_gap(self):
         # theta = 0 is always among the start points
         from ulln.model import empirical_risk
-        from ulln import population_surface
 
         data, gen = make_instance(4, 18, 30, cov_kind="reciprocal")
         est = sup_deviation_search(data, gen, 1.0, starts=2, budget=3000, seed=8)
-        pop = population_surface(gen, 3000, 8)
+        pop = LogisticSurface(*population_rows(gen, 3000, 8))
         origin_gap = abs(empirical_risk(data, np.zeros(4)) - pop.value(pop.scores(np.zeros(4))))
         assert est.sup_value >= origin_gap - 2 * est.pop_risk_stderr
+
+    def test_pop_risk_stderr_is_the_sample_standard_error_at_the_arg_sup(self):
+        data, gen = make_instance(3, 30, 14, cov_kind="reciprocal")
+        est = sup_deviation_search(data, gen, 1.0, starts=3, budget=700, seed=9)
+        x, targets, _ = population_rows(gen, 700, derive_seed(9, 0x9E3779B9))
+        losses = per_example_loss(targets, est.arg_theta @ x.T)
+        assert est.pop_risk_stderr == np.std(losses, ddof=1) / np.sqrt(700)
+
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_pop_risk_stderr_of_the_quadrature_rule_is_zero(self, p):
+        data, gen = make_instance(p, 20, 15)
+        assert sup_deviation_search(data, gen, 1.0, starts=2, budget=300, seed=1).pop_risk_stderr == 0.0
+
+    def test_pop_risk_stderr_of_one_draw_is_infinite(self):
+        data, gen = make_instance(3, 20, 16)
+        est = sup_deviation_search(data, gen, 1.0, starts=2, budget=1, seed=1)
+        assert est.pop_risk_stderr == np.inf and np.isfinite(est.sup_value)
+
+    def test_population_targets_at_the_largest_beta_follow_the_sign_without_a_warning(self):
+        _, gen = make_instance(3, 10, 17, beta=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, targets, _ = population_rows(gen, 300, 1)
+        np.testing.assert_array_equal(targets, x @ gen.theta_star > 0)
 
     def test_feasible_argmax(self):
         data, gen = make_instance(3, 20, 11, cov_kind="reciprocal")

@@ -16,7 +16,7 @@ from ulln import (
     empirical_risk,
     make_covariance,
     per_example_loss,
-    population_surface,
+    population_rows,
     risk_gradient,
     risk_laplacian,
     sigmoid,
@@ -221,10 +221,11 @@ class TestPopulationRisk:
             p=3, n=5, cov=make_covariance("reciprocal", 3), beta=2.0,
             theta_star=np.array([1.0, 0.0, 0.0]), seed=0,
         )
-        surface = population_surface(gen, budget=500, seed=1)
-        scores = surface.scores(np.zeros(3))
-        assert surface.value(scores) == pytest.approx(LOG2, abs=1e-14)
-        assert surface.std_error(scores) <= 1e-15
+        x, targets, weights = population_rows(gen, budget=500, seed=1)
+        surface = LogisticSurface(x, targets, weights)
+        assert surface.value(surface.scores(np.zeros(3))) == pytest.approx(LOG2, abs=1e-14)
+        # every loss at theta = 0 is log 2, so the Monte Carlo spread vanishes
+        assert weights is None and np.std(per_example_loss(targets, np.zeros(500)), ddof=1) <= 1e-15
 
     def test_quadrature_matches_monte_carlo(self):
         gen = GenerativeConfig(
@@ -232,9 +233,9 @@ class TestPopulationRisk:
             theta_star=np.array([1.0]), seed=0,
         )
         theta = np.array([1.0])
-        quad = population_surface(gen, budget=10, seed=0)
-        assert quad.weights is not None
-        assert quad.std_error(quad.scores(theta)) == 0.0
+        x, targets, weights = population_rows(gen, budget=10, seed=0)
+        assert weights is not None
+        quad = LogisticSurface(x, targets, weights)
         # independent Monte Carlo oracle with the same label mixture
         rng = np.random.default_rng(42)
         x = rng.standard_normal((400_000, 1))
@@ -249,8 +250,12 @@ class TestPopulationRisk:
             theta_star=np.array([0.6, -0.6, 0.5]), seed=0,
         )
         theta = np.array([0.3, 0.2, -0.4])
-        surfaces = (population_surface(gen, budget, seed) for budget, seed in ((20_000, 5), (40_000, 6), (80_000, 7)))
-        base, doubled, quadrupled = (surface.std_error(surface.scores(theta)) for surface in surfaces)
+
+        def std_error(budget, seed):
+            x, targets, _ = population_rows(gen, budget, seed)
+            return np.std(per_example_loss(targets, x @ theta), ddof=1) / math.sqrt(budget)
+
+        base, doubled, quadrupled = (std_error(*args) for args in ((20_000, 5), (40_000, 6), (80_000, 7)))
         # sample-std / sqrt(budget): doubling shrinks by ~1/sqrt(2), quadrupling halves
         assert doubled / base == pytest.approx(1 / math.sqrt(2), rel=0.2)
         assert quadrupled / base == pytest.approx(0.5, rel=0.2)
@@ -261,7 +266,7 @@ class TestPopulationRisk:
             theta_star=np.array([1.0, 0.0, 0.0]), seed=0,
         )
         with pytest.raises(ValueError):
-            population_surface(gen, budget=0, seed=1)
+            population_rows(gen, budget=0, seed=1)
 
 
 class TestLogisticSurface:
@@ -279,7 +284,7 @@ class TestLogisticSurface:
         np.testing.assert_allclose(risk_gradient(data, theta), grad, rtol=1e-12)
 
     @pytest.mark.parametrize("p", (1, 2, 3))
-    def test_population_surface_matches_direct_formulas(self, p):
+    def test_population_rows_match_direct_formulas(self, p):
         direction = np.linspace(1.0, -0.5, p)
         gen = GenerativeConfig(
             p=p, n=5, cov=make_covariance("reciprocal", p), beta=3.0,
@@ -293,13 +298,11 @@ class TestLogisticSurface:
             weights = np.full(900, 1.0 / 900)
         x = gen.cov.transform(z)
         losses = per_example_loss(sigmoid(3.0 * (x @ gen.theta_star)), x @ theta)
-        surface = population_surface(gen, 900, 17)
-        np.testing.assert_array_equal(surface.x, x)
-        scores = surface.scores(theta)
-        assert surface.value(scores) == pytest.approx(weights @ losses, rel=1e-12)
-        assert (surface.weights is None) == (p > 2)
-        if p > 2:
-            assert surface.std_error(scores) == pytest.approx(np.std(losses, ddof=1) / 30.0, rel=1e-12)
+        rows, targets, rule_weights = population_rows(gen, 900, 17)
+        np.testing.assert_array_equal(rows, x)
+        surface = LogisticSurface(rows, targets, rule_weights)
+        assert surface.value(surface.scores(theta)) == pytest.approx(weights @ losses, rel=1e-12)
+        assert (rule_weights is None) == (p > 2)
 
     def signed_soft_surface(self, rng, rows=30, p=4):
         """Soft targets and weights of both signs, like the gap R_n - Rhat."""
@@ -320,20 +323,6 @@ class TestLogisticSurface:
             single_value, single_grad = self.evaluate(surface, theta)
             assert value == pytest.approx(single_value, rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(grad, single_grad, rtol=1e-12, atol=1e-15)
-
-    def test_std_error_of_a_block_matches_single_calls(self):
-        rng = np.random.default_rng(14)
-        x, targets, weights = rng.standard_normal((30, 4)), rng.random(30), rng.uniform(-0.1, 0.1, 30)
-        thetas = rng.standard_normal((5, 4))
-        surface = LogisticSurface(x, targets)
-        errors = surface.std_error(surface.scores(thetas))
-        assert errors.shape == (5,)
-        for theta, error in zip(thetas, errors):
-            assert error == pytest.approx(surface.std_error(surface.scores(theta)), rel=1e-12)
-        weighted, one_row = LogisticSurface(x, targets, weights), LogisticSurface(x[:1], targets[:1])
-        assert weighted.std_error(weighted.scores(thetas)).tolist() == [0.0] * 5
-        assert one_row.std_error(one_row.scores(thetas)).tolist() == [math.inf] * 5
-        assert weighted.std_error(weighted.scores(thetas[0])) == 0.0
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(11)

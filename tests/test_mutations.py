@@ -81,6 +81,24 @@ def log_density_variance_scaled(mp):
     mp.setattr(theory_checks, "_isotropic_logpdf", lambda w, mean, t: logpdf(w, mean, 1.01 * t))
 
 
+class _ScaledNormals:
+    """A generator whose `standard_normal` draws are scaled by `factor`; every other draw is the wrapped one's."""
+
+    def __init__(self, rng, factor):
+        self._rng, self._factor = rng, factor
+
+    def standard_normal(self, *args, **kwargs):
+        return self._rng.standard_normal(*args, **kwargs) * self._factor
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def sampler_variance_scaled(mp):
+    make_rng = theory_checks.make_rng
+    mp.setattr(theory_checks, "make_rng", lambda seed: _ScaledNormals(make_rng(seed), 1.05))
+
+
 def _hermite(names, ds=(0, 1, 2)):
     return {f"hermite:{name}:d{d}:first" for name in names for d in ds}
 
@@ -103,17 +121,16 @@ MUTATIONS = [
      _smoothing(["poly2", "poly4", "sigmoid_bump"]) | {"smoothing:sigmoid_affine:t1", "hermite3_abs_moment"}),
     (hermeval_shifted, _hermite(CATALOG)),
     (log_density_variance_scaled, KL_SHIFTED),
+    (sampler_variance_scaled,
+     {"ito:logistic:p1:t0.5:mc", "envelope:p4:t0.25:sphere", "envelope:p4:t0.25:origin"}),
 ]
 
 # the checks no mutation above makes fail, and why
 NEVER_FAILS = {
     **dict.fromkeys(_smoothing(["poly3"]), "both sides are 0 by odd symmetry"),
     "ito:logistic:p1:t1e-08": "both sides equal f(theta) up to 5e-9, against a tolerance of 1e-6",
-    "ito:logistic:p1:t0.5:mc": "its 3-standard-error tolerance, 3.3e-3, exceeds the largest shift, 1.2e-3",
     "kl_shift:p3:t1": "it sits at theta = 0, where the log-ratio is 0",
     "envelope:p4:t0.5:flat": "the zero covariance makes the equality half 0 = 0, and the hinge has 4x slack",
-    "envelope:p4:t0.25:sphere": "no mutation reaches its Monte Carlo draws, and the hinge has 2x slack",
-    "envelope:p4:t0.25:origin": "no mutation reaches its Monte Carlo draws, and the hinge has 4x slack",
     "gap_centering:p2:n8:t0.5": "the gap is mean-zero under any scale error, so only the centering is tested",
     "expsup:p3:n50:R1:t1": "the hinge has 19x slack",
     "expsup:p3:n50:R0:t1": "at R = 0 the bound is 0 and the one probe is the origin, where the gap is mean-zero",
