@@ -16,7 +16,9 @@ raise, and `main` alone prints the `error:` line and picks the code;
 an IO error names the action that failed (`cannot write CSV: ...`).
 Every command with replicates (`experiment`, `verify`, `deviation`) runs
 them on one pool, `datagen.map_replicates`: min(CPUs, replicates) worker
-threads, each with one BLAS thread while two or more run.  Only
+threads, each with one BLAS thread while two or more run.  `verify all`
+runs its five suites on that pool too, and the gap checks' replicates run
+on a pool nested in their suite's worker.  Only
 `experiment` takes `--threads`, which caps that pool.  Inputs are drawn
 as X = Lambda^{1/2} Z with a diagonal covariance Lambda.
 """

@@ -93,8 +93,11 @@ def map_replicates(fn, *columns, threads: int | None = None) -> list:
 
     A pool of one is the calling thread, and starts no thread.  While a
     pool of two or more runs, BLAS runs one thread (`_one_blas_thread`),
-    so the workers do not contend with BLAS threads for the cores.  Calls
-    that overlap from unrelated threads may restore each other's count.
+    so the workers do not contend with BLAS threads for the cores.  A call
+    made inside a pool worker (the `g` suite's checks under `verify all`)
+    finds one BLAS thread and leaves it, and the outer pool restores the
+    count when it ends.  Calls that overlap from unrelated threads may
+    restore each other's count.
 
     The contract: ``fn`` depends only on its arguments, and any state the
     threads share (a config, say) is read-only.  Then each result is the

@@ -30,9 +30,12 @@ Checks covered:
 
 Every integral is a fixed rule from `quadrature`, and every Monte Carlo
 assertion uses a 3-standard-error tolerance and a stream seeded from the
-check name, so the suite is deterministic.  The replicates of the two gap
-checks run on a thread pool after all their draws are taken, and are
-collected in replicate order, so the thread count changes no value.
+check name, so the suite is deterministic.  `run_suite("all")` runs the
+five suites on the replicate pool (`datagen.map_replicates`), so the small
+suites run beside the `g` suite; the replicates of the two gap checks run
+on the same pool, nested in their suite's worker, after all their draws
+are taken.  Every result is collected in order, so the thread count
+changes no value.
 """
 from __future__ import annotations
 
@@ -280,6 +283,11 @@ def kl_gaussian_shift(theta: np.ndarray, t: float) -> CheckReport:
     return _equality_report(f"kl_shift:p{p}:t{t:g}", float(w @ log_ratio), closed, 1e-12)
 
 
+# the rows of one block of envelope draws: at p = 4 a block and its two copies take 0.8 MB, where the `origin`
+# check's 300k draws drawn whole take 29 MB, which under `verify all` adds to the `g` suite's peak
+_ENVELOPE_BLOCK_ROWS = 8192
+
+
 def envelope_moment_check(
     theta: np.ndarray,
     t: float,
@@ -300,6 +308,11 @@ def envelope_moment_check(
     for a center theta inside the ball of radius R = ``radius``.  The second
     moment of ||Lambda^{1/2} W_t|| is verified against t tr(Sigma) + <Sigma
     theta, theta> along the way; a violation of either part fails the check.
+
+    The draws come from one stream in blocks of _ENVELOPE_BLOCK_ROWS rows,
+    and only the vector of norms is kept.  The blocks concatenate to the
+    whole draw bit for bit and each norm reads one row, so the block size
+    changes no value.
     """
     if mc_samples < 2:
         raise ValueError("mc_samples must be >= 2")
@@ -315,8 +328,11 @@ def envelope_moment_check(
 
     c = 1.0 + math.sqrt(3.0) * GAUSSIAN_K
     rng = make_rng(_seed_from_name("envelope") if seed is None else seed)
-    draws = theta[None, :] + math.sqrt(t) * rng.standard_normal((mc_samples, cov.p))
-    norms = np.linalg.norm(cov.transform(draws), axis=1)
+    norms = np.empty(mc_samples)
+    for start in range(0, mc_samples, _ENVELOPE_BLOCK_ROWS):
+        stop = min(start + _ENVELOPE_BLOCK_ROWS, mc_samples)
+        draws = theta[None, :] + math.sqrt(t) * rng.standard_normal((stop - start, cov.p))
+        norms[start:stop] = np.linalg.norm(cov.transform(draws), axis=1)
 
     eta_sq = (72.0 / math.e) * (LOG2 + c * norms) ** 2
     mean_eta, se_eta = _mean_and_stderr(eta_sq)
@@ -630,7 +646,7 @@ def gap_centering_check(
 # ---------------------------------------------------------------------------
 # suites
 
-# "all" first, then the suites in the order "all" runs them
+# "all" first, then the suites in the order "all" reports them
 SUITE_NAMES = ("all", "hermite", "smoothing", "ito", "moments", "g")
 
 
@@ -682,15 +698,16 @@ def _g_suite() -> list[CheckReport]:
 
 
 def run_suite(name: str) -> list[CheckReport]:
-    """Run one named check suite (or all of them, in SUITE_NAMES order) and
-    return the reports.  Each `_{name}_suite` is looked up on the module at
-    call time, so a wrapper set on the module attribute sees the call."""
+    """Run one named check suite, or all of them, and return the reports in
+    SUITE_NAMES order.  The suites of "all" run on `datagen.map_replicates`,
+    so the small ones run beside the `g` suite; one suite, or one CPU, runs
+    on the calling thread.  Each `_{name}_suite` is looked up on the module
+    at call time, so a wrapper set on the module attribute sees the call."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite: {name!r}")
-    reports = []
-    for key in SUITE_NAMES[1:] if name == "all" else (name,):
-        reports.extend(globals()[f"_{key}_suite"]())
-    return reports
+    keys = SUITE_NAMES[1:] if name == "all" else (name,)
+    suites = map_replicates(lambda key: globals()[f"_{key}_suite"](), keys)
+    return [report for reports in suites for report in reports]
 
 
 def format_report(report: CheckReport) -> str:

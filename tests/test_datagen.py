@@ -261,6 +261,13 @@ class TestBlasThreads:
             map_replicates(fail, range(2))
         assert blas() == 2
 
+    def test_a_nested_pool_finds_one_blas_thread_and_leaves_it(self, blas, two_cpus):
+        def outer(i):
+            return map_replicates(lambda j: (i, j, blas()), range(3))
+
+        assert map_replicates(outer, range(2)) == [[(i, j, 1) for j in range(3)] for i in range(2)]
+        assert blas() == 2
+
     def test_one_worker_keeps_the_count(self, blas):
         assert map_replicates(lambda i: blas(), range(2), threads=1) == [2, 2]
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy import integrate
 from scipy.special import eval_hermitenorm
 
 from ulln import Dataset, make_covariance, theory_checks
+from ulln.bounds import GAUSSIAN_K
 from ulln.datagen import CovarianceSpec, make_rng, map_replicates
 from ulln.model import per_example_loss, sigmoid, sigmoid_derivative, softplus
 from ulln.quadrature import gauss_hermite, gauss_hermite_tensor, legendre_panels
@@ -27,6 +29,8 @@ from ulln.theory_checks import (
     GAP_PAIR_LIMIT,
     GAP_PROBE_BLOCK,
     HERMITE_NODES,
+    LOG2,
+    SUITE_NAMES,
     TIME_PANEL_NODES,
     TIME_PANELS,
     CatalogFunction,
@@ -40,6 +44,7 @@ from ulln.theory_checks import (
     laplacian_gap_functional,
     run_suite,
     smoothing_identity_residual,
+    _ENVELOPE_BLOCK_ROWS,
     _expsup_replicate,
     _GapSurface,
     _paired_sigma_prime,
@@ -312,6 +317,33 @@ class TestEnvelopeMoment:
         c = 1.0 + math.sqrt(3.0) * math.sqrt(2.0)
         assert report.rhs == pytest.approx((144 / math.e) * (1 + c**2 * (0.25 * cov.trace + cov.spectral_norm)),
                                            rel=1e-15)
+
+    @pytest.mark.parametrize("mc_samples", [1000, 2 * _ENVELOPE_BLOCK_ROWS + 5])
+    def test_blocks_match_the_whole_draw(self, mc_samples):
+        theta, t, cov = np.array([0.5, -0.5, 0.5, -0.5]), 0.25, make_covariance("reciprocal", 4)
+        c = 1.0 + math.sqrt(3.0) * GAUSSIAN_K
+        draws = theta + math.sqrt(t) * make_rng(8).standard_normal((mc_samples, 4))
+        norms = np.linalg.norm(cov.transform(draws), axis=1)
+        eta_sq = (72.0 / math.e) * (LOG2 + c * norms) ** 2
+        mean_eta, se_eta = np.mean(eta_sq), np.std(eta_sq, ddof=1) / math.sqrt(mc_samples)
+        bound = (144.0 / math.e) * (1.0 + c**2 * (t * cov.trace + cov.spectral_norm))
+        second, se_second = np.mean(norms**2), np.std(norms**2, ddof=1) / math.sqrt(mc_samples)
+        expected_second = t * cov.trace + float(cov.transform(theta) @ cov.transform(theta))
+        violation = max(mean_eta + 3.0 * se_eta - bound, abs(second - expected_second) - 3.0 * se_second)
+        expected = theory_checks._hinge_report("envelope:p4:t0.25:block", mean_eta, bound, violation)
+        assert envelope_moment_check(theta, t, cov, 1.0, mc_samples, seed=8, label="block") == expected
+
+    def test_peak_memory_stays_below_two_copies_of_the_sample(self):
+        mc_samples, p = 300_000, 4
+        tracemalloc.start()
+        try:
+            report = envelope_moment_check(np.zeros(p), 0.25, make_covariance("reciprocal", p), 1.0, mc_samples,
+                                           seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 * mc_samples * p * 8
 
 
 class TestHermite3AbsMoment:
@@ -683,6 +715,9 @@ class TestSuites:
         for name in ("hermite", "smoothing", "ito", "moments"):
             for r in run_suite(name):
                 assert r.passed == (r.abs_residual <= r.tolerance)
+
+    def test_all_is_each_suite_in_turn(self):
+        assert run_suite("all") == [report for key in SUITE_NAMES[1:] for report in run_suite(key)]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
