@@ -61,6 +61,8 @@ from .model import (
 from .quadrature import gauss_hermite, legendre_panels
 from .solver import project_to_ball
 
+# the Gauss-Hermite rule of the identity checks and of the gap surface's identity values and gradient: 66 nodes
+# of the 128-node rule carry a weight above the `quadrature` floor
 HERMITE_NODES = 128
 # the time integrals of the Ito check and of the pair-rule gap values: 8 Gauss-Legendre panels of 12 nodes on [0, t]
 TIME_PANELS, TIME_PANEL_NODES = 8, 12
@@ -379,15 +381,15 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 # centered Laplacian gap functional and its expected-supremum bound
 
 
-# the inner expectation of the pair-rule gap values: 48 Gauss-Hermite nodes, summed as 24 symmetric pairs +/-z_k;
-# the expsup check values depend on this exact rule
+# the inner expectation of the pair-rule gap values: the 48-node Gauss-Hermite rule, whose 38 nodes above the
+# `quadrature` weight floor are summed as 19 symmetric pairs +/-z_k; the expsup check values depend on this exact rule
 GAP_HERMITE_NODES = 48
 # the paired closed form keeps X = 2 cosh(mu), Y = 2 cosh(c) and (X + Y)^2 finite for |mu| and |c| up to this;
 # (X + Y)^2 overflows at about 354
 GAP_PAIR_LIMIT = 350.0
 # the largest probe block of `_GapSurface.identity_values`; the probes are split into equal blocks (49 go as 7 of 7).
-# At the g suite's 210 rows a block's (8, rows, 128) softplus tensor takes 1.7 MB and stays in L2; of 4, 8
-# and 12, 8 gave the fastest `verify all` on 2 cores, and one unblocked pass over 49 probes doubled its peak RSS
+# At the g suite's 210 rows a block's (8, rows, 66) softplus tensor takes 0.9 MB and stays in L2; no block of 4,
+# 12 or 16 gave a faster `verify all` on 2 cores, and one unblocked pass over 49 probes doubled its peak RSS
 GAP_PROBE_BLOCK = 8
 
 
@@ -417,17 +419,19 @@ class _GapSurface:
 
     `identity_values` drops the time integral by the heat-semigroup identity
     with f = softplus (softplus'' = sigma'): each row's integral is
-    2 (E[softplus(mu + sqrt(t lambda) Z)] - softplus(mu)), one
-    HERMITE_NODES Gauss-Hermite mean.  Against an adaptive-quadrature
-    oracle, with mu in [-3, 3], it errs by at most 2e-11 for sqrt(t lambda)
-    up to 3, 9e-10 at 3.6 and 2e-4 at 10.  `gradient` gives the (m, p)
+    2 (E[softplus(mu + sqrt(t lambda) Z)] - softplus(mu)), one mean on the
+    HERMITE_NODES Gauss-Hermite rule, whose 66 nodes make the last axis of
+    `t_offsets`.  Against an adaptive-quadrature oracle, with mu in
+    [-3, 3], it errs by at most 2e-11 for sqrt(t lambda) up to 3, 9e-10 at
+    3.6 and 2e-4 at 10.  `gradient` gives the (m, p)
     block of gradients by the identity with f = sigma, accurate to about
     1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the `g`
     suite.  Neither needs a guard.
 
     `value_many` keeps the time integral, on the fixed TIME_PANELS x
     TIME_PANEL_NODES Gauss-Legendre by GAP_HERMITE_NODES Gauss-Hermite
-    rule, and sums the symmetric Hermite nodes +z_k and -z_k in pairs: with
+    rule, and sums the symmetric Hermite nodes +z_k and -z_k in pairs, as
+    many as the rule has nodes above the weight floor (19): with
     c = sqrt(s lambda_i) z_k, X = 2 cosh(mu) and Y = 2 cosh(c),
         sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
     a sum and quotient of positive terms with no exp per node.  The form
@@ -484,7 +488,7 @@ class _GapSurface:
         s_nodes, s_weights = legendre_panels(0.0, self.t, TIME_PANELS, TIME_PANEL_NODES)
         z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
         # the nodes are sorted and symmetric: the upper half holds z_k > 0 and the weights of the pairs
-        half = GAP_HERMITE_NODES // 2
+        half = len(z_nodes) // 2
         # c[s, i, k] = sqrt(s * lambda_sq_i) * z_k
         c = np.sqrt(s_nodes[:, None] * self.lambda_sq[None, :])[:, :, None] * z_nodes[half:]
         if not np.all(c <= GAP_PAIR_LIMIT):
@@ -700,14 +704,16 @@ def _g_suite() -> list[CheckReport]:
 def run_suite(name: str) -> list[CheckReport]:
     """Run one named check suite, or all of them, and return the reports in
     SUITE_NAMES order.  The suites of "all" run on `datagen.map_replicates`,
-    so the small ones run beside the `g` suite; one suite, or one CPU, runs
-    on the calling thread.  Each `_{name}_suite` is looked up on the module
-    at call time, so a wrapper set on the module attribute sees the call."""
+    the `g` suite, the longest, submitted first, so the small ones run
+    beside it; one suite, or one CPU, runs on the calling thread.  Each
+    `_{name}_suite` is looked up on the module at call time, so a wrapper
+    set on the module attribute sees the call."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite: {name!r}")
     keys = SUITE_NAMES[1:] if name == "all" else (name,)
-    suites = map_replicates(lambda key: globals()[f"_{key}_suite"](), keys)
-    return [report for reports in suites for report in reports]
+    submitted = sorted(keys, key=lambda key: key != "g")  # stable: the rest keep their order
+    suites = dict(zip(submitted, map_replicates(lambda key: globals()[f"_{key}_suite"](), submitted)))
+    return [report for key in keys for report in suites[key]]
 
 
 def format_report(report: CheckReport) -> str:

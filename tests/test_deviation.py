@@ -5,9 +5,18 @@ import pytest
 
 import ulln.deviation
 from ulln import GenerativeConfig, generate_dataset, make_covariance
-from ulln.datagen import derive_seed, sample_theta_star
-from ulln.deviation import population_rows, sup_deviation_grid, sup_deviation_search
+from ulln.datagen import derive_seed, make_rng, sample_theta_star
+from ulln.deviation import (
+    ASCENT_STEP,
+    DeviationEstimate,
+    _gap_surface,
+    _uniform_ball,
+    population_rows,
+    sup_deviation_grid,
+    sup_deviation_search,
+)
 from ulln.model import LogisticSurface, per_example_loss, sigmoid
+from ulln.solver import project_to_ball
 
 
 def make_instance(p, n, seed, cov_kind="identity", beta=2.0):
@@ -53,7 +62,45 @@ class TestSplitForm:
         assert abs(split.sup_value - loss_sum.sup_value) < 1e-12
 
 
+def _search_with_a_gradient_every_pass(data, gen, radius, starts, budget, seed, ascent_iters):
+    """The multistart ascent with value and gradient on every pass, the final scoring pass included."""
+    x, targets, weights = population_rows(gen, budget, derive_seed(seed, 0x9E3779B9))
+    gap = _gap_surface(data, x, targets, weights)
+    anchor = project_to_ball(gen.theta_star, radius)
+    ball = _uniform_ball(data.p, radius, starts, make_rng(derive_seed(seed, 0x51ED270)))
+    thetas = np.repeat(np.asarray([np.zeros(data.p), anchor, -anchor, *ball]), 2, axis=0)
+    signs = np.tile([1.0, -1.0], starts + 3)[:, None]
+    best_values, best_thetas = np.full(thetas.shape[0], -np.inf), thetas.copy()
+    for k in range(1, ascent_iters + 2):
+        s = gap.scores(thetas)
+        values, grads = gap.value(s), gap.grad(s)
+        better = np.abs(values) > best_values
+        best_values[better], best_thetas[better] = np.abs(values[better]), thetas[better]
+        if k <= ascent_iters:
+            thetas = project_to_ball(thetas + (ASCENT_STEP / np.sqrt(k)) * (signs * grads), radius)
+    best = int(np.argmax(best_values))
+    if weights is None:
+        stderr = float(np.std(per_example_loss(targets, best_thetas[best] @ x.T), ddof=1) / np.sqrt(budget))
+    else:
+        stderr = 0.0
+    return DeviationEstimate(float(best_values[best]), best_thetas[best], "multistart_ascent", starts, stderr)
+
+
 class TestSearch:
+    @pytest.mark.parametrize("p, ascent_iters", [(2, 9), (5, 9), (3, 0)])
+    def test_takes_one_gradient_per_ascent_step_and_keeps_its_estimate(self, p, ascent_iters, monkeypatch):
+        data, gen = make_instance(p, 40, 20 + p, cov_kind="reciprocal", beta=3.0)
+        args = (data, gen, 1.0, 3, 600, 5, ascent_iters)
+        want = _search_with_a_gradient_every_pass(*args)
+        grad, calls = LogisticSurface.grad, []
+        monkeypatch.setattr(LogisticSurface, "grad", lambda surface, scores: calls.append(1) or grad(surface, scores))
+        got = sup_deviation_search(*args)
+        assert len(calls) == ascent_iters
+        assert float.hex(got.sup_value) == float.hex(want.sup_value)
+        assert got.arg_theta.tobytes() == want.arg_theta.tobytes()
+        assert float.hex(got.pop_risk_stderr) == float.hex(want.pop_risk_stderr)
+        assert (got.method, got.starts) == (want.method, want.starts)
+
     def test_radius_zero_gap_vanishes(self):
         data, gen = make_instance(3, 15, 1)
         est = sup_deviation_search(data, gen, 0.0, starts=1, budget=100, seed=0)

@@ -664,9 +664,9 @@ class TestExpSup:
         small = expsup_gap_check(20, 0.5, 1.0, cov, replicates=2, seed=10)
         large = expsup_gap_check(80, 0.5, 1.0, cov, replicates=2, seed=10)
         assert large.rhs == pytest.approx(small.rhs / 2.0, rel=1e-12)
-        # the 8x12 Legendre by 48 Hermite value at the points the identity gradient climbs to,
-        # pinned bit for bit
-        assert small.lhs == 0.006460227303397296
+        # the 8x12 Legendre by 48-node Hermite value (38 nodes above the weight floor) at the points the
+        # identity gradient climbs to, pinned bit for bit
+        assert small.lhs == 0.006460227303397297
 
     def test_replicate_matches_the_exhaustive_scan(self):
         # ranking the scan by the identity values picks the polish starts and the best probe that
