@@ -28,11 +28,11 @@ from ulln.theory_checks import (
     GAP_HERMITE_NODES,
     GAP_PAIR_LIMIT,
     GAP_PROBE_BLOCK,
+    GAP_TIME_NODES,
     HERMITE_NODES,
     LOG2,
+    SMOOTHING_TAIL_LENGTH,
     SUITE_NAMES,
-    TIME_PANEL_NODES,
-    TIME_PANELS,
     CatalogFunction,
     envelope_moment_check,
     expsup_gap_check,
@@ -116,6 +116,16 @@ class TestSmoothingIdentity:
         for name in CATALOG:
             for t in (0.1, 0.5, 1.0):
                 assert smoothing_identity_residual(name, t).passed
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    def test_tail_rule_is_converged(self, name, t):
+        # 8 panels of 12 nodes against 64 of 24: measured worst 2.7e-15; one panel of 24 nodes errs by 1.7e-10
+        z, w = gauss_hermite(HERMITE_NODES)
+        r0 = math.log(1.0 / math.sqrt(t))
+        r_nodes, r_weights = legendre_panels(r0, r0 + SMOOTHING_TAIL_LENGTH, 64, 24)
+        inner = np.asarray(CATALOG[name].f(np.exp(-r_nodes)[:, None] * z)) * (z**2 - 1.0) @ w
+        assert abs(smoothing_identity_residual(name, t).lhs - 2.0 * float(r_weights @ inner)) <= 1e-13
 
     def test_time_domain(self):
         with pytest.raises(ValueError):
@@ -444,11 +454,12 @@ class TestLaplacianGap:
             laplacian_gap_functional(np.empty((0, 2)), np.zeros(2), 0.5, make_covariance("identity", 2), 10, 0)
 
 
-def _direct_value_many(z_rows, ref_rows, t, cov, thetas):
-    """The gap surface's value rule, one (rows, m, nodes) tensor per s node."""
+def _direct_value_many(z_rows, ref_rows, t, cov, thetas, time_panels=1, time_nodes=GAP_TIME_NODES):
+    """The gap surface's value rule, one (rows, m, nodes) tensor per s node;
+    by default on the surface's own time rule."""
     surface = _GapSurface(z_rows, ref_rows, t, cov)
     coef, directions, lambda_sq = surface.coef, surface.directions, surface.lambda_sq
-    s_nodes, s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
+    s_nodes, s_weights = legendre_panels(0.0, t, time_panels, time_nodes)
     z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
     mus = directions @ thetas.T
     out = np.zeros(thetas.shape[0])
@@ -489,9 +500,9 @@ def _oracle_gradient(z_rows, ref_rows, t, cov, theta):
     return directions.T @ (coef * lambda_sq * integrals)
 
 
-def _gap_case(n, m, p, t, seed=0):
+def _gap_case(n, m, p, t, seed=0, kind="reciprocal"):
     rng = make_rng(seed)
-    args = (rng.standard_normal((n, p)), rng.standard_normal((m, p)), t, make_covariance("reciprocal", p))
+    args = (rng.standard_normal((n, p)), rng.standard_normal((m, p)), t, make_covariance(kind, p))
     return _GapSurface(*args), args, rng
 
 
@@ -504,6 +515,15 @@ class TestGapSurface:
         surface, args, rng = _gap_case(n, m, p, 0.7)
         thetas = rng.standard_normal((count, p))
         np.testing.assert_allclose(surface.value_many(thetas), _direct_value_many(*args, thetas), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "identity"])
+    def test_time_rule_is_converged(self, kind):
+        # one GAP_TIME_NODES rule on [0, t] against 16 panels of 24 nodes: measured worst 6.7e-14 at these
+        # rows, where a 16-node rule errs by 1.6e-11 or more
+        surface, args, rng = _gap_case(50, 160, 3, 1.0, seed=5, kind=kind)
+        thetas = rng.standard_normal((8, 3))
+        want = _direct_value_many(*args, thetas, time_panels=16, time_nodes=24)
+        assert np.max(np.abs(surface.value_many(thetas) - want)) <= 1e-12
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("count", [1, GAP_PROBE_BLOCK - 1, GAP_PROBE_BLOCK, GAP_PROBE_BLOCK + 1, 49])
@@ -664,9 +684,9 @@ class TestExpSup:
         small = expsup_gap_check(20, 0.5, 1.0, cov, replicates=2, seed=10)
         large = expsup_gap_check(80, 0.5, 1.0, cov, replicates=2, seed=10)
         assert large.rhs == pytest.approx(small.rhs / 2.0, rel=1e-12)
-        # the 8x12 Legendre by 48-node Hermite value (38 nodes above the weight floor) at the points the
+        # the 24-node Legendre by 48-node Hermite value (38 nodes above the weight floor) at the points the
         # identity gradient climbs to, pinned bit for bit
-        assert small.lhs == 0.006460227303397297
+        assert small.lhs == 0.006460227303397296
 
     def test_replicate_matches_the_exhaustive_scan(self):
         # ranking the scan by the identity values picks the polish starts and the best probe that
