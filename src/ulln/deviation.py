@@ -4,13 +4,14 @@ The sup is estimated from below by multistart projected ascent on both
 signed gaps +/-(R_n - Rhat), where Rhat sums the loss over the frozen
 `population_rows`; for p <= 2 an exhaustive grid oracle on their
 quadrature rule is available for cross-checks.  Both estimators build
-one surface, the gap: a weighted `LogisticSurface` over the data and
-population rows stacked, so each value and gradient takes the surface's
-split weighted form: one softplus tail and one sigmoid pass over the
-scores, the rest matrix products.  On a Monte Carlo sample the search
-reports the standard error of Rhat at its arg-sup.  No exactness is
-claimed for p > 2 — a lower bound is what is needed to sanity-check the
-upper bounds.
+one surface, the gap: a `LogisticSurface` over the data and population
+rows stacked, weighted +1/n and minus the population weights.  Each
+value and gradient takes the split form every surface takes, the
+empirical risk's too: one softplus tail and one weighted sigmoid pass
+over the scores, the rest matrix products.  On a Monte Carlo sample the
+search reports the standard error of Rhat at its arg-sup.  No exactness
+is claimed for p > 2 — a lower bound is what is needed to sanity-check
+the upper bounds.
 
 Both estimators read only their arguments, and the search draws only
 from streams derived from its `seed`.  So `ulln deviation` runs its

@@ -9,27 +9,26 @@ Every loss goes through the softplus form
     softplus(s) = max(s, 0) + log1p(exp(-|s|)),
 
 which is exact and overflow-free for any finite score (the naive
--y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).  The loss
-and the link go through two in-place kernels:
+-y*log(sigma) - (1-y)*log(1-sigma) overflows past |s| ~ 36).
+`per_example_loss` is that form, two `softplus` calls.  A surface sums
+the same loss with its row weights in the split form
+
+    loss(y, s) = |s|/2 + log1p(exp(-|s|)) + (1/2 - y) s,
+
+whose |s| and s terms are products with weights fixed when the surface
+is built; every surface, the empirical risk's included, takes this one
+form.  The loss and the link go through two in-place kernels:
 
 * `_softplus_into` writes softplus(s); its helper `_tail_from_abs` turns
   |s| into the tail log1p(exp(-|s|)), the package's one log1p.  It
-  serves `softplus`, the heat-semigroup gap of `theory_checks` and
-  `_loss_into`, whose two softplus terms share the tail bit for bit;
-  `_loss_into` serves `per_example_loss` and the unweighted surface (the
-  empirical risk and the solver's objective).  A weighted surface (the
-  deviation gap) sums the same loss in the split form
-
-      loss(y, s) = |s|/2 + log1p(exp(-|s|)) + (1/2 - y) s,
-
-  whose |s| and s terms are products with weights fixed when the
-  surface is built.  It holds |s| for its product already, so it calls
+  serves `softplus` and the heat-semigroup gap of `theory_checks`.  A
+  surface holds |s| for its product already, so it calls
   `_tail_from_abs` alone.
-* `_sigmoid_into` writes the logistic link sigma(t) = 1/(1+exp(-t)) for
-  `sigmoid`, the gradients of both surface branches and the gap surface
-  of `theory_checks`.  It is exactly 0 far in the left tail, where
-  exp(-t) overflows to inf, and exactly 1 far in the right tail, with no
-  floating-point warning on either.
+* `_sigmoid_into` writes the logistic link sigma(t) = 1/(1+exp(-t)),
+  times an optional scale, for `sigmoid`, the surface gradient and the
+  gap surface of `theory_checks`.  It is exactly 0 far in the left tail,
+  where exp(-t) overflows to inf, and exactly the scale far in the right
+  tail, with no floating-point warning on either.
 """
 from __future__ import annotations
 
@@ -38,18 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _sigmoid_into(t, out):
-    """Write sigma(t) = 1 / (1 + exp(-t)) into `out`; `t` may be `out` itself.
+def _sigmoid_into(t, out, scale=1.0):
+    """Write scale * sigma(t) = scale / (1 + exp(-t)) into `out`; `t` may be `out` itself.
 
-    exp(-t) overflows to inf for t below about -709, giving exactly 0, and
-    falls below half an ulp of 1 for t above about 37, giving exactly 1;
-    neither tail raises a floating-point warning.  NaN gives NaN.
+    `scale` is a number or an array that broadcasts against `out`, such as
+    a surface's row weights; with the default 1.0 the division is bitwise
+    the reciprocal, so `out` holds sigma(t) itself.  exp(-t) overflows to
+    inf for t below about -709, giving exactly 0, and falls below half an
+    ulp of 1 for t above about 37, giving exactly the scale; neither tail
+    raises a floating-point warning.  NaN gives NaN.
     """
     with np.errstate(over="ignore", under="ignore"):
         np.negative(t, out=out)
         np.exp(out, out=out)
     out += 1.0
-    np.reciprocal(out, out=out)
+    np.divide(scale, out, out=out)
     return out
 
 
@@ -94,32 +96,12 @@ def softplus(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _loss_into(y, one_minus_y, s, out, tail, tmp):
-    """Write y*softplus(-s) + (1-y)*softplus(s) into `out`.
-
-    softplus(-s) is max(-s, 0) plus the tail log1p(exp(-|s|)) that
-    `_softplus_into` leaves in `tail` while it writes softplus(s) into
-    `tmp`; `tail` and `tmp` are scratch of `out`'s shape and `s` is only
-    read.  Each step is the operation of the two-softplus formula, so the
-    result is bitwise the same.
-    """
-    _softplus_into(s, tmp, tail)
-    tmp *= one_minus_y
-    np.negative(s, out=out)
-    np.maximum(out, 0.0, out=out)
-    out += tail
-    out *= y
-    out += tmp
-    return out
-
-
 def per_example_loss(y, score):
-    """Cross-entropy loss of one observation at the given linear score."""
+    """Cross-entropy loss y*softplus(-s) + (1-y)*softplus(s) of one observation at the linear score s."""
     y = np.asarray(y, dtype=float)
     score = np.asarray(score, dtype=float)
-    out, tail, tmp = (np.empty(np.broadcast_shapes(y.shape, score.shape)) for _ in range(3))
-    _loss_into(y, 1.0 - y, score, out, tail, tmp)
-    return float(out) if out.ndim == 0 else out
+    out = y * softplus(-score) + (1.0 - y) * softplus(score)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -164,9 +146,10 @@ class LogisticSurface:
     """The weighted logistic surface F(theta) = sum_i w_i loss(t_i, <x_i, theta>).
 
     Rows x_i carry targets t_i in [0, 1] (hard labels or label
-    probabilities) and signed weights w_i; `weights=None` weights every
-    row by 1/rows, as for a sample mean.  Hard labels with equal weights
-    give the empirical risk, and stacked with label probabilities on the
+    probabilities) and signed weights w_i; `weights=None` means
+    np.full(rows, 1/rows), as for a sample mean, and gives bit for bit the
+    surface built with those weights.  Hard labels with equal weights give
+    the empirical risk, and stacked with label probabilities on the
     population rows (equal weights on a Monte Carlo sample or Gauss-Hermite
     weights), with opposite signs, the gap between the empirical and the
     population risk.
@@ -174,15 +157,14 @@ class LogisticSurface:
     Every evaluation takes scores: `scores` maps one parameter vector (p,)
     or a block (m, p) to scores (rows,) or (m, rows), and `value` and
     `grad` take either shape and return a leading axis of m.  They share a
-    workspace of four score-shaped arrays (scores, losses, the softplus
-    tail and the residual), allocated again only when the score shape
-    changes.  The unweighted surface takes its value from the mean of
-    `_loss_into`'s losses, which uses the losses, tail and residual
-    arrays, and its gradient from the residual sigma(s) - t.  A weighted
-    surface takes its value from the split form of the module docstring,
-    |s| @ w/2 + tail @ w + s @ (w/2 - w t), in the tail array alone, and
-    its gradient from sigma(s) @ (w x) - (w t) @ x in the residual array;
-    w/2, w/2 - w t, w x and (w t) @ x are built once.
+    workspace of three score-shaped arrays (scores, the softplus tail and
+    the weighted link), allocated again only when the score shape changes.
+    `value` is the split form of the module docstring, |s| @ w/2 +
+    tail @ w + s @ (w/2 - w t), in the tail array; `grad` is
+    (w sigma(s)) @ x - (w t) @ x, with w sigma(s) written by
+    `_sigmoid_into` into the link array.  w/2, w/2 - w t and (w t) @ x
+    are built once; w x is not, because at the solver's 1000 x 3000 design
+    it would be a 24 MB copy of x per fit.
     `scores` returns the workspace's array, which the next `scores` call
     overwrites; what the others return is fresh.  A surface must not be
     evaluated from two threads at once; give each thread its own.
@@ -191,20 +173,17 @@ class LogisticSurface:
     def __init__(self, x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
         self.x = np.asarray(x, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        rows = self.x.shape[0]
+        self.weights = np.full(rows, 1.0 / rows) if weights is None else np.asarray(weights, dtype=float)
+        weighted_targets = self.weights * self.targets
+        self._half_weights = self.weights / 2.0
+        self._linear_weights = self._half_weights - weighted_targets
+        self._target_grad = weighted_targets @ self.x
         self._work = None
-        if self.weights is None:
-            self._one_minus_targets = 1.0 - self.targets
-        else:
-            weighted_targets = self.weights * self.targets
-            self._half_weights = self.weights / 2.0
-            self._linear_weights = self._half_weights - weighted_targets
-            self._weighted_x = self.weights[:, None] * self.x
-            self._target_grad = weighted_targets @ self.x
 
     def _workspace(self, shape: tuple) -> tuple:
         if self._work is None or self._work[0].shape != shape:
-            self._work = tuple(np.empty(shape) for _ in range(4))
+            self._work = tuple(np.empty(shape) for _ in range(3))
         return self._work
 
     def scores(self, thetas: np.ndarray) -> np.ndarray:
@@ -215,11 +194,7 @@ class LogisticSurface:
 
     def value(self, scores: np.ndarray):
         """F at the given scores."""
-        _, losses, tail, residual = self._workspace(scores.shape)
-        if self.weights is None:
-            _loss_into(self.targets, self._one_minus_targets, scores, losses, tail, residual)
-            return np.mean(losses, axis=-1)
-        np.abs(scores, out=tail)
+        tail = np.abs(scores, out=self._workspace(scores.shape)[1])
         value = tail @ self._half_weights
         value += _tail_from_abs(tail) @ self.weights
         value += scores @ self._linear_weights
@@ -227,11 +202,8 @@ class LogisticSurface:
 
     def grad(self, scores: np.ndarray) -> np.ndarray:
         """grad F = sum_i w_i (sigma(s_i) - t_i) x_i at the given scores."""
-        residual = _sigmoid_into(scores, self._workspace(scores.shape)[3])
-        if self.weights is None:
-            residual -= self.targets
-            return residual @ self.x / self.x.shape[0]
-        return residual @ self._weighted_x - self._target_grad
+        link = _sigmoid_into(scores, self._workspace(scores.shape)[2], self.weights)
+        return link @ self.x - self._target_grad
 
 
 def empirical_risk(data: Dataset, theta: np.ndarray) -> float:

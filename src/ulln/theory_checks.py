@@ -64,10 +64,14 @@ from .solver import project_to_ball
 # the Gauss-Hermite rule of the identity checks and of the gap surface's identity values and gradient: 66 nodes
 # of the 128-node rule carry a weight above the `quadrature` floor
 HERMITE_NODES = 128
-# the time integral of the Ito check: 8 Gauss-Legendre panels of 12 nodes on [0, t].  The check takes any finite t;
-# at t = 50 on the suite's logistic row (||x|| = 1.5, mu = 0.3) one 24-node rule errs by 3e-6, against the 1e-6
-# tolerance, and these panels by 5e-8
+# the time integral of the Ito check: 8 Gauss-Legendre panels of 12 nodes on [0, t].  At t = 50 on the suite's
+# logistic row (||x|| = 1.5, mu = 0.3) one 24-node rule errs by 3e-6, against the 1e-6 tolerance, and these panels
+# by 5e-8; that scale lies past ITO_MAX_SCALE, which holds until the Hermite means are exact there too
 TIME_PANELS, TIME_PANEL_NODES = 8, 12
+# the largest scale sqrt(t) ||x|| the Ito check takes for a logistic row.  Beyond it the Hermite means of a correct
+# identity drift past the 1e-6 tolerance: their largest residual over |<x, theta>| <= 8 is 1.6e-7 at scale 4 and
+# 1.2e-6 at 4.5
+ITO_MAX_SCALE = 4.0
 LOG2 = math.log(2.0)
 
 
@@ -203,7 +207,10 @@ def ito_expansion_residual(
 
     A one-row ``row`` (x, y) selects the logistic payload f(w) =
     loss(y, <x, w>); no row selects f(w) = ||w||^2, whose Laplacian is the
-    constant 2p.  The logistic loss reads w only through <x, w> ~ N(<x,
+    constant 2p.  t may be any finite t > 0, except that the logistic
+    payload takes sqrt(t) ||x|| up to ITO_MAX_SCALE, where its Hermite
+    means still meet the 1e-6 tolerance; a larger scale raises
+    ValueError.  The logistic loss reads w only through <x, w> ~ N(<x,
     theta>, t ||x||^2), so its left side is one HERMITE_NODES Gauss-Hermite
     mean; ||w||^2 is a sum over coordinates, so its left side is the sum of
     one such mean per coordinate.  The right side integrates the Laplacian
@@ -239,6 +246,8 @@ def ito_expansion_residual(
         y = float(row.labels[0])
         x_norm_sq = float(x_row @ x_row)
         x_norm = math.sqrt(x_norm_sq)
+        if math.sqrt(t) * x_norm > ITO_MAX_SCALE:
+            raise ValueError(f"sqrt(t) ||x|| must be at most {ITO_MAX_SCALE:g} for the logistic payload")
         mu = float(x_row @ theta)
 
         def f_of(w_points):

@@ -308,9 +308,9 @@ class TestJointStudies:
 
     @pytest.mark.parametrize("p, n, replications, base_seeds, expected", [
         (300, 100, 2, (20260808, 20260809), [31, 55, 30, 27, 28, 28, 29, 11]),
-        # the paper-scale input whose first fit takes 33 iterations, not 34,
-        # when the risk and its gradient are summed as dot products with 1/n weights
-        (3000, 1000, 1, (20260859,), [34, 59]),
+        # the paper-scale input whose first fit hangs on the summation order: 33 iterations with the risk
+        # and its gradient summed as dot products with 1/n weights, 34 with a mean and x.T @ r / n
+        (3000, 1000, 1, (20260859,), [33, 59]),
     ])
     def test_solver_iteration_counts_are_pinned(self, monkeypatch, p, n, replications, base_seeds, expected):
         # fit_constrained stops at grad_map_tol within last-ulp noise, so any

@@ -391,17 +391,26 @@ class TestLogisticSurface:
             residual = weights * (sigmoid(scores) - targets)
             np.testing.assert_allclose(grad, residual @ x, rtol=1e-12, atol=1e-13)
 
-    def test_unweighted_surface_is_the_mean_loss_bitwise(self):
-        # the solver's iteration counts hang on the last ulp of this branch
+    def test_default_weights_are_one_over_rows_bitwise(self):
+        # no weights is the surface with weights 1/rows, bit for bit, and so within rounding of the mean loss
+        # and of (sigma(s) - y) @ x / n
         rng = np.random.default_rng(16)
         data = random_dataset(rng, 60, 5)
         surface = LogisticSurface(data.inputs, data.labels)
-        for thetas in (rng.standard_normal(5) * 3.0, rng.standard_normal((7, 5)) * 3.0):
-            scores = surface.scores(thetas).copy()
-            value, grad = surface.value(scores), surface.grad(scores)
-            expected_value = np.mean(per_example_loss(data.labels, scores), axis=-1)
-            assert np.asarray(value).tobytes() == np.asarray(expected_value).tobytes()
-            assert grad.tobytes() == ((sigmoid(scores) - data.labels) @ data.inputs / data.n).tobytes()
+        explicit = LogisticSurface(data.inputs, data.labels, np.full(data.n, 1.0 / data.n))
+        single = self.thetas_up_to(data.inputs, rng.standard_normal(5), 40.0)[0]
+        block = self.thetas_up_to(data.inputs, rng.standard_normal((7, 5)), np.linspace(1.0, 40.0, 7))
+        for thetas in (single, block):
+            scores = thetas @ data.inputs.T
+            assert np.abs(scores).max() == pytest.approx(40.0, rel=1e-12)
+            value, grad = self.evaluate(surface, thetas)
+            explicit_value, explicit_grad = self.evaluate(explicit, thetas)
+            assert np.asarray(value).tobytes() == np.asarray(explicit_value).tobytes()
+            assert grad.tobytes() == explicit_grad.tobytes()
+            mean_loss = np.mean(per_example_loss(data.labels, scores), axis=-1)
+            assert np.all(np.abs(value - mean_loss) <= 1e-15 * (1.0 + np.mean(np.abs(scores), axis=-1)))
+            mean_grad = (sigmoid(scores) - data.labels) @ data.inputs / data.n
+            assert np.abs(grad - mean_grad).max() <= 1e-15 * np.abs(data.inputs).mean(axis=0).max()
 
     def test_extreme_scores_stay_finite(self):
         surface = LogisticSurface(np.array([[1.0], [-1.0]]), np.array([1.0, 0.3]), np.array([0.5, -0.5]))

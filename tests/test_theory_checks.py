@@ -30,6 +30,7 @@ from ulln.theory_checks import (
     GAP_PROBE_BLOCK,
     GAP_TIME_NODES,
     HERMITE_NODES,
+    ITO_MAX_SCALE,
     LOG2,
     SMOOTHING_TAIL_LENGTH,
     SUITE_NAMES,
@@ -217,6 +218,19 @@ class TestItoExpansion:
         row = Dataset(np.array([[1.5]]), np.array([1])) if logistic else None
         with pytest.raises(ValueError, match="t must be"):
             ito_expansion_residual(np.array([0.2]), t, row)
+
+    @pytest.mark.parametrize("x_row, theta, t", [([1.5], [0.2], 20.0), ([3.5], [6 / 3.5], 5.0)])
+    def test_logistic_scale_past_the_rule_is_rejected(self, x_row, theta, t):
+        # correct identities that the Hermite means would report as FAIL (residuals 1.3e-4 and 3.8e-4)
+        with pytest.raises(ValueError, match="sqrt"):
+            ito_expansion_residual(np.array(theta), t, Dataset(np.array([x_row]), np.array([1])))
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_logistic_scale_at_the_limit_passes(self, y):
+        # sqrt(4) * 2 is exactly ITO_MAX_SCALE
+        assert math.sqrt(4.0) * 2.0 == ITO_MAX_SCALE
+        report = ito_expansion_residual(np.array([3.0]), 4.0, Dataset(np.array([[2.0]]), np.array([y])))
+        assert report.passed
 
     @pytest.mark.parametrize("x_row, theta", [
         ([0.0], [0.4]), ([1.5], [0.2]), ([3.5], [-12 / 7]), ([3.5], [12 / 7]),
