@@ -26,12 +26,11 @@ import numpy as np
 
 from .datagen import GenerativeConfig, derive_seed, label_probabilities, make_rng
 from .model import Dataset, LogisticSurface, per_example_loss
-from .quadrature import gauss_hermite_tensor
+from .quadrature import HERMITE_NODES, gauss_hermite_tensor
 from .solver import project_to_ball
 
 ASCENT_ITERS = 120
 ASCENT_STEP = 0.1  # step at iteration k is ASCENT_STEP / sqrt(k)
-QUADRATURE_NODES_PER_AXIS = 128
 
 
 @dataclass(frozen=True)
@@ -46,20 +45,20 @@ class DeviationEstimate:
 def population_rows(gen: GenerativeConfig, budget: int, seed: int):
     """The rows (x, targets, weights) of the population risk R(theta) = E[loss] under `gen`.
 
-    The rows are x = Lambda^{1/2} z.  For p <= 2 the z are the nodes of a
-    tensorized 128-node-per-axis Gauss-Hermite rule with its weights,
-    giving a deterministic risk; pruned at the `quadrature` weight floor,
-    the rule has 66 rows at p = 1 and 3260 at p = 2.  Otherwise they are
-    `budget` standard normal draws from the `make_rng(seed)` stream with
-    weights None, each row weighing 1/budget, drawn once so that every
-    evaluation sees the same sample.  The targets are the exact label
+    The rows are x = Lambda^{1/2} z.  For p <= 2 the z are the nodes of
+    the HERMITE_NODES = 128 Gauss-Hermite rule tensorized over the axes,
+    with its weights, giving a deterministic risk; pruned at the
+    `quadrature` weight floor, the rule has 66 rows at p = 1 and 3260 at
+    p = 2.  Otherwise they are `budget` standard normal draws from the
+    `make_rng(seed)` stream with weights None, each row weighing 1/budget,
+    drawn once so that every evaluation sees the same sample.  The targets are the exact label
     probabilities sigma(beta <x, theta*>), so the label is integrated out
     as a Bernoulli mixture.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     if gen.p <= 2:
-        z, weights = gauss_hermite_tensor(QUADRATURE_NODES_PER_AXIS, gen.p)
+        z, weights = gauss_hermite_tensor(HERMITE_NODES, gen.p)
     else:
         z, weights = make_rng(seed).standard_normal((budget, gen.p)), None
     x = gen.cov.transform(z)

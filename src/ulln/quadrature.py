@@ -1,4 +1,16 @@
-"""Quadrature rules for expectations under the standard normal measure.
+"""Quadrature rules for Gaussian means and for integrals over finite intervals.
+
+The package takes two rules, both declared here:
+
+* every Gaussian mean is the HERMITE_NODES = 128-node Gauss-Hermite rule
+  (a tensor of it on each axis for a mean in dimension p <= 2);
+* every integral over a finite interval is one LEGENDRE_NODES = 24-node
+  Gauss-Legendre rule mapped onto the interval, on one panel; each
+  integrand is analytic on its interval, so the rule converges
+  geometrically.
+
+The one exception is the pair rule of `theory_checks._GapSurface.value_many`,
+whose 48-node Hermite rule the `expsup` check values depend on.
 
 Everything here works with the probabilists' convention, i.e. nodes/weights
 (z, w) such that
@@ -29,6 +41,10 @@ import numpy as np
 _BUILD_LOCK = threading.RLock()
 # the smallest Gauss-Hermite weight a rule keeps
 WEIGHT_FLOOR = 1e-20
+# the Gauss-Hermite rule of every Gaussian mean: 66 of its 128 nodes carry a weight above WEIGHT_FLOOR
+HERMITE_NODES = 128
+# the Gauss-Legendre rule of every integral over a finite interval, on one panel
+LEGENDRE_NODES = 24
 
 
 def _built_once(fn):

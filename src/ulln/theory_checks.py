@@ -8,12 +8,12 @@ Checks covered:
   affine-composed link);
 * the heat-semigroup smoothing identity
       int_0^t s^{-1} E[f(sqrt(s) z)(z^2 - 1)] ds = 2(E[f(sqrt(t) z)] - f(0)),
-  integrated after the substitution s = exp(-2r) that removes the 1/s
-  singularity;
+  integrated in s on [0, t]: by Stein's lemma the integrand is
+  E[f''(sqrt(s) z)], bounded at s = 0 and analytic in s;
 * the second-order (Ito) expansion of the smoothed logistic loss at any
   dimension: the loss reads w only through <x, w>, so both sides are
   one-dimensional Gauss-Hermite means, the right side's time integral on
-  fixed Gauss-Legendre panels;
+  the Gauss-Legendre rule on [0, t];
 * the Kullback-Leibler divergence of shifted isotropic Gaussians;
 * the moment bound for the subgaussian width envelope of the loss;
 * the absolute third-Hermite moment E|z^3 - 3z|, integrated piecewise
@@ -28,14 +28,16 @@ Checks covered:
   the four values an `expsup` replicate reports keep the time integral and
   sum the symmetric Hermite nodes in pairs by a closed form (the pair rule).
 
-Every integral is a fixed rule from `quadrature`, and every Monte Carlo
-assertion uses a 3-standard-error tolerance and a stream seeded from the
-check name, so the suite is deterministic.  `run_suite("all")` runs the
-five suites on the replicate pool (`datagen.map_replicates`), so the small
-suites run beside the `g` suite; the replicates of the two gap checks run
-on the same pool, nested in their suite's worker, after all their draws
-are taken.  Every result is collected in order, so the thread count
-changes no value.
+Every integral is a fixed rule from `quadrature`: a Gaussian mean on the
+HERMITE_NODES Gauss-Hermite rule (the pair rule on its own 48 nodes), an
+integral over an interval on one LEGENDRE_NODES Gauss-Legendre rule.
+Every Monte Carlo assertion uses a 3-standard-error tolerance and a stream
+seeded from the check name, so the suite is deterministic.
+`run_suite("all")` runs the five suites on the replicate pool
+(`datagen.map_replicates`), so the small suites run beside the `g` suite;
+the replicates of the two gap checks run on the same pool, nested in their
+suite's worker, after all their draws are taken.  Every result is collected
+in order, so the thread count changes no value.
 """
 from __future__ import annotations
 
@@ -58,16 +60,9 @@ from .model import (
     sigmoid_derivative,
     softplus,
 )
-from .quadrature import gauss_hermite, legendre_panels
+from .quadrature import HERMITE_NODES, LEGENDRE_NODES, gauss_hermite, legendre_panels
 from .solver import project_to_ball
 
-# the Gauss-Hermite rule of the identity checks and of the gap surface's identity values and gradient: 66 nodes
-# of the 128-node rule carry a weight above the `quadrature` floor
-HERMITE_NODES = 128
-# the time integral of the Ito check: 8 Gauss-Legendre panels of 12 nodes on [0, t].  At t = 50 on the suite's
-# logistic row (||x|| = 1.5, mu = 0.3) one 24-node rule errs by 3e-6, against the 1e-6 tolerance, and these panels
-# by 5e-8; that scale lies past ITO_MAX_SCALE, which holds until the Hermite means are exact there too
-TIME_PANELS, TIME_PANEL_NODES = 8, 12
 # the largest scale sqrt(t) ||x|| the Ito check takes for a logistic row.  Beyond it the Hermite means of a correct
 # identity drift past the 1e-6 tolerance: their largest residual over |<x, theta>| <= 8 is 1.6e-7 at scale 4 and
 # 1.2e-6 at 4.5
@@ -165,32 +160,26 @@ def hermite_identity_residual(name, d: int) -> CheckReport:
     return _equality_report(f"hermite:{name}:d{d}:first", lhs, rhs, 1e-10)
 
 
-SMOOTHING_TAIL_LENGTH = 16.0  # integrand decays like exp(-2(r - r0)); tail < 1e-12
-
-
 def smoothing_identity_residual(name, t: float) -> CheckReport:
     """Check the heat-semigroup identity for a catalog function at time t.
 
-    The s-integral is evaluated after the substitution s = exp(-2r), under
-    which the 1/s factor cancels and the domain becomes the half line
-    [log(1/sqrt(t)), inf); the tail is truncated where it falls below
-    1e-12 and the rest is integrated on 8 Gauss-Legendre panels of 12
-    nodes, within 2.7e-15 of 64 panels of 24 on every catalog function at
-    t = 0.1, 0.5 and 1 (one panel of 24 nodes errs by 1.7e-10).
+    The s-integral runs on the LEGENDRE_NODES Gauss-Legendre rule on
+    [0, t], each node's inner mean on the HERMITE_NODES Gauss-Hermite rule.
+    By Stein's lemma the integrand s^{-1} E[f(sqrt(s) z)(z^2 - 1)] is
+    E[f''(sqrt(s) z)], bounded at s = 0 and analytic in s, so the rule
+    converges geometrically: on every catalog function at t = 0.1, 0.5 and
+    1 it lies within 3e-14 of the substitution s = exp(-2r) on 64 panels
+    of 24 nodes, and an 8-node rule errs by up to 5.8e-12.
     ``name`` is a catalog id, or a CatalogFunction for ad-hoc payloads.
     """
     fn, name = _catalog_entry(name)
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     z, w = gauss_hermite(HERMITE_NODES)
-    h2 = z**2 - 1.0
-
-    r0 = math.log(1.0 / math.sqrt(t))
-    r_nodes, r_weights = legendre_panels(r0, r0 + SMOOTHING_TAIL_LENGTH, panels=8, n=12)
-    # inner expectation for every r node at once: rows scale exp(-r)
-    scaled = np.exp(-r_nodes)[:, None] * z[None, :]
-    inner = np.asarray(fn.f(scaled)) * h2[None, :] @ w
-    lhs = 2.0 * float(r_weights @ inner)
+    s_nodes, s_weights = legendre_panels(0.0, t, 1, LEGENDRE_NODES)
+    # the inner mean at every s node at once: row j scales z by sqrt(s_j)
+    inner = np.asarray(fn.f(np.sqrt(s_nodes)[:, None] * z)) * (z**2 - 1.0) @ w
+    lhs = float((s_weights / s_nodes) @ inner)
     rhs = 2.0 * (float(w @ np.asarray(fn.f(math.sqrt(t) * z))) - float(np.asarray(fn.f(np.zeros(1)))[0]))
     return _equality_report(f"smoothing:{name}:t{t:g}", lhs, rhs, 1e-8)
 
@@ -214,11 +203,13 @@ def ito_expansion_residual(
     theta>, t ||x||^2), so its left side is one HERMITE_NODES Gauss-Hermite
     mean; ||w||^2 is a sum over coordinates, so its left side is the sum of
     one such mean per coordinate.  The right side integrates the Laplacian
-    ||x||^2 sigma'(<x, w>) over s on TIME_PANELS x TIME_PANEL_NODES
-    Gauss-Legendre nodes, each a HERMITE_NODES Gauss-Hermite mean.  With
-    ``mc_samples >= 2`` the left side is estimated by Monte Carlo in
-    dimension p instead and the tolerance widens to three standard errors;
-    0 selects the quadrature, and any other count raises ValueError.
+    ||x||^2 sigma'(<x, w>) over s on the LEGENDRE_NODES Gauss-Legendre rule
+    on [0, t], each node a HERMITE_NODES Gauss-Hermite mean; up to
+    ITO_MAX_SCALE and |<x, theta>| <= 8 it lies within 1e-10 of 32 panels
+    of 24 nodes, where 16 nodes err by up to 6.8e-9.  With ``mc_samples >=
+    2`` the left side is estimated by Monte Carlo in dimension p instead
+    and the tolerance widens to three standard errors; 0 selects the
+    quadrature, and any other count raises ValueError.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     p = theta.size
@@ -254,7 +245,7 @@ def ito_expansion_residual(
             return per_example_loss(y, w_points @ x_row)
 
         lhs_quadrature = float(w @ per_example_loss(y, mu + math.sqrt(t) * x_norm * z))
-        s_nodes, s_weights = legendre_panels(0.0, t, TIME_PANELS, TIME_PANEL_NODES)
+        s_nodes, s_weights = legendre_panels(0.0, t, 1, LEGENDRE_NODES)
         laplacian_means = x_norm_sq * (sigmoid_derivative(mu + (np.sqrt(s_nodes) * x_norm)[:, None] * z) @ w)
         rhs = float(per_example_loss(y, mu)) + 0.5 * float(s_weights @ laplacian_means)
 
@@ -368,15 +359,16 @@ HERMITE3_CLOSED_FORM = (1.0 + 4.0 * math.exp(-1.5)) * math.sqrt(2.0 / math.pi)
 _ABS_MOMENT_CUTOFF = 12.0  # (x^2-1)*phi(x) beyond 12 is ~1e-30
 
 
-def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
+def hermite3_abs_moment() -> CheckReport:
     """E|z^3 - 3z| by piecewise quadrature against its closed form.
 
     |x^3 - 3x| has kinks at 0 and +/-sqrt(3), so the integral is assembled
-    from Gauss-Legendre rules on [0, sqrt(3)] and [sqrt(3), cutoff] (the
-    integrand is even).  The strict inequality E|z^3 - 3z| < 2 sqrt(2/pi)
-    used downstream follows from the equality: the closed form sits 0.086
-    below 2 sqrt(2/pi), far outside the 1e-10 tolerance, and a test pins
-    that margin.
+    from one LEGENDRE_NODES Gauss-Legendre rule on each of [0, sqrt(3)] and
+    [sqrt(3), cutoff] (the integrand is even); it lies within 1e-14 of the
+    closed form, where 16 nodes a piece err by 1.7e-8.  The strict
+    inequality E|z^3 - 3z| < 2 sqrt(2/pi) used downstream follows from the
+    equality: the closed form sits 0.086 below 2 sqrt(2/pi), far outside
+    the 1e-10 tolerance, and a test pins that margin.
     """
     root = math.sqrt(3.0)
 
@@ -385,7 +377,7 @@ def hermite3_abs_moment(nodes: int = 128) -> CheckReport:
 
     total = 0.0
     for a, b in ((0.0, root), (root, _ABS_MOMENT_CUTOFF)):
-        x, w = legendre_panels(a, b, 1, nodes)
+        x, w = legendre_panels(a, b, 1, LEGENDRE_NODES)
         total += float(w @ (np.abs(x**3 - 3.0 * x) * density(x)))
     return _equality_report("hermite3_abs_moment", 2.0 * total, HERMITE3_CLOSED_FORM, 1e-10)
 
@@ -400,11 +392,6 @@ GAP_HERMITE_NODES = 48
 # the paired closed form keeps X = 2 cosh(mu), Y = 2 cosh(c) and (X + Y)^2 finite for |mu| and |c| up to this;
 # (X + Y)^2 overflows at about 354
 GAP_PAIR_LIMIT = 350.0
-# the time integral of the pair-rule gap values: one Gauss-Legendre rule on [0, t].  Each pair's sum is even in
-# sqrt(s), so analytic in s, and the rule converges geometrically: on 210-row surfaces at t = 1 and probes in the
-# unit ball it is within 1e-13 of 16 panels of 24 nodes at p = 3 and 1e-12 at p = 5, far below the Hermite rule's
-# 1e-8; 16 nodes err by up to 4.3e-10
-GAP_TIME_NODES = 24
 # the largest probe block of `_GapSurface.identity_values`; the probes are split into equal blocks (49 go as 7 of 7).
 # At the g suite's 210 rows a block's (8, rows, 66) softplus tensor takes 0.9 MB and stays in L2; no block of 4,
 # 12 or 16 gave a faster `verify all` on 2 cores, and one unblocked pass over 49 probes doubled its peak RSS
@@ -446,12 +433,14 @@ class _GapSurface:
     1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the `g`
     suite.  Neither needs a guard.
 
-    `value_many` keeps the time integral, on one GAP_TIME_NODES-node
+    `value_many` keeps the time integral, on the LEGENDRE_NODES
     Gauss-Legendre rule on [0, t] by the GAP_HERMITE_NODES Gauss-Hermite
     rule.  It sums the symmetric Hermite nodes +z_k and -z_k in pairs, as
     many as the rule has nodes above the weight floor (19); a pair's sum is
-    even in sqrt(s), so analytic in s, and the one time rule converges
-    geometrically.  With
+    even in sqrt(s), so analytic in s, and the time rule converges
+    geometrically: on 210-row surfaces at t = 1 and probes in the unit ball
+    it lies within 1e-12 of 16 panels of 24 nodes, far below the Hermite
+    rule's 1e-8, where 16 nodes err by up to 4.3e-10.  With
     c = sqrt(s lambda_i) z_k, X = 2 cosh(mu) and Y = 2 cosh(c),
         sigma'(mu + c) + sigma'(mu - c) = (4 + X Y) / (X + Y)^2,
     a sum and quotient of positive terms with no exp per node.  The form
@@ -505,7 +494,7 @@ class _GapSurface:
         return np.concatenate(values)
 
     def value_many(self, thetas: np.ndarray) -> np.ndarray:
-        s_nodes, s_weights = legendre_panels(0.0, self.t, 1, GAP_TIME_NODES)
+        s_nodes, s_weights = legendre_panels(0.0, self.t, 1, LEGENDRE_NODES)
         z_nodes, z_weights = gauss_hermite(GAP_HERMITE_NODES)
         # the nodes are sorted and symmetric: the upper half holds z_k > 0 and the weights of the pairs
         half = len(z_nodes) // 2

@@ -32,13 +32,9 @@ class LossSumSurface(LogisticSurface):
     with the gradient weights @ ((sigma(s) - t) x): the oracle of the split form."""
 
     def value(self, scores):
-        if self.weights is None:
-            return super().value(scores)
         return per_example_loss(self.targets, scores) @ self.weights
 
     def grad(self, scores):
-        if self.weights is None:
-            return super().grad(scores)
         return (self.weights * (sigmoid(scores) - self.targets)) @ self.x
 
 

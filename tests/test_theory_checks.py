@@ -17,7 +17,7 @@ from ulln import Dataset, make_covariance, theory_checks
 from ulln.bounds import GAUSSIAN_K
 from ulln.datagen import CovarianceSpec, make_rng, map_replicates
 from ulln.model import per_example_loss, sigmoid, sigmoid_derivative, softplus
-from ulln.quadrature import gauss_hermite, gauss_hermite_tensor, legendre_panels
+from ulln.quadrature import HERMITE_NODES, LEGENDRE_NODES, gauss_hermite, gauss_hermite_tensor, legendre_panels
 from ulln.solver import project_to_ball
 from ulln.theory_checks import (
     CATALOG,
@@ -28,11 +28,8 @@ from ulln.theory_checks import (
     GAP_HERMITE_NODES,
     GAP_PAIR_LIMIT,
     GAP_PROBE_BLOCK,
-    GAP_TIME_NODES,
-    HERMITE_NODES,
     ITO_MAX_SCALE,
     LOG2,
-    SMOOTHING_TAIL_LENGTH,
     SUITE_NAMES,
     CatalogFunction,
     envelope_moment_check,
@@ -84,6 +81,10 @@ class TestHermiteIdentities:
             hermite_identity_residual("sigmoid", 3)
 
 
+# the oracle's truncated half line in r: its integrand decays like exp(-2(r - r0)), so the cut tail is below 1e-12
+SMOOTHING_ORACLE_TAIL = 16.0
+
+
 class TestSmoothingIdentity:
     def test_constant_function_vanishes(self):
         const = CatalogFunction(
@@ -120,11 +121,12 @@ class TestSmoothingIdentity:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
-    def test_tail_rule_is_converged(self, name, t):
-        # 8 panels of 12 nodes against 64 of 24: measured worst 2.7e-15; one panel of 24 nodes errs by 1.7e-10
+    def test_time_rule_is_converged(self, name, t):
+        # the one s-rule on [0, t] against the substitution s = exp(-2r) on 64 panels of 24 nodes, its tail cut at
+        # SMOOTHING_ORACLE_TAIL: measured worst 2.5e-14 (the oracle's own rounding on poly2); 8 nodes err by 5.8e-12
         z, w = gauss_hermite(HERMITE_NODES)
         r0 = math.log(1.0 / math.sqrt(t))
-        r_nodes, r_weights = legendre_panels(r0, r0 + SMOOTHING_TAIL_LENGTH, 64, 24)
+        r_nodes, r_weights = legendre_panels(r0, r0 + SMOOTHING_ORACLE_TAIL, 64, 24)
         inner = np.asarray(CATALOG[name].f(np.exp(-r_nodes)[:, None] * z)) * (z**2 - 1.0) @ w
         assert abs(smoothing_identity_residual(name, t).lhs - 2.0 * float(r_weights @ inner)) <= 1e-13
 
@@ -249,6 +251,21 @@ class TestItoExpansion:
             0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200,
         )
         assert abs(report.rhs - (per_example_loss(y, mu) + 0.5 * integral)) <= 1e-13
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_time_rule_is_converged(self, y):
+        # sqrt(t) ||x|| up to ITO_MAX_SCALE and |mu| <= 8: the one LEGENDRE_NODES rule on [0, t] against 32 panels
+        # of 24 nodes; measured worst 1.3e-11 (at the largest scale), where 16 nodes err by 6.8e-9
+        z, w = gauss_hermite(HERMITE_NODES)
+        x_norm = 2.0
+        for scale in np.linspace(0.5, ITO_MAX_SCALE, 8):
+            t = (scale / x_norm) ** 2
+            s_nodes, s_weights = legendre_panels(0.0, t, 32, 24)
+            for mu in np.linspace(-8.0, 8.0, 17):
+                row = Dataset(np.array([[x_norm]]), np.array([y]))
+                report = ito_expansion_residual(np.array([mu / x_norm]), t, row)
+                laplacian_means = x_norm**2 * (sigmoid_derivative(mu + (np.sqrt(s_nodes) * x_norm)[:, None] * z) @ w)
+                assert abs(report.rhs - (per_example_loss(y, mu) + 0.5 * float(s_weights @ laplacian_means))) <= 1e-10
 
     @pytest.mark.parametrize("x_row, theta, t", [([1.5], [0.2], 0.5), ([0.9, -0.7, 0.4], [0.3, 0.1, -0.2], 0.3)])
     def test_wrong_laplacian_fails(self, monkeypatch, x_row, theta, t):
@@ -381,10 +398,10 @@ class TestHermite3AbsMoment:
         report = hermite3_abs_moment()
         assert 2 * math.sqrt(2 / math.pi) - report.lhs > 0.08
 
-    def test_node_refinement_agreement(self):
-        coarse = hermite3_abs_moment(nodes=64)
-        fine = hermite3_abs_moment(nodes=256)
-        assert abs(coarse.lhs - fine.lhs) <= 1e-12
+    def test_rule_is_converged(self):
+        # one LEGENDRE_NODES rule a piece: measured 6.4e-15 off the closed form; 16 nodes a piece err by 1.7e-8
+        closed = (1 + 4 * math.exp(-1.5)) * math.sqrt(2 / math.pi)
+        assert abs(hermite3_abs_moment().lhs - closed) <= 1e-13
 
 
 class TestLaplacianGap:
@@ -468,7 +485,7 @@ class TestLaplacianGap:
             laplacian_gap_functional(np.empty((0, 2)), np.zeros(2), 0.5, make_covariance("identity", 2), 10, 0)
 
 
-def _direct_value_many(z_rows, ref_rows, t, cov, thetas, time_panels=1, time_nodes=GAP_TIME_NODES):
+def _direct_value_many(z_rows, ref_rows, t, cov, thetas, time_panels=1, time_nodes=LEGENDRE_NODES):
     """The gap surface's value rule, one (rows, m, nodes) tensor per s node;
     by default on the surface's own time rule."""
     surface = _GapSurface(z_rows, ref_rows, t, cov)
@@ -532,7 +549,7 @@ class TestGapSurface:
 
     @pytest.mark.parametrize("kind", ["reciprocal", "identity"])
     def test_time_rule_is_converged(self, kind):
-        # one GAP_TIME_NODES rule on [0, t] against 16 panels of 24 nodes: measured worst 6.7e-14 at these
+        # one LEGENDRE_NODES rule on [0, t] against 16 panels of 24 nodes: measured worst 6.7e-14 at these
         # rows, where a 16-node rule errs by 1.6e-11 or more
         surface, args, rng = _gap_case(50, 160, 3, 1.0, seed=5, kind=kind)
         thetas = rng.standard_normal((8, 3))
