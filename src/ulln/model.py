@@ -19,16 +19,14 @@ whose |s| and s terms are products with weights fixed when the surface
 is built; every surface, the empirical risk's included, takes this one
 form.  The loss and the link go through two in-place kernels:
 
-* `_softplus_into` writes softplus(s); its helper `_tail_from_abs` turns
-  |s| into the tail log1p(exp(-|s|)), the package's one log1p.  It
-  serves `softplus` and the heat-semigroup gap of `theory_checks`.  A
-  surface holds |s| for its product already, so it calls
-  `_tail_from_abs` alone.
+* `_tail_from_abs` turns |s| into the tail log1p(exp(-|s|)) in place,
+  for `softplus` and the surface value.  A surface holds |s| for its
+  product already, so it calls `_tail_from_abs` alone.
 * `_sigmoid_into` writes the logistic link sigma(t) = 1/(1+exp(-t)),
-  times an optional scale, for `sigmoid`, the surface gradient and the
-  gap surface of `theory_checks`.  It is exactly 0 far in the left tail,
-  where exp(-t) overflows to inf, and exactly the scale far in the right
-  tail, with no floating-point warning on either.
+  times an optional scale, for `sigmoid` and the surface gradient.  It
+  is exactly 0 far in the left tail, where exp(-t) overflows to inf, and
+  exactly the scale far in the right tail, with no floating-point
+  warning on either.
 """
 from __future__ import annotations
 
@@ -80,19 +78,11 @@ def _tail_from_abs(tail):
     return tail
 
 
-def _softplus_into(s, out, tail):
-    """Write softplus(s) = max(s, 0) + log1p(exp(-|s|)) into `out`, leaving
-    the tail log1p(exp(-|s|)) in `tail`; `out` may be `s` itself."""
-    _tail_from_abs(np.abs(s, out=tail))
-    np.maximum(s, 0.0, out=out)
-    out += tail
-    return out
-
-
 def softplus(s):
     """log(1+exp(s)) computed as max(s,0) + log1p(exp(-|s|))."""
     s = np.asarray(s, dtype=float)
-    out = _softplus_into(s, np.empty_like(s), np.empty_like(s))
+    out = _tail_from_abs(np.abs(s, out=np.empty_like(s)))
+    out += np.maximum(s, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -10,7 +10,9 @@ The package takes two rules, both declared here:
   geometrically.
 
 The one exception is the pair rule of `theory_checks._GapSurface.value_many`,
-whose 48-node Hermite rule the `expsup` check values depend on.
+whose 48-node Hermite rule the `expsup` check values depend on.  The
+surface's `gradient` and `identity_values` keep the 128-node rule and sum
+its symmetric nodes +/-z_k in pairs by closed forms.
 
 Everything here works with the probabilists' convention, i.e. nodes/weights
 (z, w) such that

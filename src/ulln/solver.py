@@ -73,7 +73,10 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
     <grad, step>, halving the step), doubling the step after clean
     acceptances.  Stops once the gradient-mapping norm at the accepted
     step size drops below ``opts.grad_map_tol``; reports
-    ``converged=False`` after ``opts.max_iters`` otherwise.
+    ``converged=False`` after ``opts.max_iters`` otherwise.  If the
+    accepted move is exactly zero (backtracking has shrunk the step until
+    theta - step * grad rounds to theta), the fit stops there, and the
+    gradient mapping at the start step decides ``converged``.
     """
     if not 0 <= radius < np.inf:
         raise ValueError("radius must be finite and >= 0")
@@ -88,7 +91,8 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
     grad = surface.grad(scores)
 
     # inverse of the global Lipschitz bound ||X||_F^2 / (4n) for the risk gradient
-    step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
+    start_step = 4.0 * n / float(np.einsum("ij,ij->", x, x))
+    step = start_step
 
     converged = False
     grad_map_norm = float("inf")
@@ -112,6 +116,12 @@ def fit_constrained(data: Dataset, radius: float, opts: SolverOptions | None = N
         else:
             break  # step underflowed; report best iterate without a certificate
 
+        if not np.any(direction):
+            # the step has shrunk until the move rounds to 0, which certifies nothing: measure at the start step
+            moved = theta - start_step * grad
+            grad_map_norm = float(np.linalg.norm(_ball_scale(moved, radius) * moved - theta)) / start_step
+            converged = grad_map_norm <= opts.grad_map_tol
+            break
         grad_map_norm = float(np.linalg.norm(direction)) / step
         theta, scores, risk = candidate, cand_scores, cand_risk
         grad = surface.grad(scores)

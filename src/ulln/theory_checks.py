@@ -24,9 +24,11 @@ Checks covered:
   ranking of the `expsup` scan drop the time integral by the heat-semigroup
   identity
       lambda int_0^t E[f''(mu + sqrt(s lambda) Z)] ds
-          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu));
-  the four values an `expsup` replicate reports keep the time integral and
-  sum the symmetric Hermite nodes in pairs by a closed form (the pair rule).
+          = 2 (E[f(mu + sqrt(t lambda) Z)] - f(mu)),
+  and sum the symmetric Hermite nodes +/-z_k in pairs by closed forms in
+  cosh, with no exp per node; the four values an `expsup` replicate
+  reports keep the time integral and sum the pairs by a closed form of
+  their own (the pair rule).
 
 Every integral is a fixed rule from `quadrature`: a Gaussian mean on the
 HERMITE_NODES Gauss-Hermite rule (the pair rule on its own 48 nodes), an
@@ -53,12 +55,9 @@ from .bounds import GAUSSIAN_K
 from .datagen import CovarianceSpec, make_covariance, make_rng, map_replicates
 from .model import (
     Dataset,
-    _sigmoid_into,
-    _softplus_into,
     per_example_loss,
     sigmoid,
     sigmoid_derivative,
-    softplus,
 )
 from .quadrature import HERMITE_NODES, LEGENDRE_NODES, gauss_hermite, legendre_panels
 from .solver import project_to_ball
@@ -289,8 +288,8 @@ def kl_gaussian_shift(theta: np.ndarray, t: float) -> CheckReport:
     return _equality_report(f"kl_shift:p{p}:t{t:g}", float(w @ log_ratio), closed, 1e-12)
 
 
-# the rows of one block of envelope draws: at p = 4 a block and its two copies take 0.8 MB, where the `origin`
-# check's 300k draws drawn whole take 29 MB, which under `verify all` adds to the `g` suite's peak
+# the rows of one block of envelope draws: at p = 4 a block takes 0.26 MB and is scaled in place, where the
+# `origin` check's 300k draws drawn whole take 10 MB, which under `verify all` adds to the `g` suite's peak
 _ENVELOPE_BLOCK_ROWS = 8192
 
 
@@ -316,9 +315,9 @@ def envelope_moment_check(
     theta, theta> along the way; a violation of either part fails the check.
 
     The draws come from one stream in blocks of _ENVELOPE_BLOCK_ROWS rows,
-    and only the vector of norms is kept.  The blocks concatenate to the
-    whole draw bit for bit and each norm reads one row, so the block size
-    changes no value.
+    each scaled and shifted in place, and only the vector of norms is
+    kept.  The blocks concatenate to the whole draw bit for bit and each
+    norm reads one row, so the block size changes no value.
     """
     if mc_samples < 2:
         raise ValueError("mc_samples must be >= 2")
@@ -335,10 +334,14 @@ def envelope_moment_check(
     c = 1.0 + math.sqrt(3.0) * GAUSSIAN_K
     rng = make_rng(_seed_from_name("envelope") if seed is None else seed)
     norms = np.empty(mc_samples)
+    sqrt_eigenvalues = np.sqrt(cov.eigenvalues)
     for start in range(0, mc_samples, _ENVELOPE_BLOCK_ROWS):
         stop = min(start + _ENVELOPE_BLOCK_ROWS, mc_samples)
-        draws = theta[None, :] + math.sqrt(t) * rng.standard_normal((stop - start, cov.p))
-        norms[start:stop] = np.linalg.norm(cov.transform(draws), axis=1)
+        draws = rng.standard_normal((stop - start, cov.p))
+        draws *= math.sqrt(t)
+        draws += theta
+        draws *= sqrt_eigenvalues  # cov.transform, in place
+        np.sqrt(np.einsum("ij,ij->i", draws, draws), out=norms[start:stop])
 
     eta_sq = (72.0 / math.e) * (LOG2 + c * norms) ** 2
     mean_eta, se_eta = _mean_and_stderr(eta_sq)
@@ -393,8 +396,9 @@ GAP_HERMITE_NODES = 48
 # (X + Y)^2 overflows at about 354
 GAP_PAIR_LIMIT = 350.0
 # the largest probe block of `_GapSurface.identity_values`; the probes are split into equal blocks (49 go as 7 of 7).
-# At the g suite's 210 rows a block's (8, rows, 66) softplus tensor takes 0.9 MB and stays in L2; no block of 4,
-# 12 or 16 gave a faster `verify all` on 2 cores, and one unblocked pass over 49 probes doubled its peak RSS
+# At the g suite's 210 rows a block's one (8, rows, 33) buffer takes 0.44 MB and stays in L2; with the per-node
+# kernel, whose tensors were (8, rows, 66), no block of 4, 12 or 16 gave a faster `verify all` on 2 cores, and one
+# unblocked pass over 49 probes doubled its peak RSS
 GAP_PROBE_BLOCK = 8
 
 
@@ -425,13 +429,29 @@ class _GapSurface:
     `identity_values` drops the time integral by the heat-semigroup identity
     with f = softplus (softplus'' = sigma'): each row's integral is
     2 (E[softplus(mu + sqrt(t lambda) Z)] - softplus(mu)), one mean on the
-    HERMITE_NODES Gauss-Hermite rule, whose 66 nodes make the last axis of
-    `t_offsets`.  Against an adaptive-quadrature oracle, with mu in
-    [-3, 3], it errs by at most 2e-11 for sqrt(t lambda) up to 3, 9e-10 at
-    3.6 and 2e-4 at 10.  `gradient` gives the (m, p)
-    block of gradients by the identity with f = sigma, accurate to about
-    1e-11 for sqrt(t lambda) up to about 3.6, the largest value in the `g`
-    suite.  Neither needs a guard.
+    HERMITE_NODES Gauss-Hermite rule.  Against an adaptive-quadrature
+    oracle, with mu in [-3, 3], it errs by at most 2e-11 for
+    sqrt(t lambda) up to 3, 9e-10 at 3.6 and 2e-4 at 10.  `gradient` gives
+    the (m, p) block of gradients by the identity with f = sigma, accurate
+    to about 1e-11 for sqrt(t lambda) up to about 3.6, the largest value in
+    the `g` suite.
+
+    Both sum the rule's symmetric nodes +z_k and -z_k in pairs, 33 pairs of
+    its 66 kept nodes with the pair weights w_k.  With c = sqrt(t lambda) z_k,
+        softplus(mu + c) + softplus(mu - c) = mu + log(2 cosh(mu) + 2 cosh(c)),
+        sigma(mu + c) + sigma(mu - c) = 1 + sinh(mu) / (cosh(mu) + cosh(c)),
+    so a row's increment is 2 sum_k w_k log1p((cosh(c) - 1) / (cosh(mu) + 1))
+    and its smoothed link 1/2 + tanh(mu) sum_k w_k / (1 + cosh(c) sech(mu)).
+    The (rows, 33) tables cosh(c) and cosh(c) - 1, the second as
+    2 sinh(c/2)^2 so that small c keeps its digits, are built once per
+    surface, so a call takes no exp per node: one divide and log1p, or one
+    multiply, add and reciprocal, per element.  Within the rule the pairs
+    agree with the nodes summed one by one to about 4e-17.  cosh(mu) may
+    overflow, which gives sech(mu) = 0 and an increment of 0, the limits
+    past |mu| of about 710; a row with lambda = 0 adds exactly 0.  The
+    tables overflow once sqrt(t lambda) z_k passes about 710, that is
+    sqrt(t lambda) above about 76, so such a surface raises ValueError when
+    it is built; the rule has lost its accuracy long before that.
 
     `value_many` keeps the time integral, on the LEGENDRE_NODES
     Gauss-Legendre rule on [0, t] by the GAP_HERMITE_NODES Gauss-Hermite
@@ -461,8 +481,15 @@ class _GapSurface:
         self.coef = np.concatenate([np.full(n, 0.5 / n), np.full(m, -0.5 / m)])
         self.directions = cov.transform(rows)
         self.lambda_sq = (rows**2) @ cov.eigenvalues
-        h_nodes, self.h_weights = gauss_hermite(HERMITE_NODES)
-        self.t_offsets = np.sqrt(t * self.lambda_sq)[:, None] * h_nodes
+        h_nodes, h_weights = gauss_hermite(HERMITE_NODES)
+        half = len(h_nodes) // 2  # the nodes are sorted and symmetric: the upper half holds z_k > 0
+        self.pair_weights = h_weights[half:]
+        c = np.sqrt(t * self.lambda_sq)[:, None] * h_nodes[half:]
+        with np.errstate(over="ignore"):
+            self.cosh_c = np.cosh(c)
+            self.cosh_c_minus_one = 2.0 * np.sinh(0.5 * c) ** 2
+        if not (np.all(np.isfinite(self.cosh_c)) and np.all(np.isfinite(self.cosh_c_minus_one))):
+            raise ValueError("gap surface: cosh(sqrt(t lambda) z_k) overflows; sqrt(t lambda) must stay below about 76")
 
     def _mus(self, thetas: np.ndarray) -> np.ndarray:
         """mu[j, i] = <Lambda^{1/2} z_i, theta_j>, one product per probe."""
@@ -470,27 +497,29 @@ class _GapSurface:
 
     def gradient(self, thetas: np.ndarray) -> np.ndarray:
         mus = self._mus(thetas)
-        args = mus[:, :, None] + self.t_offsets
-        smoothed = _sigmoid_into(args, args) @ self.h_weights
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(mus)
+        pairs = self.cosh_c * sech[:, :, None]
+        pairs += 1.0
+        np.reciprocal(pairs, out=pairs)
+        smoothed = 0.5 + np.tanh(mus) * (pairs @ self.pair_weights)
         row_terms = 2.0 * self.coef * (smoothed - sigmoid(mus))
         return (row_terms[:, None, :] @ self.directions)[:, 0]
 
     def identity_values(self, thetas: np.ndarray) -> np.ndarray:
-        """softplus(mu) is subtracted node by node, so a row with lambda = 0
-        adds exactly 0.  The probes go in equal blocks of at most
-        GAP_PROBE_BLOCK, and `_softplus_into` writes a block in place, with
-        its tail in a second buffer."""
+        """The probes go in equal blocks of at most GAP_PROBE_BLOCK, each
+        written into one buffer."""
         mus = self._mus(thetas)
         blocks = np.array_split(mus, max(1, math.ceil(len(mus) / GAP_PROBE_BLOCK)))
-        buffer = np.empty((len(blocks[0]),) + self.t_offsets.shape)  # array_split puts the largest block first
-        tail_buffer = np.empty_like(buffer)
+        buffer = np.empty((len(blocks[0]),) + self.cosh_c_minus_one.shape)  # array_split puts the largest block first
         values = []
         for block in blocks:
-            increments, tail = buffer[: len(block)], tail_buffer[: len(block)]
-            np.add(block[:, :, None], self.t_offsets, out=increments)
-            _softplus_into(increments, increments, tail)
-            increments -= softplus(block)[:, :, None]
-            values.append(((increments @ self.h_weights)[:, None, :] @ (2.0 * self.coef))[:, 0])
+            increments = buffer[: len(block)]
+            with np.errstate(over="ignore"):
+                denominators = np.cosh(block) + 1.0
+            np.divide(self.cosh_c_minus_one, denominators[:, :, None], out=increments)
+            np.log1p(increments, out=increments)
+            values.append(((increments @ self.pair_weights)[:, None, :] @ (2.0 * self.coef))[:, 0])
         return np.concatenate(values)
 
     def value_many(self, thetas: np.ndarray) -> np.ndarray:

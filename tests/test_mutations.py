@@ -51,17 +51,12 @@ def sigma_prime_scaled(mp):
 def sigma_shifted(mp):
     link = _shifted(theory_checks.sigmoid, 1e-4)
     mp.setattr(theory_checks, "sigmoid", link)
-    mp.setattr(theory_checks, "_sigmoid_into",
-               _in_place(theory_checks._sigmoid_into, lambda out: out.__iadd__(1e-4)))
     mp.setitem(CATALOG, "sigmoid", CatalogFunction(link, theory_checks.sigmoid_derivative))
 
 
 def softplus_scaled(mp):
-    # the logistic loss is a softplus, so it is scaled too
-    mp.setattr(theory_checks, "softplus", _scaled(theory_checks.softplus, 1.001))
+    # the logistic loss is the one softplus `theory_checks` calls
     mp.setattr(theory_checks, "per_example_loss", _scaled(theory_checks.per_example_loss, 1.001))
-    mp.setattr(theory_checks, "_softplus_into",
-               _in_place(theory_checks._softplus_into, lambda out: out.__imul__(1.001)))
 
 
 def hermite_weights_scaled(mp):

@@ -200,6 +200,18 @@ class TestLinearScoreUpdates:
         assert fit.iterations == iterations
         np.testing.assert_allclose(fit.theta_hat, theta, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_a_move_rounded_to_zero_is_not_certified(self, seed):
+        # at radius 50 (interior optimum) backtracking halves the step until theta - step * grad rounds to theta,
+        # while the gradient is still 5.7e-10 to 3.6e-9; the fit stops there and measures at the start step
+        data = self.problem(seed)
+        fit = fit_constrained(data, 50.0, SolverOptions(max_iters=5000, grad_map_tol=1e-10))
+        gradient = np.linalg.norm(solver.LogisticSurface(data.inputs, data.labels).grad(data.inputs @ fit.theta_hat))
+        assert not fit.converged and fit.iterations < 5000
+        assert fit.grad_map_norm > 1e-10
+        # inside the ball the gradient mapping is the gradient
+        assert fit.grad_map_norm == pytest.approx(gradient, rel=1e-6)
+
     def test_running_scores_keep_the_risk_of_an_unconverged_fit(self, monkeypatch):
         # replicate 3's reciprocal fit runs all 1500 iterations on scores that
         # are never read back from X, so their rounding could drift

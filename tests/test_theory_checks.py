@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -631,21 +632,73 @@ class TestGapSurface:
         value = laplacian_gap_functional(z, theta, 0.6, cov, ref_samples=40, seed=5)
         ref_rows = make_rng(5).standard_normal((40, p))  # the functional's own reference draw at seed 5
         surface = _GapSurface(z, ref_rows, 0.6, cov)
-        # the surface's layout: +1/(2n) on the data rows, -1/(2m) on the reference rows, offsets sqrt(t lambda) z_k
+        # the surface's layout: +1/(2n) on the data rows, -1/(2m) on the reference rows, and the pair tables
+        # cosh(c) and cosh(c) - 1 at c = sqrt(t lambda) z_k over the positive nodes z_k, with their weights
         lambda_sq = (np.vstack([z, ref_rows]) ** 2) @ cov.eigenvalues
         assert np.array_equal(surface.coef, np.concatenate([np.full(9, 0.5 / 9), np.full(40, -0.5 / 40)]))
-        assert np.array_equal(surface.t_offsets, np.sqrt(0.6 * lambda_sq)[:, None] * gauss_hermite(HERMITE_NODES)[0])
+        nodes, weights = gauss_hermite(HERMITE_NODES)
+        c = np.sqrt(0.6 * lambda_sq)[:, None] * nodes[nodes.size // 2:]
+        assert np.all(c > 0) and np.array_equal(surface.pair_weights, weights[nodes.size // 2:])
+        assert np.array_equal(surface.cosh_c, np.cosh(c))
+        assert np.array_equal(surface.cosh_c_minus_one, 2.0 * np.sinh(c / 2.0) ** 2)
         assert value == surface.identity_values(theta[None])[0]
 
     def test_kernel_is_the_per_probe_softplus_gap_bitwise(self):
-        # 11 probes go as blocks of 6 and 5; each probe's value is the softplus formula contracted on its own
+        # 11 probes go as blocks of 6 and 5; each probe's value is the paired softplus gap contracted on its own
         surface, _, rng = _gap_case(50, 160, 3, 0.7)
         thetas = rng.standard_normal((11, 3))
         coef2 = 2.0 * surface.coef
-        want = [((softplus(mu[:, None] + surface.t_offsets) - softplus(mu)[:, None]) @ surface.h_weights) @ coef2
+        want = [(np.log1p(surface.cosh_c_minus_one / (np.cosh(mu) + 1.0)[:, None]) @ surface.pair_weights) @ coef2
                 for mu in surface._mus(thetas)]
         got = surface.identity_values(thetas)
         assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_pairs_match_the_per_node_forms(self, p, seed):
+        # the same rule summed node by node; measured worst 3.8e-17 for the values and for the gradients
+        surface, _, rng = _gap_case(50, 160, p, 1.0, seed=seed, kind=("reciprocal", "identity")[seed % 2])
+        thetas = np.vstack([np.zeros(p), project_to_ball(rng.standard_normal((4, p)), 1.0),
+                            rng.standard_normal((4, p))])
+        nodes, weights = gauss_hermite(HERMITE_NODES)
+        offsets = np.sqrt(surface.t * surface.lambda_sq)[:, None] * nodes
+        coef2 = 2.0 * surface.coef
+        mus = surface._mus(thetas)
+        values = [((softplus(mu[:, None] + offsets) - softplus(mu)[:, None]) @ weights) @ coef2 for mu in mus]
+        gradients = [(coef2 * (sigmoid(mu[:, None] + offsets) @ weights - sigmoid(mu))) @ surface.directions
+                     for mu in mus]
+        assert np.max(np.abs(surface.identity_values(thetas) - values)) <= 1e-15
+        assert np.max(np.abs(surface.gradient(thetas) - gradients)) <= 1e-15
+
+    def test_extremes_are_finite_and_silent(self):
+        # one data row of scale a = sqrt(t lambda) against a reference row with lambda = 0, which adds exactly 0;
+        # the identity value is then the data row's increment, against the pair form in long double, and the
+        # gradient is a (E[sigma(mu + a Z)] - sigma(mu)), against sigma summed node by node (measured worst: 5.9e-15
+        # relative and 2.2e-16 a).  Past |mu| of about 710 cosh(mu) overflows and the increment reads 0, where it is
+        # below 1e-60 at these scales
+        cov = make_covariance("identity", 1)
+        nodes, weights = gauss_hermite(HERMITE_NODES)
+        half = nodes.size // 2
+        mu_grid = np.array([[0.0], [0.3], [-5.0], [30.0], [-700.0], [800.0], [-1e5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (0.0, 0.5, 3.0, 40.0, 76.0):
+                surface = _GapSurface(np.array([[a]]), np.array([[0.0]]), 1.0, cov)
+                thetas = mu_grid / max(a, 1.0)
+                values, gradients = surface.identity_values(thetas), surface.gradient(thetas)[:, 0]
+                if a == 0.0:  # every row has lambda = 0
+                    assert not np.any(values) and not np.any(gradients)
+                mus = surface._mus(thetas)[:, 0]
+                assert np.all(np.isfinite(values)) and np.all(np.isfinite(gradients))
+                c = np.longdouble(a) * nodes[half:].astype(np.longdouble)
+                with np.errstate(over="ignore"):
+                    ratios = 2.0 * np.sinh(c / 2.0) ** 2 / (np.cosh(mus.astype(np.longdouble)) + 1.0)[:, None]
+                want = np.log1p(ratios) @ weights[half:].astype(np.longdouble)
+                np.testing.assert_allclose(values, want.astype(float), rtol=1e-14, atol=1e-20)
+                smoothed = sigmoid(mus[:, None] + a * nodes) @ weights
+                assert np.all(np.abs(gradients - a * (smoothed - sigmoid(mus))) <= 1e-15 * max(a, 1.0))
+        with pytest.raises(ValueError, match="overflows"):
+            _GapSurface(np.array([[80.0]]), np.array([[0.0]]), 1.0, cov)
 
     def test_returned_arrays_survive_later_calls(self):
         surface, _, rng = _gap_case(19, 20, 3, 0.7)
@@ -769,6 +822,13 @@ class TestSuites:
 
     def test_all_is_each_suite_in_turn(self):
         assert run_suite("all") == [report for key in SUITE_NAMES[1:] for report in run_suite(key)]
+
+    def test_all_passes_with_warnings_as_errors(self):
+        # the filter is process-wide, so it reaches the suites' pool threads too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_suite("all")
+        assert len(reports) == 51 and all(report.passed for report in reports)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
